@@ -16,7 +16,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -25,6 +25,7 @@ from .errors import BackendError
 logger = logging.getLogger(__name__)
 
 MAX_OUTPUT_TOKENS_CAP = 8192
+REMOTE_MAX_INFLIGHT = 4  # concurrent requests one RemoteBackend lets through
 
 
 @dataclass
@@ -64,42 +65,25 @@ def request_digest(req: GenerationRequest) -> str:
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
 
 
-class _Bounded:
-    """Bounded in-flight counter shared by all backends."""
-
-    def __init__(self, limit: int):
-        self._sem = threading.Semaphore(limit)
-
-    def __enter__(self):
-        self._sem.acquire()
-        return self
-
-    def __exit__(self, *exc):
-        self._sem.release()
-        return False
-
-
 class ReplayBackend:
     """Returns canned responses from a directory of digest-named text files."""
 
-    def __init__(self, fixture_dir, max_inflight: int = 4):
+    def __init__(self, fixture_dir):
         self.fixture_dir = Path(fixture_dir)
-        self._gate = _Bounded(max_inflight)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        with self._gate:
-            digest = request_digest(req)
-            path = self.fixture_dir / f"{digest}.txt"
-            if not path.is_file():
-                raise BackendError(
-                    f"replay miss: no fixture {path.name} for request {req.tag!r} "
-                    "(hermetic runs must not fall through)"
-                )
-            return GenerationResponse(
-                text=path.read_text(encoding="utf-8"),
-                finish_reason="complete",
-                backend_id="replay",
+        digest = request_digest(req)
+        path = self.fixture_dir / f"{digest}.txt"
+        if not path.is_file():
+            raise BackendError(
+                f"replay miss: no fixture {path.name} for request {req.tag!r} "
+                "(hermetic runs must not fall through)"
             )
+        return GenerationResponse(
+            text=path.read_text(encoding="utf-8"),
+            finish_reason="complete",
+            backend_id="replay",
+        )
 
     def record(self, req: GenerationRequest, text: str) -> Path:
         self.fixture_dir.mkdir(parents=True, exist_ok=True)
@@ -111,22 +95,20 @@ class ReplayBackend:
 class OracleBackend:
     """Returns a fixture-supplied correct body for the tagged function."""
 
-    def __init__(self, bodies: dict[str, str], max_inflight: int = 4):
+    def __init__(self, bodies: dict[str, str]):
         self.bodies = dict(bodies)
-        self._gate = _Bounded(max_inflight)
 
     @classmethod
     def from_file(cls, path) -> "OracleBackend":
         return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        with self._gate:
-            fn = req.function_id
-            if fn not in self.bodies:
-                raise BackendError(f"oracle has no body for function {fn!r}")
-            return GenerationResponse(
-                text=self.bodies[fn], finish_reason="complete", backend_id="oracle"
-            )
+        fn = req.function_id
+        if fn not in self.bodies:
+            raise BackendError(f"oracle has no body for function {fn!r}")
+        return GenerationResponse(
+            text=self.bodies[fn], finish_reason="complete", backend_id="oracle"
+        )
 
 
 class ScriptedFailureBackend:
@@ -146,7 +128,6 @@ class ScriptedFailureBackend:
         bodies: dict[str, str],
         invalid_body: str = DEFAULT_INVALID,
         unlock_substring: Optional[str] = None,
-        max_inflight: int = 4,
     ):
         self.failures = dict(failures)
         self.bodies = dict(bodies)
@@ -154,22 +135,20 @@ class ScriptedFailureBackend:
         self.unlock_substring = unlock_substring
         self.attempts: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._gate = _Bounded(max_inflight)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        with self._gate:
-            fn = req.function_id
-            with self._lock:
-                self.attempts[fn] = self.attempts.get(fn, 0) + 1
-                attempt = self.attempts[fn]
-            if self.unlock_substring and self.unlock_substring in req.user:
-                return self._valid(fn)
-            budget = self.failures.get(fn, 0)
-            if budget is None or attempt <= budget:
-                return GenerationResponse(
-                    text=self.invalid_body, finish_reason="complete", backend_id="script"
-                )
+        fn = req.function_id
+        with self._lock:
+            self.attempts[fn] = self.attempts.get(fn, 0) + 1
+            attempt = self.attempts[fn]
+        if self.unlock_substring and self.unlock_substring in req.user:
             return self._valid(fn)
+        budget = self.failures.get(fn, 0)
+        if budget is None or attempt <= budget:
+            return GenerationResponse(
+                text=self.invalid_body, finish_reason="complete", backend_id="script"
+            )
+        return self._valid(fn)
 
     def _valid(self, fn: str) -> GenerationResponse:
         if fn not in self.bodies:
@@ -191,7 +170,6 @@ class RemoteBackend:
         backoff_base: float = 0.5,
         timeout: float = 120.0,
         extra_params: Optional[dict] = None,
-        max_inflight: int = 4,
     ):
         self.endpoint = endpoint
         self.model = model
@@ -200,7 +178,7 @@ class RemoteBackend:
         self.backoff_base = backoff_base
         self.timeout = timeout
         self.extra_params = dict(extra_params or {})
-        self._gate = _Bounded(max_inflight)
+        self._gate = threading.Semaphore(REMOTE_MAX_INFLIGHT)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         body = {

@@ -11,7 +11,6 @@ import logging
 import subprocess
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 from .errors import BuildToolError
@@ -160,16 +159,6 @@ class BuildRunner:
                 )
             except OSError as exc:
                 raise BuildToolError(f"cannot invoke {argv[0]}: {exc}") from exc
-
-    def clean(self, workspace_dir) -> None:
-        with self._lock:
-            subprocess.run(
-                [self.cargo, "clean"],
-                cwd=str(workspace_dir),
-                capture_output=True,
-                text=True,
-                check=False,
-            )
 
 
 def render_diagnostics(diags: list[Diagnostic], limit: Optional[int] = None) -> str:

@@ -90,12 +90,12 @@ def _make_backend(config: RunConfig):
     raise RustportError(f"unknown backend {kind!r}")
 
 
-def _load_pipeline(workspace_dir: Path):
-    project = load_project(workspace_dir)
+def _load_pipeline(project):
+    """Index, graph and schedule of an already-loaded skeleton project."""
     index = build_symbol_index(project)
     graph = build_graph(index, project)
     layers = schedule(graph)
-    return project, graph, index, layers
+    return graph, index, layers
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -159,9 +159,7 @@ def cmd_skeleton(args) -> int:
     print(f"modules: {len(project.tree.mapping)}  stubs: {len(project.stubs)}  "
           f"types: {len(project.types)}  statics: {len(project.statics)}")
     if args.emit_graph:
-        index = build_symbol_index(project)
-        graph = build_graph(index, project)
-        layers = schedule(graph)
+        graph, _, layers = _load_pipeline(project)
         export_graph(graph, layers, out / "graph.json")
         print(f"graph written to {out / 'graph.json'}")
     return 0
@@ -169,7 +167,7 @@ def cmd_skeleton(args) -> int:
 
 def cmd_graph(args) -> int:
     workspace_dir = Path(args.workspace)
-    project, graph, index, layers = _load_pipeline(workspace_dir)
+    graph, _, layers = _load_pipeline(load_project(workspace_dir))
     out = Path(args.out) if args.out else workspace_dir / "graph.json"
     export_graph(graph, layers, out)
     print(f"{len(graph.function_nodes())} function nodes, "
@@ -181,7 +179,8 @@ def cmd_graph(args) -> int:
 def cmd_translate(args) -> int:
     config = apply_flag_overrides(load_config(args.config), args)
     workspace_dir = Path(args.workspace)
-    project, graph, index, layers = _load_pipeline(workspace_dir)
+    project = load_project(workspace_dir)
+    graph, index, layers = _load_pipeline(project)
     run_dir = _claim_run_dir(workspace_dir, config.run_id, args.force)
 
     backend = _make_backend(config)
@@ -256,7 +255,7 @@ def cmd_evaluate(args) -> int:
         bodies[fn_id] = body
 
     if args.skeleton and bodies:
-        _, graph, _, layers = _load_pipeline(skeleton_dir)
+        _, _, layers = _load_pipeline(project)
         rate, ledger = incremental_comp_rate(skeleton_dir, bodies, layers.flatten(), runner)
         report.icomp_rate = rate
         report.ledger = ledger

@@ -120,29 +120,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_LINE_MARKER = re.compile(r'^#\s+(\d+)\s+"([^"]*)"')
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    cur_file = "<unit>"
-    cur_line = 1
-    for raw in text.splitlines():
-        m = _LINE_MARKER.match(raw)
-        if m:
-            cur_line = int(m.group(1))
-            cur_file = m.group(2)
-            continue
-        if raw.lstrip().startswith("#"):
-            cur_line += 1
-            continue
-        for tm in _TOKEN_RE.finditer(raw):
-            kind = tm.lastgroup or "punct"
-            toks.append(_Tok(tm.group(0), kind, cur_file, cur_line))
-        cur_line += 1
-    return toks
-
-
 def _is_project_file(file: str, project_root: Path, base_dir: Path) -> bool:
     if file.startswith("<"):
         return False
@@ -888,27 +865,26 @@ def extract_symbols(unit: PreprocessedUnit, project_root=None) -> SymbolTable:
 
     table = SymbolTable(unit=unit)
 
-    # split the preprocessed text into project vs environment regions
+    # attribute each line through the unit's line map; lines from outside the
+    # project (system headers) only feed type-name harvesting
     base_dir = Path(unit.origin.command.directory)
-    project_lines: list[str] = []
-    env_chunks: list[str] = []
-    cur_file = str(unit.origin.command.source_path())
-    cur_project = True
-    for raw in unit.text.splitlines():
-        m = _LINE_MARKER.match(raw)
-        if m:
-            cur_file = m.group(2)
-            cur_project = _is_project_file(cur_file, project_root, base_dir)
-            project_lines.append(raw)  # markers keep line attribution
-            continue
-        if cur_project:
-            project_lines.append(raw)
-        else:
-            project_lines.append("")
-            env_chunks.append(raw)
-    _harvest_env_names("\n".join(env_chunks), table.env_types)
+    is_project: dict[str, bool] = {}
+    toks: list[_Tok] = []
+    env_lines: list[str] = []
+    for out_no, raw in enumerate(unit.text.splitlines(), start=1):
+        origin = unit.line_map.get(out_no)
+        if origin is None:
+            continue  # a line marker
+        file, line = origin
+        if file not in is_project:
+            is_project[file] = _is_project_file(file, project_root, base_dir)
+        if not is_project[file]:
+            env_lines.append(raw)
+        elif not raw.lstrip().startswith("#"):
+            for tm in _TOKEN_RE.finditer(raw):
+                toks.append(_Tok(tm.group(0), tm.lastgroup or "punct", file, line))
+    _harvest_env_names("\n".join(env_lines), table.env_types)
 
-    toks = _tokenize("\n".join(project_lines))
     parser = _Parser(toks, table)
     parser.parse()
 
@@ -1022,97 +998,6 @@ def _type_base_idents(type_text: str) -> set[str]:
             continue
         out.add(w)
     return out
-
-
-def load_ast_dump(path, unit: Optional[PreprocessedUnit] = None) -> SymbolTable:
-    """Adapter for projects beyond the native subset: one JSON declaration
-    record per line, produced by an external compiler front-end.
-
-    Record shapes:
-      {"kind": "record"|"union"|"enumeration"|"alias", "name", "members", "loc"}
-      {"kind": "function", "name", "return_type", "params", "variadic",
-       "storage", "defined", "calls", "value_refs", "source_text", "loc"}
-      {"kind": "global", "name", "type", "init", "storage", "mutable", "loc"}
-    """
-    import json as _json
-
-    table = SymbolTable(unit=unit)
-    enum_constants: set[str] = set()
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        rec = _json.loads(line)
-        kind = rec.get("kind")
-        loc = rec.get("loc", f"{path}:{line_no}")
-        if kind in ("record", "union", "enumeration", "alias"):
-            members = [
-                (m[0], m[1], m[2] if len(m) > 2 else None) for m in rec.get("members", [])
-            ]
-            table.types.append(
-                CTypeDef(
-                    name=rec["name"],
-                    kind=kind,
-                    members=members,
-                    source_loc=loc,
-                    layout_sensitive=any(m[2] is not None for m in members),
-                    opaque=bool(rec.get("opaque", False)),
-                )
-            )
-            if kind == "enumeration":
-                enum_constants.update(m[0] for m in members)
-        elif kind == "function":
-            table.functions.append(
-                CFunctionDecl(
-                    name=rec["name"],
-                    return_type=rec.get("return_type", "int"),
-                    params=[tuple(p) for p in rec.get("params", [])],
-                    variadic=bool(rec.get("variadic", False)),
-                    storage=rec.get("storage", "external"),
-                    defined_here=bool(rec.get("defined", True)),
-                    source_loc=loc,
-                    calls=set(rec.get("calls", [])),
-                    value_refs=set(rec.get("value_refs", [])),
-                    source_text=rec.get("source_text", ""),
-                )
-            )
-        elif kind == "global":
-            table.globals.append(
-                CGlobalDecl(
-                    name=rec["name"],
-                    c_type_text=rec.get("type", "int"),
-                    initializer_text=rec.get("init"),
-                    storage=rec.get("storage", "external"),
-                    mutable=bool(rec.get("mutable", True)),
-                    source_loc=loc,
-                    is_definition=bool(rec.get("defined", True)),
-                )
-            )
-        else:
-            table.partial = True
-            table.issues.append(f"unknown record kind {kind!r} at {loc}")
-
-    defined: set[str] = {t.name for t in table.types}
-    defined.update(f.name for f in table.functions)
-    defined.update(g.name for g in table.globals)
-    defined.update(enum_constants)
-    referenced: set[str] = set()
-    for fn in table.functions:
-        referenced |= fn.calls | fn.value_refs
-        referenced.update(_type_base_idents(fn.return_type))
-        for _, ptype in fn.params:
-            referenced.update(_type_base_idents(ptype))
-    for t in table.types:
-        if t.kind in ("record", "union"):
-            for _, mtype, _ in t.members:
-                referenced.update(_type_base_idents(mtype))
-        elif t.kind == "alias" and t.members:
-            referenced.update(_type_base_idents(t.members[0][1]))
-    for g in table.globals:
-        referenced.update(_type_base_idents(g.c_type_text))
-    table.external_refs = {
-        r for r in referenced - defined - C_KEYWORDS - KNOWN_ENV_TYPEDEFS if r
-    }
-    return table
 
 
 _DEFINE_RE = re.compile(r"^[ \t]*#[ \t]*define[ \t]+(\w+)([ \t(].*)?$")

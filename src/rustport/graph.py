@@ -130,7 +130,6 @@ class GraphNode:
     kind: str  # function | type | static | constant | boundary
     module: str = ""
     state: str = PENDING
-    schedulable: bool = True
 
 
 @dataclass
@@ -142,31 +141,11 @@ class SkeletonGraph:
     def function_nodes(self) -> list[str]:
         return sorted(n.node_id for n in self.nodes.values() if n.kind == "function")
 
-    def callees_of(self, node_id: str) -> set[str]:
-        return {v for (u, v) in self.call_edges if u == node_id}
-
     def mark(self, node_id: str, state: str) -> None:
         node = self.nodes[node_id]
         if node.state != PENDING and state != node.state:
             raise ValueError(f"node {node_id} already {node.state}; cannot become {state}")
         node.state = state
-
-    def eligible(self) -> list[str]:
-        """Pending function nodes whose function callees are all settled."""
-        done = {TRANSLATED, FALLBACK, FAILED}
-        out = []
-        for nid in self.function_nodes():
-            node = self.nodes[nid]
-            if node.state != PENDING:
-                continue
-            callees = {
-                v
-                for v in self.callees_of(nid)
-                if self.nodes[v].kind == "function" and v != nid
-            }
-            if all(self.nodes[v].state in done for v in callees):
-                out.append(nid)
-        return out
 
 
 def build_graph(
@@ -181,17 +160,12 @@ def build_graph(
     graph = SkeletonGraph()
     # node ids are index keys, so edges and nodes can never disagree
     for key, entry in index.entries.items():
-        graph.nodes[key] = GraphNode(
-            node_id=key,
-            kind=entry.kind,
-            module=entry.module,
-            schedulable=entry.kind == "function",
-        )
+        graph.nodes[key] = GraphNode(node_id=key, kind=entry.kind, module=entry.module)
 
     def boundary(name: str) -> str:
         qid = f"boundary::{name}"
         if qid not in graph.nodes:
-            graph.nodes[qid] = GraphNode(node_id=qid, kind="boundary", schedulable=False)
+            graph.nodes[qid] = GraphNode(node_id=qid, kind="boundary")
         return qid
 
     for stub in skeleton.stubs:
@@ -316,7 +290,6 @@ def schedule(graph: SkeletonGraph) -> ScheduleLayers:
     while current:
         layers.append(sorted(current, key=_layer_key))
         placed.update(current)
-        counts: dict[str, int] = {}
         for n in current:
             for caller in rev[n]:
                 out_deg[caller] -= 1

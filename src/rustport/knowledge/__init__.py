@@ -33,14 +33,12 @@ __all__ = [
     "KnowledgeBase",
     "MiningConfig",
     "ModelRuleExtractor",
-    "accumulate",
     "align_functions",
     "bm25_top_n",
     "build_knowledge_base",
     "get_file_candidates",
     "mine_rules",
     "rerank_top_n",
-    "retrieve",
 ]
 
 logger = logging.getLogger(__name__)
@@ -75,7 +73,6 @@ class KnowledgeBase:
         self.pairs: list[AlignedFunctionPair] = []
         self.api_rules: list[ApiRule] = []
         self.fragment_rules: list[FragmentRule] = []
-        self._index: Optional[Bm25Index] = None
 
     # --- persistence ---------------------------------------------------
 
@@ -161,7 +158,6 @@ class KnowledgeBase:
     def insert_pair(self, pair: AlignedFunctionPair) -> None:
         self.pairs.append(pair)
         self._append_journal(pair)
-        self._index = None
 
     def insert_rules(self, rules: list) -> None:
         """Merge rules; duplicates increment support instead of new records."""
@@ -242,14 +238,6 @@ class KnowledgeBase:
         self.insert_pair(pair)
         self.insert_rules(mine_rules(pair, extractor=extractor))
         return pair
-
-
-def retrieve(query_source: str, kb: KnowledgeBase, k: int = 5):
-    return kb.retrieve(query_source, k)
-
-
-def accumulate(kb: KnowledgeBase, c_name, c_source, rust_name, rust_source, extractor=None):
-    return kb.accumulate(c_name, c_source, rust_name, rust_source, extractor=extractor)
 
 
 def build_knowledge_base(

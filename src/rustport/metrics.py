@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .cargo import BuildRunner
 from .errors import MetricsError
-from .repair import compile_and_install
+from .repair import FunctionOutcome, compile_and_install
 from .skeleton import FALLBACK_MARK
 from .workspace import Workspace
 
@@ -107,8 +107,6 @@ def incremental_comp_rate(
     """
     runner = runner or BuildRunner()
     workspace = Workspace(skeleton_workspace)
-    if hasattr(order, "flatten"):
-        order = order.flatten()
     baseline = runner.build(workspace.root)
     if not baseline.ok:
         raise MetricsError("skeleton workspace does not build; cannot evaluate")
@@ -117,7 +115,8 @@ def incremental_comp_rate(
     restored = 0
     evaluated = 0
     ordered = [fn for fn in order if fn in bodies]
-    remaining = [fn for fn in sorted(bodies) if fn not in set(ordered)]
+    placed = set(ordered)
+    remaining = [fn for fn in sorted(bodies) if fn not in placed]
     for fn_id in ordered + remaining:
         body = bodies[fn_id]
         evaluated += 1
@@ -377,22 +376,15 @@ def functional_correctness(
 # --- average repair rounds ----------------------------------------------------------------
 
 
-def avg_repair(ledger: Sequence) -> Optional[float]:
+def avg_repair(outcomes: Sequence[FunctionOutcome]) -> Optional[float]:
     """Mean repair rounds over functions that reached a successful build.
 
     Functions that never succeeded (failed or fallback) are excluded; with no
     successes at all the metric is not-available.
     """
-    if not ledger:
+    if not outcomes:
         raise MetricsError("empty ledger")
-    rounds = []
-    for entry in ledger:
-        outcome = getattr(entry, "outcome", None) or getattr(entry, "final_state", None)
-        if outcome in ("restored", "translated"):
-            r = getattr(entry, "rounds", None)
-            if r is None:
-                r = getattr(entry, "rounds_used", 0)
-            rounds.append(r or 0)
+    rounds = [o.rounds_used for o in outcomes if o.final_state == "translated"]
     if not rounds:
         return None
     return sum(rounds) / len(rounds)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .backends import GenerationRequest
 from .cargo import BuildRunner
-from .graph import FALLBACK, FAILED, TRANSLATED, ScheduleLayers, SkeletonGraph, GlobalSymbolIndex
+from .graph import ScheduleLayers, SkeletonGraph, GlobalSymbolIndex
 from .knowledge import KnowledgeBase
 from .repair import DEFAULT_REPAIR_BUDGET, FunctionOutcome, repair_loop
 from .skeleton import SkeletonProject
@@ -95,12 +95,7 @@ class TranslationRun:
                     prompt_sink=self._prompt_sink,
                 )
                 self.outcomes[fn_id] = outcome
-                state = {
-                    "translated": TRANSLATED,
-                    "fallback": FALLBACK,
-                    "failed": FAILED,
-                }[outcome.final_state]
-                self.graph.mark(fn_id, state)
+                self.graph.mark(fn_id, outcome.final_state)
                 if self.artifacts is not None:
                     self.artifacts.log_attempts(outcome)
                 if (

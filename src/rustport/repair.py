@@ -14,14 +14,16 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 from .backends import GenerationRequest
 from .cargo import BuildRunner, Diagnostic, render_diagnostics
+from .errors import WorkspaceError
 from .graph import GlobalSymbolIndex
 from .skeleton import FALLBACK_MARK, FunctionStub
 from .translate import TranslationContext, build_repair_prompt, extract_body
-from .workspace import Workspace
+from .workspace import Workspace, body_file, locate_body, segment_body
 
 logger = logging.getLogger(__name__)
 
@@ -98,11 +100,30 @@ def rule_based_fix(
     dereference/address-of suggestions the compiler marks machine-applicable,
     path qualification unique in the global symbol index, and mutability
     annotations on compiler-named locals. Anything else routes to model repair.
+    Only edits that fall inside this function's own body segment of its own
+    module file are applied; offsets into other files or other items are not
+    offsets into this snapshot.
     """
     if not diagnostics or not file_snapshot:
         return None
+    try:
+        own_file = body_file(fn_id)
+        first, last, lines = locate_body(file_snapshot, fn_id)
+    except WorkspaceError:
+        return None
+    seg_start = len("".join(lines[: first + 1]).encode("utf-8"))
+    seg_end = len("".join(lines[:last]).encode("utf-8"))
     data = file_snapshot.encode("utf-8")
     edits: list[tuple[int, int, bytes]] = []
+
+    def add(file: Optional[str], start: int, end: int, replacement: bytes) -> None:
+        if file is not None and Path(file) == own_file and seg_start <= start <= end <= seg_end:
+            edits.append((start, end, replacement))
+
+    def add_machine_applicable(diag: Diagnostic) -> None:
+        for s in diag.suggestions:
+            if s.applicability == "MachineApplicable":
+                add(s.file, s.byte_start, s.byte_end, s.replacement.encode("utf-8"))
 
     def span_in_file(diag: Diagnostic) -> bool:
         return diag.file is not None and diag.line is not None
@@ -118,11 +139,11 @@ def rule_based_fix(
             ):
                 start, end = diag.byte_start, diag.byte_end
                 snippet = data[start:end].decode("utf-8", "replace")
-                edits.append((start, end, f"({snippet}) as {m.group(1)}".encode("utf-8")))
+                add(diag.file, start, end, f"({snippet}) as {m.group(1)}".encode("utf-8"))
                 continue
-            _collect_machine_applicable(diag, edits)
+            add_machine_applicable(diag)
         elif diag.code == "E0614":
-            _collect_machine_applicable(diag, edits)
+            add_machine_applicable(diag)
         elif diag.code in ("E0425", "E0412", "E0433") and index is not None:
             m = _UNRESOLVED_RE.search(diag.message)
             if not m:
@@ -133,11 +154,14 @@ def rule_based_fix(
                 candidates = index.by_bare.get(name, [])
                 target = candidates[0] if len(candidates) == 1 else None
             if target is not None and diag.byte_start is not None:
-                edits.append(
-                    (diag.byte_start, diag.byte_end, index.path_of(target).encode("utf-8"))
+                add(
+                    diag.file,
+                    diag.byte_start,
+                    diag.byte_end,
+                    index.path_of(target).encode("utf-8"),
                 )
         elif diag.code in ("E0384", "E0596"):
-            _collect_machine_applicable(diag, edits)
+            add_machine_applicable(diag)
 
     if not edits:
         return None
@@ -153,29 +177,11 @@ def rule_based_fix(
         applied += 1
     if not applied:
         return None
-    fixed_file = data.decode("utf-8", "replace")
-    return _body_from_snapshot(fixed_file, fn_id)
-
-
-def _collect_machine_applicable(diag: Diagnostic, edits: list) -> None:
-    for s in diag.suggestions:
-        if s.applicability == "MachineApplicable":
-            edits.append((s.byte_start, s.byte_end, s.replacement.encode("utf-8")))
-
-
-def _body_from_snapshot(file_text: str, fn_id: str) -> Optional[str]:
-    from .skeleton import BODY_BEGIN, BODY_END
-
-    begin = (BODY_BEGIN + fn_id).strip()
-    end = (BODY_END + fn_id).strip()
-    lines = file_text.splitlines()
     try:
-        bi = next(i for i, l in enumerate(lines) if l.strip() == begin)
-        ei = next(i for i, l in enumerate(lines) if l.strip() == end)
-    except StopIteration:
+        first, last, lines = locate_body(data.decode("utf-8", "replace"), fn_id)
+    except WorkspaceError:
         return None
-    segment = lines[bi + 1 : ei]
-    return "\n".join(l[4:] if l.startswith("    ") else l for l in segment)
+    return segment_body(lines, first, last)
 
 
 def model_repair(

@@ -1,4 +1,4 @@
-"""Per-function translation: context assembly, prompt rendering, body install.
+"""Per-function translation: context assembly, prompt rendering, body extraction.
 
 The context holds exactly the declarations the function's signature and C body
 reference, resolved through the global symbol index; retrieval examples and
@@ -13,13 +13,11 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from string import Template
-from typing import Optional
 
 from .errors import SkeletonError
 from .graph import GlobalSymbolIndex, SkeletonGraph
 from .knowledge.rules import ApiRule, FragmentRule
 from .skeleton import SkeletonProject
-from .workspace import Workspace
 
 logger = logging.getLogger(__name__)
 
@@ -307,8 +305,3 @@ def _dedent(block: str) -> str:
         return block
     cut = min(indents)
     return "\n".join(l[cut:] if l.strip() else "" for l in lines)
-
-
-def install_body(workspace: Workspace, fn_id: str, body: str) -> None:
-    """Install a candidate body between the function's markers (reversible)."""
-    workspace.install_body(fn_id, body)

@@ -13,11 +13,43 @@ import logging
 from pathlib import Path
 
 from .errors import WorkspaceError
-from .skeleton import BODY_BEGIN, BODY_END, FALLBACK_MARK, module_rel_file
+from .skeleton import BODY_BEGIN, BODY_END, module_rel_file
 
 logger = logging.getLogger(__name__)
 
 _INDENT = "    "
+
+
+def body_file(fn_id: str) -> Path:
+    """The module file, relative to the crate root, that holds ``fn_id``'s body."""
+    parts = fn_id.split("::")
+    if len(parts) < 3 or parts[0] != "crate":
+        raise WorkspaceError(f"not a qualified function id: {fn_id!r}")
+    return module_rel_file("::".join(parts[:-1]))
+
+
+def locate_body(text: str, fn_id: str) -> tuple[int, int, list[str]]:
+    """Indices of ``fn_id``'s begin and end marker lines in a module's text,
+    plus its lines with their endings kept.
+
+    Exactly one begin marker must precede exactly one end marker.
+    """
+    lines = text.splitlines(keepends=True)
+    begin = (BODY_BEGIN + fn_id).strip()
+    end = (BODY_END + fn_id).strip()
+    begin_idx = [i for i, line in enumerate(lines) if line.strip() == begin]
+    end_idx = [i for i, line in enumerate(lines) if line.strip() == end]
+    if len(begin_idx) != 1 or len(end_idx) != 1 or begin_idx[0] >= end_idx[0]:
+        raise WorkspaceError(f"body markers for {fn_id} missing or duplicated")
+    return begin_idx[0], end_idx[0], lines
+
+
+def segment_body(lines: list[str], begin: int, end: int) -> str:
+    """The body between two marker lines, without its install indent."""
+    segment = [line.rstrip("\n") for line in lines[begin + 1 : end]]
+    return "\n".join(
+        line[len(_INDENT):] if line.startswith(_INDENT) else line for line in segment
+    )
 
 
 class Workspace:
@@ -27,36 +59,24 @@ class Workspace:
         self._rollback_file = self._meta / "rollback.json"
 
     def module_file(self, fn_id: str) -> Path:
-        parts = fn_id.split("::")
-        if len(parts) < 3 or parts[0] != "crate":
-            raise WorkspaceError(f"not a qualified function id: {fn_id!r}")
-        return self.root / module_rel_file("::".join(parts[:-1]))
+        return self.root / body_file(fn_id)
 
     # --- segment primitives ----------------------------------------------
 
-    def _locate(self, text: str, fn_id: str) -> tuple[int, int, list[str]]:
-        lines = text.splitlines(keepends=True)
-        begin = (BODY_BEGIN + fn_id).strip()
-        end = (BODY_END + fn_id).strip()
-        begin_idx = [i for i, line in enumerate(lines) if line.strip() == begin]
-        end_idx = [i for i, line in enumerate(lines) if line.strip() == end]
-        if len(begin_idx) != 1 or len(end_idx) != 1 or begin_idx[0] >= end_idx[0]:
-            raise WorkspaceError(
-                f"body markers for {fn_id} missing or duplicated in {self.module_file(fn_id)}"
-            )
-        return begin_idx[0], end_idx[0], lines
+    def _locate(self, fn_id: str) -> tuple[Path, int, int, list[str]]:
+        path = self.module_file(fn_id)
+        try:
+            begin, end, lines = locate_body(path.read_text(encoding="utf-8"), fn_id)
+        except WorkspaceError as exc:
+            raise WorkspaceError(f"{exc} in {path}") from None
+        return path, begin, end, lines
 
     def read_body(self, fn_id: str) -> str:
-        path = self.module_file(fn_id)
-        begin, end, lines = self._locate(path.read_text(encoding="utf-8"), fn_id)
-        segment = [line.rstrip("\n") for line in lines[begin + 1 : end]]
-        return "\n".join(
-            line[len(_INDENT):] if line.startswith(_INDENT) else line for line in segment
-        )
+        _, begin, end, lines = self._locate(fn_id)
+        return segment_body(lines, begin, end)
 
     def write_body(self, fn_id: str, body: str) -> None:
-        path = self.module_file(fn_id)
-        begin, end, lines = self._locate(path.read_text(encoding="utf-8"), fn_id)
+        path, begin, end, lines = self._locate(fn_id)
         rendered = [
             (_INDENT + line + "\n") if line.strip() else "\n" for line in body.splitlines()
         ]
@@ -66,13 +86,11 @@ class Workspace:
         )
 
     def _raw_segment(self, fn_id: str) -> str:
-        path = self.module_file(fn_id)
-        begin, end, lines = self._locate(path.read_text(encoding="utf-8"), fn_id)
+        _, begin, end, lines = self._locate(fn_id)
         return "".join(lines[begin + 1 : end])
 
     def _write_raw_segment(self, fn_id: str, raw: str) -> None:
-        path = self.module_file(fn_id)
-        begin, end, lines = self._locate(path.read_text(encoding="utf-8"), fn_id)
+        path, begin, end, lines = self._locate(fn_id)
         path.write_text(
             "".join(lines[: begin + 1]) + raw + "".join(lines[end:]), encoding="utf-8"
         )
@@ -118,9 +136,6 @@ class Workspace:
         if store.get(fn_id):
             store[fn_id].pop()
             self._save_store(store)
-
-    def is_fallback(self, fn_id: str) -> bool:
-        return FALLBACK_MARK in self.read_body(fn_id)
 
     def body_ids(self) -> list[str]:
         """Every function id that has a marked body segment under src/."""

@@ -1,8 +1,7 @@
-import json
 from pathlib import Path
 
 from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
-from rustport.csyms import collect_macro_constants, extract_symbols, load_ast_dump
+from rustport.csyms import collect_macro_constants, extract_symbols
 
 CPP = PreprocessorConfig()
 
@@ -234,32 +233,37 @@ def test_function_pointer_parameter(tmp_path):
     assert table.external_refs == set()
 
 
-def test_ast_dump_adapter(tmp_path):
-    dump = tmp_path / "decls.jsonl"
-    records = [
-        {"kind": "record", "name": "Blob", "members": [["data", "unsigned char *"], ["len", "unsigned long"]], "loc": "blob.c:3"},
-        {"kind": "function", "name": "blob_len", "return_type": "unsigned long",
-         "params": [["b", "struct Blob *"]], "defined": True,
-         "calls": ["external_helper"], "source_text": "unsigned long blob_len(struct Blob *b) { return external_helper(b); }"},
-        {"kind": "global", "name": "g_blobs", "type": "int", "init": "0", "storage": "external"},
-    ]
-    dump.write_text("\n".join(json.dumps(r) for r in records))
-    table = load_ast_dump(dump)
-    [t] = table.types
-    assert t.name == "Blob" and t.members[0] == ("data", "unsigned char *", None)
-    [fn] = table.functions
-    assert fn.name == "blob_len" and "external_helper" in fn.calls
-    [g] = table.globals
-    assert g.name == "g_blobs"
-    assert "external_helper" in table.external_refs
-    assert "Blob" not in table.external_refs
-
-
-def test_ast_dump_unknown_kind_flags_partial(tmp_path):
-    dump = tmp_path / "decls.jsonl"
-    dump.write_text(json.dumps({"kind": "mystery", "name": "x"}) + "\n")
-    table = load_ast_dump(dump)
-    assert table.partial and table.issues
+def test_source_locations_across_headers(tmp_path):
+    (tmp_path / "shapes.h").write_text(
+        "#ifndef SHAPES_H\n"
+        "#define SHAPES_H\n"
+        "\n"
+        "struct Shape {\n"
+        "    int w;\n"
+        "    int h;\n"
+        "};\n"
+        "\n"
+        "#endif\n"
+    )
+    src = (
+        "#include <stdio.h>\n"
+        '#include "shapes.h"\n'
+        "\n"
+        "int shape_area(struct Shape *s) {\n"
+        "    return s->w * s->h;\n"
+        "}\n"
+        "\n"
+        "int shape_dump(FILE *out, struct Shape *s) {\n"
+        '    return fprintf(out, "%d", shape_area(s));\n'
+        "}\n"
+    )
+    table, _ = extract(tmp_path, src)
+    locs = {fn.name: fn.source_loc for fn in table.functions if fn.defined_here}
+    assert locs == {"shape_area": f"{tmp_path / 'u.c'}:4", "shape_dump": f"{tmp_path / 'u.c'}:8"}
+    [shape] = table.types
+    assert (shape.name, shape.source_loc) == ("Shape", f"{tmp_path / 'shapes.h'}:4")
+    assert "FILE" in table.env_types
+    assert "FILE" not in {t.name for t in table.types}
 
 
 def test_macro_constants_object_like_only(tmp_path):

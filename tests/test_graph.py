@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rustport.csyms import CFunctionDecl, CGlobalDecl, CTypeDef
+from rustport.csyms import CFunctionDecl, CGlobalDecl
 from rustport.errors import DuplicateDefinitionError
 from rustport.graph import (
     FALLBACK,
@@ -281,19 +281,6 @@ def test_schedule_planted_cycles_property():
             edges.add((a, b))
         layers = schedule(graph_of(edges, nodes=nodes))
         check_layering(nodes, edges, layers)
-
-
-def test_monotone_unlock():
-    g = graph_of([("a", "b"), ("a", "c"), ("d", "a")])
-    unlocked_before = set(g.eligible())
-    assert unlocked_before == {"b", "c"}
-    g.mark("b", TRANSLATED)
-    unlocked_after = set(g.eligible())
-    assert unlocked_before - {"b"} <= unlocked_after
-    g.mark("c", TRANSLATED)
-    assert "a" in g.eligible()
-    g.mark("a", FALLBACK)
-    assert "d" in g.eligible()
 
 
 def test_state_transitions_only_from_pending():

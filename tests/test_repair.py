@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import build_pipeline
 
 from rustport.backends import OracleBackend, ScriptedFailureBackend
-from rustport.graph import TRANSLATED
 from rustport.repair import compile_and_install, fallback_body, repair_loop, rule_based_fix
 from rustport.translate import assemble_context
 
@@ -120,6 +121,37 @@ def test_rule_fix_mutability_annotation(pipe):
     assert fixed is not None and "let mut total" in fixed
     ok2, _, _ = compile_and_install(workspace, fn, fixed, runner)
     assert ok2
+
+
+def _elsewhere(diag):
+    """The same suggestion, reported against another module's file."""
+    return replace(
+        diag,
+        file="src/aux_fns.rs",
+        suggestions=[replace(s, file="src/aux_fns.rs") for s in diag.suggestions],
+    )
+
+
+def _before_segment(diag):
+    """The same suggestion, aimed at the start of this module's file."""
+    return replace(
+        diag, suggestions=[replace(s, byte_start=0, byte_end=0) for s in diag.suggestions]
+    )
+
+
+@pytest.mark.parametrize("move", [_elsewhere, _before_segment])
+def test_rule_fix_ignores_spans_outside_own_segment(pipe, move):
+    project, workspace, graph, index, layers, runner = pipe
+    fn = "crate::two::leaf_add"
+    body = "let total = a;\ntotal += b;\ntotal"
+    ok, diags, snapshot = compile_and_install(workspace, fn, body, runner)
+    assert not ok
+    moved = [move(d) for d in diags]
+    assert any(s.applicability == "MachineApplicable" for d in moved for s in d.suggestions)
+    fixed = rule_based_fix(
+        body, moved, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
+    )
+    assert fixed is None
 
 
 def test_rule_fix_declines_outside_closed_set(pipe):
