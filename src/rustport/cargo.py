@@ -1,21 +1,31 @@
 """Rust build-tool invocation and structured diagnostics parsing.
 
 All compilation in the toolkit goes through one runner so builds serialize on
-a single workspace lock and the invocation count stays auditable.
+a single workspace lock and the invocation count and build time stay
+auditable. Every invocation runs under a time limit: a build that outlives
+``BUILD_TIMEOUT_S`` is an infrastructure failure, a test command that outlives
+``TEST_TIMEOUT_S`` is reported to the caller as ``HarnessTimeoutError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
+import signal
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import BuildToolError
+from .errors import BuildToolError, HarnessTimeoutError
 
 logger = logging.getLogger(__name__)
+
+BUILD_TIMEOUT_S = 600.0
+TEST_TIMEOUT_S = 600.0
 
 
 @dataclass
@@ -94,6 +104,33 @@ def _parse_message(msg: dict) -> Diagnostic:
     )
 
 
+def _run(argv: list[str], cwd, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``argv`` in a process group of its own. On timeout the whole group
+    is killed, so a test binary started by cargo dies with it, and
+    ``subprocess.TimeoutExpired`` propagates; an interrupt kills it the same
+    way."""
+    try:
+        proc = subprocess.Popen(
+            argv,
+            cwd=str(cwd),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+    except OSError as exc:
+        raise BuildToolError(f"cannot invoke {argv[0]}: {exc}") from exc
+    with proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except BaseException:  # the timeout, or an interrupt: no orphans either way
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(argv, proc.returncode, out, err)
+
+
 class BuildRunner:
     """Serializes `cargo` invocations over a workspace and parses JSON output."""
 
@@ -102,21 +139,21 @@ class BuildRunner:
         self.extra_args = list(extra_args or [])
         self._lock = threading.Lock()
         self.invocations = 0
+        self.build_seconds = 0.0
 
     def build(self, workspace_dir) -> BuildOutcome:
         argv = [self.cargo, "build", "--message-format=json", *self.extra_args]
         with self._lock:
             self.invocations += 1
+            start = time.perf_counter()
             try:
-                proc = subprocess.run(
-                    argv,
-                    cwd=str(workspace_dir),
-                    capture_output=True,
-                    text=True,
-                    check=False,
-                )
-            except OSError as exc:
-                raise BuildToolError(f"cannot invoke {self.cargo}: {exc}") from exc
+                proc = _run(argv, workspace_dir, BUILD_TIMEOUT_S)
+            except subprocess.TimeoutExpired as exc:
+                raise BuildToolError(
+                    f"{self.cargo} build timed out after {BUILD_TIMEOUT_S:g} s"
+                ) from exc
+            finally:
+                self.build_seconds += time.perf_counter() - start
 
         errors: list[Diagnostic] = []
         warnings: list[Diagnostic] = []
@@ -150,15 +187,11 @@ class BuildRunner:
         with self._lock:
             self.invocations += 1
             try:
-                return subprocess.run(
-                    argv,
-                    cwd=str(workspace_dir),
-                    capture_output=True,
-                    text=True,
-                    check=False,
-                )
-            except OSError as exc:
-                raise BuildToolError(f"cannot invoke {argv[0]}: {exc}") from exc
+                return _run(argv, workspace_dir, TEST_TIMEOUT_S)
+            except subprocess.TimeoutExpired as exc:
+                raise HarnessTimeoutError(
+                    f"test command {' '.join(argv)!r} timed out after {TEST_TIMEOUT_S:g} s"
+                ) from exc
 
 
 def render_diagnostics(diags: list[Diagnostic], limit: Optional[int] = None) -> str:

@@ -10,7 +10,9 @@ import argparse
 import json
 import logging
 import shlex
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .backends import OracleBackend, RemoteBackend, ReplayBackend, ScriptedFailureBackend
@@ -187,6 +189,10 @@ def cmd_translate(args) -> int:
     kb = None
     if config.kb_path:
         kb = KnowledgeBase.load(config.kb_path)
+    # one progress line per schedule layer on stderr
+    layer_log = logging.getLogger("rustport.pipeline")
+    if layer_log.getEffectiveLevel() > logging.INFO:
+        layer_log.setLevel(logging.INFO)
     runner = BuildRunner()
     run = TranslationRun(
         skeleton=project,
@@ -256,7 +262,15 @@ def cmd_evaluate(args) -> int:
 
     if args.skeleton and bodies:
         _, _, layers = _load_pipeline(project)
-        rate, ledger = incremental_comp_rate(skeleton_dir, bodies, layers.flatten(), runner)
+        # ICompRate installs bodies: it runs on a private copy, so the input
+        # skeleton stays byte-identical (its build cache is left behind)
+        with tempfile.TemporaryDirectory(prefix="rustport-icomp-") as tmp:
+            private = Path(tmp) / "skeleton"
+            shutil.copytree(
+                skeleton_dir, private,
+                ignore=lambda d, names: ["target"] if Path(d) == skeleton_dir else [],
+            )
+            rate, ledger = incremental_comp_rate(private, bodies, layers.flatten(), runner)
         report.icomp_rate = rate
         report.ledger = ledger
     elif args.skeleton:

@@ -65,6 +65,10 @@ class BuildToolError(RustportError):
     """The Rust build tool itself could not be invoked (infrastructure)."""
 
 
+class HarnessTimeoutError(BuildToolError):
+    """The project's test command outlived its time limit."""
+
+
 class MetricsError(RustportError):
     """A metric precondition failed (non-building skeleton, bad harness output)."""
 

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cargo import BuildRunner
-from .errors import MetricsError
-from .repair import FunctionOutcome, compile_and_install
+from .errors import HarnessTimeoutError, MetricsError
+from .repair import FunctionOutcome, compile_and_install, compile_batch
 from .skeleton import FALLBACK_MARK
 from .workspace import Workspace
 
@@ -100,10 +100,13 @@ def incremental_comp_rate(
     order: Sequence[str],
     runner: Optional[BuildRunner] = None,
 ) -> tuple[float, list[LedgerEntry]]:
-    """Restore bodies one-by-one in schedule order, rolling back failures.
+    """Restore bodies in schedule order, rolling back failures.
 
-    Fallback-marked bodies are counted as failures without restoration. The
-    skeleton must build clean before evaluation starts.
+    All bodies are restored through one ``compile_batch``; whatever it leaves
+    is restored one by one. Body locality makes the result the same as one
+    build per body, and the ledger keeps schedule order. Fallback-marked
+    bodies are counted as failures without restoration. The skeleton must
+    build clean before evaluation starts.
     """
     runner = runner or BuildRunner()
     workspace = Workspace(skeleton_workspace)
@@ -111,28 +114,31 @@ def incremental_comp_rate(
     if not baseline.ok:
         raise MetricsError("skeleton workspace does not build; cannot evaluate")
 
-    ledger: list[LedgerEntry] = []
-    restored = 0
-    evaluated = 0
     ordered = [fn for fn in order if fn in bodies]
     placed = set(ordered)
-    remaining = [fn for fn in sorted(bodies) if fn not in placed]
-    for fn_id in ordered + remaining:
-        body = bodies[fn_id]
-        evaluated += 1
-        if FALLBACK_MARK in body:
+    ordered += [fn for fn in sorted(bodies) if fn not in placed]
+    candidates = {fn: bodies[fn] for fn in ordered if FALLBACK_MARK not in bodies[fn]}
+    results = compile_batch(workspace, candidates, runner) or {}
+    for fn_id, body in candidates.items():
+        if fn_id not in results:
+            results[fn_id] = compile_and_install(workspace, fn_id, body, runner)
+
+    ledger: list[LedgerEntry] = []
+    restored = 0
+    for fn_id in ordered:
+        if fn_id not in candidates:
             ledger.append(
                 LedgerEntry(fn_id, "fallback", reason="fallback shim counted as failure")
             )
             continue
-        ok, diags, _snapshot = compile_and_install(workspace, fn_id, body, runner)
+        ok, diags, _snapshot = results[fn_id]
         if ok:
             restored += 1
             ledger.append(LedgerEntry(fn_id, "restored"))
         else:
             first = diags[0].message if diags else "compile failure"
             ledger.append(LedgerEntry(fn_id, "failed", reason=first))
-    rate = 100.0 * restored / evaluated if evaluated else 0.0
+    rate = 100.0 * restored / len(ordered) if ordered else 0.0
     return rate, ledger
 
 
@@ -352,12 +358,16 @@ def functional_correctness(
     test_command: Optional[list[str]] = None,
     runner: Optional[BuildRunner] = None,
 ) -> tuple[Optional[float], str]:
-    """Project-level test pass rate; (None, note) when not run."""
+    """Project-level test pass rate; (None, note) when not run, (0.0, note)
+    when the test command times out."""
     runner = runner or BuildRunner()
     build = runner.build(workspace_dir)
     if not build.ok:
         return None, "workspace does not build"
-    proc = runner.run_tests(workspace_dir, test_command)
+    try:
+        proc = runner.run_tests(workspace_dir, test_command)
+    except HarnessTimeoutError as exc:
+        return 0.0, str(exc)
     output = proc.stdout + "\n" + proc.stderr
     matches = _TEST_SUMMARY_RE.findall(output)
     if not matches:

@@ -1,8 +1,9 @@
 """Layer-by-layer translation run: retrieval, generation, repair, accumulation.
 
-Within a layer, initial generation may fan out across worker threads; installs
-and builds stay serialized through the single build runner, and results are
-reduced in canonical layer order so runs are reproducible.
+Within a layer, initial generation may fan out across worker threads; the
+layer's functions then settle together, each repair step built as one batch
+(see ``repair``), and results are reduced in canonical layer order so runs are
+reproducible. One line per layer is logged with its builds and times.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +21,13 @@ from .backends import GenerationRequest
 from .cargo import BuildRunner
 from .graph import ScheduleLayers, SkeletonGraph, GlobalSymbolIndex
 from .knowledge import KnowledgeBase
-from .repair import DEFAULT_REPAIR_BUDGET, FunctionOutcome, repair_loop
+from .repair import (
+    DEFAULT_REPAIR_BUDGET,
+    FunctionOutcome,
+    repair_layer,
+    repair_loop,
+    repair_steps,
+)
 from .skeleton import SkeletonProject
 from .translate import assemble_context, build_prompt, extract_body
 from .workspace import Workspace
@@ -78,22 +86,30 @@ class TranslationRun:
     outcomes: dict[str, FunctionOutcome] = field(default_factory=dict)
 
     def execute(self) -> dict[str, FunctionOutcome]:
-        for layer in self.layers.layers:
+        for number, layer in enumerate(self.layers.layers):
+            start = time.perf_counter()
+            builds, build_s = self.runner.invocations, self.runner.build_seconds
             prepared = self._prepare_layer(layer)
+            stubs = {fn_id: self.skeleton.stub_by_name(fn_id) for fn_id in layer}
+            policy = dict(
+                index=self.index, budget=self.repair_budget, prompt_sink=self._prompt_sink
+            )
+            if len(layer) == 1:
+                # nothing to batch: the serial reference pays the same builds
+                [fn_id] = layer
+                ctx, _prompt, body = prepared[fn_id]
+                settled = {fn_id: repair_loop(
+                    self.workspace, stubs[fn_id], ctx, body, self.backend, self.runner, **policy
+                )}
+            else:
+                machines = {}
+                for fn_id in layer:
+                    ctx, _prompt, body = prepared[fn_id]
+                    machines[fn_id] = repair_steps(stubs[fn_id], ctx, body, self.backend, **policy)
+                settled = repair_layer(self.workspace, machines, self.runner)
             for fn_id in layer:  # canonical order: reduce deterministically
-                ctx, prompt, initial_body = prepared[fn_id]
-                stub = self.skeleton.stub_by_name(fn_id)
-                outcome = repair_loop(
-                    self.workspace,
-                    stub,
-                    ctx,
-                    initial_body,
-                    self.backend,
-                    self.runner,
-                    index=self.index,
-                    budget=self.repair_budget,
-                    prompt_sink=self._prompt_sink,
-                )
+                outcome = settled[fn_id]
+                stub = stubs[fn_id]
                 self.outcomes[fn_id] = outcome
                 self.graph.mark(fn_id, outcome.final_state)
                 if self.artifacts is not None:
@@ -109,6 +125,11 @@ class TranslationRun:
                         rust_name=fn_id,
                         rust_source=f"{stub.signature_text} {{\n{outcome.final_body}\n}}",
                     )
+            logger.info(
+                "layer %d: %d functions, %d builds, %.2f s building, %.2f s wall",
+                number, len(layer), self.runner.invocations - builds,
+                self.runner.build_seconds - build_s, time.perf_counter() - start,
+            )
         return self.outcomes
 
     def _prepare_layer(self, layer: list[str]) -> dict[str, tuple]:

@@ -1,12 +1,28 @@
-"""Compiler-feedback repair: compile-and-install validation, a closed set of
-deterministic rule fixes, model-guided repair under a budget, and the
-foreign-declaration fallback that keeps the project compilable while counting
-as a translation failure.
+"""Compiler-feedback repair: compile-and-install validation, batched
+compilation of a schedule layer, a closed set of deterministic rule fixes,
+model-guided repair under a budget, and the foreign-declaration fallback that
+keeps the project compilable while counting as a translation failure.
 
 Round accounting: a rule-based fix is free when its candidate compiles; if it
-fails to compile it consumes the round. Compile invocations per function stay
-within budget + 2 (initial, one compile per round, at most one extra for a
+fails to compile it consumes the round. Each function therefore proposes at
+most budget + 2 candidates (initial, one per round, at most one extra for a
 successful rule fix or the fallback install).
+
+Build bounds. Serially (``repair_loop``), compile invocations per function
+stay within budget + 2. In a layer (``repair_layer``) the functions advance in
+lockstep, one step per candidate, so a layer takes at most budget + 2 steps. A
+batched step costs one build plus one rebuild when some but not all of its
+candidates fail, so a layer costs at most 2 * (budget + 2) builds plus one per
+fixed-point rebuild (a rebuild that itself fails, because an error only shows
+once others are rolled back). A step that cannot be batched pays the serial
+price, one build per candidate, on top.
+
+The batched path rests on body locality: the skeleton fixes every signature,
+so rustc checks each body against fixed interfaces and reports each error at
+a primary span inside the body that caused it. Bodies that could reach past
+their own function (``impl`` blocks, exported or unmangled items, delimiters
+that close the function early) are always compiled one by one, and so is a
+whole batch with any error that no installed candidate's segment contains.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from .backends import GenerationRequest
 from .cargo import BuildRunner, Diagnostic, render_diagnostics
@@ -23,7 +39,7 @@ from .errors import WorkspaceError
 from .graph import GlobalSymbolIndex
 from .skeleton import FALLBACK_MARK, FunctionStub
 from .translate import TranslationContext, build_repair_prompt, extract_body
-from .workspace import Workspace, body_file, locate_body, segment_body
+from .workspace import Workspace, body_file, locate_bodies, locate_body, segment_body
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +69,9 @@ class FunctionOutcome:
     final_body: str = ""
 
 
+Compiled = tuple[bool, list[Diagnostic], str]  # (ok, diagnostics, file snapshot)
+
+
 def _diag_tuples(diags: list[Diagnostic]) -> list[tuple[Optional[str], str, str]]:
     return [
         (d.code, d.message, f"{d.file}:{d.line}:{d.column}" if d.file else "")
@@ -65,7 +84,7 @@ def compile_and_install(
     fn_id: str,
     body: str,
     runner: BuildRunner,
-) -> tuple[bool, list[Diagnostic], str]:
+) -> Compiled:
     """Install the body and build the whole project.
 
     Success leaves the body installed; failure rolls the module file back
@@ -80,6 +99,146 @@ def compile_and_install(
     snapshot = workspace.module_file(fn_id).read_text(encoding="utf-8")
     workspace.rollback_body(fn_id)
     return False, outcome.errors, snapshot
+
+
+# items a body can declare whose effect reaches past its own function
+_CRATE_WIDE_RE = re.compile(r"\bimpl\b|\b(?:macro_export|no_mangle|export_name)\b")
+_RAW_STRING_RE = re.compile(r'b?r(#*)"')
+_CHAR_RE = re.compile(r"'(?:\\(?:u\{[0-9a-fA-F]*\}|x[0-9a-fA-F]{2}|.)|[^\\'\n])'")
+_OPENER = {")": "(", "]": "[", "}": "{"}
+
+
+def _nests(body: str) -> bool:
+    """Whether every delimiter, literal and block comment a body opens closes
+    inside it, so the body cannot end its function early and declare module
+    items. Lexical; a lifetime is told from a char literal by its missing
+    closing quote."""
+    stack: list[str] = []
+    i, n = 0, len(body)
+    while i < n:
+        ch = body[i]
+        if body.startswith("//", i):
+            end = body.find("\n", i)
+            i = n if end < 0 else end
+        elif body.startswith("/*", i):
+            depth, i = 1, i + 2
+            while depth and i < n:
+                if body.startswith("/*", i):
+                    depth, i = depth + 1, i + 2
+                elif body.startswith("*/", i):
+                    depth, i = depth - 1, i + 2
+                else:
+                    i += 1
+            if depth:
+                return False
+        elif ch in "br" and (i == 0 or not (body[i - 1].isalnum() or body[i - 1] == "_")) and (
+            m := _RAW_STRING_RE.match(body, i)
+        ):
+            end = body.find('"' + m.group(1), m.end())
+            if end < 0:
+                return False
+            i = end + 1 + len(m.group(1))
+        elif ch == '"':
+            i += 1
+            while i < n and body[i] != '"':
+                i += 2 if body[i] == "\\" else 1
+            if i >= n:
+                return False
+            i += 1
+        elif ch == "'":
+            m = _CHAR_RE.match(body, i)
+            i = m.end() if m else i + 1
+        else:
+            if ch in "([{":
+                stack.append(ch)
+            elif ch in ")]}" and (not stack or stack.pop() != _OPENER[ch]):
+                return False
+            i += 1
+    return not stack
+
+
+def _stays_local(body: str) -> bool:
+    """Whether a body's effects stay inside its own function (see module doc)."""
+    return _CRATE_WIDE_RE.search(body) is None and _nests(body)
+
+
+def _attribute(
+    workspace: Workspace, live: list[str], errors: list[Diagnostic]
+) -> Optional[dict[str, Compiled]]:
+    """Blame each error on the installed candidate whose body segment holds
+    its primary span; None if any error lies in no such segment.
+
+    Each touched module file is read and parsed once; its text is the
+    snapshot of every candidate it holds, as the build saw it.
+    """
+    by_file: dict[Path, list[str]] = {}
+    for fn_id in live:
+        by_file.setdefault(body_file(fn_id), []).append(fn_id)
+    texts: dict[Path, str] = {}
+    segments: dict[Path, list[tuple[int, int, str]]] = {}
+    for rel, ids in by_file.items():
+        texts[rel] = (workspace.root / rel).read_text(encoding="utf-8")
+        spans, lines = locate_bodies(texts[rel], ids)
+        segments[rel] = []
+        for fn_id, (begin, end) in spans.items():
+            # 1-based lines from the first body line on; an unfinished body is
+            # reported at its function's closing brace, which the skeleton
+            # puts on the line after the end marker
+            closing = end + 1 < len(lines) and lines[end + 1].strip() == "}"
+            segments[rel].append((begin + 2, end + 1 + closing, fn_id))
+    blamed: dict[str, list[Diagnostic]] = {}
+    for diag in errors:
+        owner = None
+        if diag.file is not None and diag.line is not None:
+            for first, last, fn_id in segments.get(Path(diag.file), ()):
+                if first <= diag.line <= last:
+                    owner = fn_id
+                    break
+        if owner is None:
+            return None
+        blamed.setdefault(owner, []).append(diag)
+    if not blamed:
+        return None
+    return {fn_id: (False, diags, texts[body_file(fn_id)]) for fn_id, diags in blamed.items()}
+
+
+def compile_batch(
+    workspace: Workspace,
+    candidates: dict[str, str],
+    runner: BuildRunner,
+) -> Optional[dict[str, Compiled]]:
+    """Install many bodies at once and build them together.
+
+    Candidates whose effects could reach past their own function are left
+    out, and so is a lone candidate: the caller compiles those one by one
+    with ``compile_and_install``. The rest are installed (the rollback store
+    is written once, before any segment) and built. Each error is blamed on
+    the candidate whose body segment holds its primary span; those roll back,
+    and the others are rebuilt until a build is clean, which commits them.
+    Returns the results of the candidates it settled, like
+    ``compile_and_install``'s, or None after rolling back the whole batch if
+    any error cannot be blamed on an installed candidate.
+    """
+    batch = {fn_id: body for fn_id, body in candidates.items() if _stays_local(body)}
+    if len(batch) < 2:
+        return {}
+    workspace.install_bodies(batch)
+    live = list(batch)
+    results: dict[str, Compiled] = {}
+    while live:
+        outcome = runner.build(workspace.root)
+        if outcome.ok:
+            workspace.commit_installs(live)
+            results.update((fn_id, (True, [], "")) for fn_id in live)
+            break
+        blamed = _attribute(workspace, live, outcome.errors)
+        if blamed is None:
+            workspace.rollback_bodies(live)
+            return None
+        workspace.rollback_bodies(blamed)
+        results.update(blamed)
+        live = [fn_id for fn_id in live if fn_id not in blamed]
+    return results
 
 
 _UNRESOLVED_RE = re.compile(r"cannot find (?:value|function|type|struct, variant or union type) `(\w+)`")
@@ -245,29 +404,31 @@ def fallback_body(stub: FunctionStub) -> str:
     )
 
 
-def repair_loop(
-    workspace: Workspace,
+
+
+def repair_steps(
     stub: FunctionStub,
     ctx: TranslationContext,
     initial_body: str,
     backend,
-    runner: BuildRunner,
     index: Optional[GlobalSymbolIndex] = None,
     budget: int = DEFAULT_REPAIR_BUDGET,
     prompt_sink: Optional[Callable] = None,
-) -> FunctionOutcome:
-    """Run the compile/repair loop for one function.
+) -> Generator[str, Compiled, FunctionOutcome]:
+    """The repair policy for one function as a step machine.
 
-    Per round: compile; on failure try the rule fix (free if its candidate
-    then compiles, a consumed round if not), otherwise model repair. Once the
-    budget is exhausted the fallback shim is installed and the outcome is
-    `fallback`, which downstream metrics count strictly as failure.
+    It yields each candidate body, is sent back ``(ok, diagnostics,
+    snapshot)`` from compiling it, and returns the outcome. Per round: on
+    failure try the rule fix (free if its candidate then compiles, a consumed
+    round if not), otherwise model repair. Once the budget is exhausted the
+    fallback shim is the last candidate and the outcome is `fallback`, which
+    downstream metrics count strictly as failure.
     """
     fn_id = stub.qualified_name
     fn_name = fn_id.rsplit("::", 1)[1]
     outcome = FunctionOutcome(node_id=fn_id, final_state="failed")
 
-    ok, diags, snapshot = compile_and_install(workspace, fn_id, initial_body, runner)
+    ok, diags, snapshot = yield initial_body
     outcome.attempts.append(
         RepairAttempt(0, initial_body, ok, _diag_tuples(diags), "generation")
     )
@@ -280,7 +441,7 @@ def repair_loop(
             from_module=stub.module,
         )
         if fixed is not None and fixed != body:
-            ok2, diags2, snap2 = compile_and_install(workspace, fn_id, fixed, runner)
+            ok2, diags2, snap2 = yield fixed
             if ok2:
                 # free: the rule fix verified on its own compile
                 outcome.attempts.append(RepairAttempt(rounds, fixed, True, [], "rule_fix"))
@@ -302,7 +463,7 @@ def repair_loop(
                 RepairAttempt(rounds, body, False, _diag_tuples(diags), "model_repair", note=note)
             )
             continue
-        ok, diags, snapshot = compile_and_install(workspace, fn_id, new_body, runner)
+        ok, diags, snapshot = yield new_body
         outcome.attempts.append(
             RepairAttempt(rounds, new_body, ok, _diag_tuples(diags), "model_repair", note=note)
         )
@@ -315,7 +476,7 @@ def repair_loop(
         return outcome
 
     shim = fallback_body(stub)
-    ok_fb, diags_fb, _snap = compile_and_install(workspace, fn_id, shim, runner)
+    ok_fb, diags_fb, _snap = yield shim
     if ok_fb:
         outcome.final_state = "fallback"
         outcome.final_body = shim
@@ -327,3 +488,64 @@ def repair_loop(
             RepairAttempt(rounds, shim, False, _diag_tuples(diags_fb), "fallback")
         )
     return outcome
+
+
+def _settle(
+    machines: dict[str, Generator[str, Compiled, FunctionOutcome]],
+    compile_step: Callable[[dict[str, str]], dict[str, Compiled]],
+) -> dict[str, FunctionOutcome]:
+    """Drive step machines in lockstep: every step compiles the next candidate
+    of each unsettled function together, and hands the results back in the
+    machines' order."""
+    outcomes: dict[str, FunctionOutcome] = {}
+    pending = {fn_id: next(machine) for fn_id, machine in machines.items()}
+    while pending:
+        results = compile_step(pending)
+        following = {}
+        for fn_id in pending:
+            try:
+                following[fn_id] = machines[fn_id].send(results[fn_id])
+            except StopIteration as done:
+                outcomes[fn_id] = done.value
+        pending = following
+    return {fn_id: outcomes[fn_id] for fn_id in machines}
+
+
+def repair_loop(
+    workspace: Workspace,
+    stub: FunctionStub,
+    ctx: TranslationContext,
+    initial_body: str,
+    backend,
+    runner: BuildRunner,
+    index: Optional[GlobalSymbolIndex] = None,
+    budget: int = DEFAULT_REPAIR_BUDGET,
+    prompt_sink: Optional[Callable] = None,
+) -> FunctionOutcome:
+    """Run the compile/repair loop for one function, one build per candidate
+    (the serial reference for ``repair_layer``)."""
+    fn_id = stub.qualified_name
+    machine = repair_steps(stub, ctx, initial_body, backend, index, budget, prompt_sink)
+    return _settle(
+        {fn_id: machine},
+        lambda step: {fn_id: compile_and_install(workspace, fn_id, step[fn_id], runner)},
+    )[fn_id]
+
+
+def repair_layer(
+    workspace: Workspace,
+    machines: dict[str, Generator[str, Compiled, FunctionOutcome]],
+    runner: BuildRunner,
+) -> dict[str, FunctionOutcome]:
+    """Settle one schedule layer: the step machines of its functions advance
+    in lockstep, each step's candidates compiled through ``compile_batch`` and
+    whatever it leaves compiled one by one, in the machines' order."""
+
+    def compile_step(candidates: dict[str, str]) -> dict[str, Compiled]:
+        results = compile_batch(workspace, candidates, runner) or {}
+        for fn_id, body in candidates.items():
+            if fn_id not in results:
+                results[fn_id] = compile_and_install(workspace, fn_id, body, runner)
+        return results
+
+    return _settle(machines, compile_step)

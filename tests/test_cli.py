@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -22,6 +23,14 @@ def setup_mini_list(tmp_path: Path) -> tuple[Path, Path]:
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def tree_digest(root: Path) -> dict[str, str]:
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
 
 
 def test_skeleton_command_builds_workspace(tmp_path, capsys):
@@ -83,11 +92,13 @@ def test_translate_oracle_and_reports(tmp_path, capsys):
     summary = json.loads((ws_tr / "runs" / "run-001" / "summary.json").read_text())
     assert summary["translated"] == 3 and summary["fallback"] == 0
 
+    skeleton_before = tree_digest(ws_skel)
     rc = run_cli(
         "evaluate", "--workspace", ws_tr, "--skeleton", ws_skel,
         "--tests", "cargo test", "--run-id", "run-001",
     )
     assert rc == 0
+    assert tree_digest(ws_skel) == skeleton_before  # evaluation never modifies inputs
     table = capsys.readouterr().out
     assert "ICompRate" in table and "100.00" in table
     report = json.loads((ws_tr / "runs" / "run-001" / "report.json").read_text())

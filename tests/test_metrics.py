@@ -1,12 +1,14 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, build_pipeline
 
+from rustport import cargo
 from rustport.cargo import BuildRunner
-from rustport.errors import MetricsError
+from rustport.errors import BuildToolError, MetricsError
 from rustport.metrics import (
     MetricsReport,
     avg_repair,
@@ -208,6 +210,30 @@ def test_fc_zero_tests_not_run(tmp_path):
     rate, note = functional_correctness(ws, ["cargo", "test"], BuildRunner())
     assert rate is None
     assert "no tests" in note
+
+
+def test_fc_timeout_is_a_failure_with_a_note(tmp_path, monkeypatch):
+    monkeypatch.setattr(cargo, "TEST_TIMEOUT_S", 0.5)
+    ws = make_workspace(tmp_path, "pub fn fine() -> i32 { 5 }\n", crate="fc_hang")
+    start = time.monotonic()
+    # the sleep runs in a child of the shell: the whole process group dies
+    rate, note = functional_correctness(ws, ["sh", "-c", "sleep 30; echo done"], BuildRunner())
+    assert time.monotonic() - start < 10
+    assert rate == 0.0
+    assert "timed out" in note
+
+
+def test_build_timeout_is_a_build_tool_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cargo, "BUILD_TIMEOUT_S", 0.5)
+    stub = tmp_path / "slow-cargo"
+    stub.write_text("#!/bin/sh\nsleep 30\n")
+    stub.chmod(0o755)
+    runner = BuildRunner(cargo=str(stub))
+    start = time.monotonic()
+    with pytest.raises(BuildToolError, match="timed out"):
+        runner.build(tmp_path)
+    assert time.monotonic() - start < 10
+    assert runner.invocations == 1 and runner.build_seconds >= 0.5
 
 
 # --- average repair rounds -------------------------------------------------------------

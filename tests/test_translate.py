@@ -5,6 +5,7 @@ from conftest import build_pipeline
 from rustport.errors import WorkspaceError
 from rustport.knowledge.rules import AlignedFunctionPair, ApiRule, FragmentRule
 from rustport.translate import assemble_context, build_prompt, extract_body
+from rustport.workspace import Workspace
 
 MINI_C = """\
 #define CAP 4
@@ -179,6 +180,22 @@ def test_two_installs_same_file_keep_markers(pipe):
     workspace.rollback_body(g)
     workspace.rollback_body(f)
     assert workspace.module_file(f).read_bytes() == before_f
+
+
+def test_open_restores_an_uncommitted_batch(pipe):
+    _, workspace, _, _, _, _ = pipe
+    f, g = "crate::items::chain_weight", "crate::items::bump_seen"
+    path = workspace.module_file(f)
+    before = path.read_bytes()
+    workspace.install_body(f, "0")
+    workspace.install_body(g, "by")
+    workspace.install_body(g, "by + 1")  # nested: the oldest entry wins
+    # a crash here leaves unverified bodies on disk; the next open restores them
+    reopened = Workspace(workspace.root)
+    assert path.read_bytes() == before
+    reopened.install_body(f, "1")
+    reopened.rollback_body(f)
+    assert path.read_bytes() == before
 
 
 def test_install_body_containing_end_marker_is_sanitized(pipe):
