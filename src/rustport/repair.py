@@ -19,10 +19,12 @@ price, one build per candidate, on top.
 
 The batched path rests on body locality: the skeleton fixes every signature,
 so rustc checks each body against fixed interfaces and reports each error at
-a primary span inside the body that caused it. Bodies that could reach past
-their own function (``impl`` blocks, exported or unmangled items, delimiters
-that close the function early) are always compiled one by one, and so is a
-whole batch with any error that no installed candidate's segment contains.
+a primary span inside the function whose body caused it (in the body, at the
+signature's return type for a body without a tail, or at the closing brace
+for an unfinished body). Bodies that could reach past their own function
+(``impl`` blocks, exported or unmangled items, delimiters that close the
+function early) are always compiled one by one, and so is a whole batch with
+any error that no installed candidate's function contains.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import WorkspaceError
 from .graph import GlobalSymbolIndex
 from .skeleton import FALLBACK_MARK, FunctionStub
 from .translate import TranslationContext, build_repair_prompt, extract_body
-from .workspace import Workspace, body_file, locate_bodies, locate_body, segment_body
+from .workspace import Workspace, body_file, locate_body, segment_body
 
 logger = logging.getLogger(__name__)
 
@@ -165,32 +167,34 @@ def _stays_local(body: str) -> bool:
 def _attribute(
     workspace: Workspace, live: list[str], errors: list[Diagnostic]
 ) -> Optional[dict[str, Compiled]]:
-    """Blame each error on the installed candidate whose body segment holds
-    its primary span; None if any error lies in no such segment.
+    """Blame each error on the installed candidate whose function holds its
+    primary span; None if any error lies in no such function.
 
-    Each touched module file is read and parsed once; its text is the
-    snapshot of every candidate it holds, as the build saw it.
+    A candidate's function runs from its signature to its closing brace:
+    rustc reports a body without a tail of the return type at the signature,
+    and an unfinished body at the closing brace. Each touched module file's
+    text, as the build saw it, is the snapshot of every candidate it holds.
     """
-    by_file: dict[Path, list[str]] = {}
-    for fn_id in live:
-        by_file.setdefault(body_file(fn_id), []).append(fn_id)
-    texts: dict[Path, str] = {}
-    segments: dict[Path, list[tuple[int, int, str]]] = {}
-    for rel, ids in by_file.items():
-        texts[rel] = (workspace.root / rel).read_text(encoding="utf-8")
-        spans, lines = locate_bodies(texts[rel], ids)
-        segments[rel] = []
+    ranges: dict[Path, list[tuple[int, int, str]]] = {}
+    snapshots: dict[str, str] = {}
+    for path, (spans, lines) in workspace.locate(live).items():
+        text = "".join(lines)
+        owned = ranges[path.relative_to(workspace.root)] = []
         for fn_id, (begin, end) in spans.items():
-            # 1-based lines from the first body line on; an unfinished body is
-            # reported at its function's closing brace, which the skeleton
-            # puts on the line after the end marker
+            snapshots[fn_id] = text
+            # the skeleton puts the signature right above the begin marker and
+            # a blank line above the signature, the closing brace right below
+            # the end marker
+            first = begin
+            while first > 0 and lines[first - 1].strip():
+                first -= 1
             closing = end + 1 < len(lines) and lines[end + 1].strip() == "}"
-            segments[rel].append((begin + 2, end + 1 + closing, fn_id))
+            owned.append((first + 1, end + 1 + closing, fn_id))  # 1-based lines
     blamed: dict[str, list[Diagnostic]] = {}
     for diag in errors:
         owner = None
         if diag.file is not None and diag.line is not None:
-            for first, last, fn_id in segments.get(Path(diag.file), ()):
+            for first, last, fn_id in ranges.get(Path(diag.file), ()):
                 if first <= diag.line <= last:
                     owner = fn_id
                     break
@@ -199,45 +203,48 @@ def _attribute(
         blamed.setdefault(owner, []).append(diag)
     if not blamed:
         return None
-    return {fn_id: (False, diags, texts[body_file(fn_id)]) for fn_id, diags in blamed.items()}
+    return {fn_id: (False, diags, snapshots[fn_id]) for fn_id, diags in blamed.items()}
 
 
 def compile_batch(
     workspace: Workspace,
     candidates: dict[str, str],
     runner: BuildRunner,
-) -> Optional[dict[str, Compiled]]:
-    """Install many bodies at once and build them together.
+) -> dict[str, Compiled]:
+    """Compile many candidate bodies, building them together where it is safe,
+    and return each one's result like ``compile_and_install``'s.
 
-    Candidates whose effects could reach past their own function are left
-    out, and so is a lone candidate: the caller compiles those one by one
-    with ``compile_and_install``. The rest are installed (the rollback store
-    is written once, before any segment) and built. Each error is blamed on
-    the candidate whose body segment holds its primary span; those roll back,
-    and the others are rebuilt until a build is clean, which commits them.
-    Returns the results of the candidates it settled, like
-    ``compile_and_install``'s, or None after rolling back the whole batch if
-    any error cannot be blamed on an installed candidate.
+    The candidates whose effects stay inside their own function are installed
+    (the rollback store is written once, before any segment) and built. Each
+    error is blamed on the candidate whose function holds its primary span;
+    those roll back, and the others are rebuilt until a build is clean, which
+    commits them. If any error cannot be blamed on an installed candidate,
+    the whole batch rolls back. Every candidate left over then, the others
+    and a lone candidate included, is compiled one by one with
+    ``compile_and_install`` in the candidates' order.
     """
     batch = {fn_id: body for fn_id, body in candidates.items() if _stays_local(body)}
-    if len(batch) < 2:
-        return {}
-    workspace.install_bodies(batch)
-    live = list(batch)
     results: dict[str, Compiled] = {}
-    while live:
-        outcome = runner.build(workspace.root)
-        if outcome.ok:
-            workspace.commit_installs(live)
-            results.update((fn_id, (True, [], "")) for fn_id in live)
-            break
-        blamed = _attribute(workspace, live, outcome.errors)
-        if blamed is None:
-            workspace.rollback_bodies(live)
-            return None
-        workspace.rollback_bodies(blamed)
-        results.update(blamed)
-        live = [fn_id for fn_id in live if fn_id not in blamed]
+    if len(batch) > 1:
+        workspace.install_bodies(batch)
+        live = list(batch)
+        while live:
+            outcome = runner.build(workspace.root)
+            if outcome.ok:
+                workspace.commit_installs(live)
+                results.update((fn_id, (True, [], "")) for fn_id in live)
+                break
+            blamed = _attribute(workspace, live, outcome.errors)
+            if blamed is None:
+                workspace.rollback_bodies(live)
+                results.clear()
+                break
+            workspace.rollback_bodies(blamed)
+            results.update(blamed)
+            live = [fn_id for fn_id in live if fn_id not in blamed]
+    for fn_id, body in candidates.items():
+        if fn_id not in results:
+            results[fn_id] = compile_and_install(workspace, fn_id, body, runner)
     return results
 
 
@@ -538,14 +545,5 @@ def repair_layer(
     runner: BuildRunner,
 ) -> dict[str, FunctionOutcome]:
     """Settle one schedule layer: the step machines of its functions advance
-    in lockstep, each step's candidates compiled through ``compile_batch`` and
-    whatever it leaves compiled one by one, in the machines' order."""
-
-    def compile_step(candidates: dict[str, str]) -> dict[str, Compiled]:
-        results = compile_batch(workspace, candidates, runner) or {}
-        for fn_id, body in candidates.items():
-            if fn_id not in results:
-                results[fn_id] = compile_and_install(workspace, fn_id, body, runner)
-        return results
-
-    return _settle(machines, compile_step)
+    in lockstep, each step's candidates compiled through ``compile_batch``."""
+    return _settle(machines, lambda step: compile_batch(workspace, step, runner))

@@ -102,38 +102,39 @@ class Workspace:
 
     # --- segment primitives ----------------------------------------------
 
-    def _by_file(self, fn_ids: Iterable[str]) -> dict[Path, list[str]]:
+    def locate(
+        self, fn_ids: Iterable[str]
+    ) -> dict[Path, tuple[dict[str, tuple[int, int]], list[str]]]:
+        """For each module file holding some of ``fn_ids``, read and parsed
+        once: the begin and end marker line indices of each of its functions
+        and its lines with their endings kept (see ``locate_bodies``)."""
         groups: dict[Path, list[str]] = defaultdict(list)
         for fn_id in fn_ids:
             groups[self.module_file(fn_id)].append(fn_id)
-        return groups
-
-    @staticmethod
-    def _locate(path: Path, fn_ids: list[str]) -> tuple[dict[str, tuple[int, int]], list[str]]:
-        try:
-            return locate_bodies(path.read_text(encoding="utf-8"), fn_ids)
-        except WorkspaceError as exc:
-            raise WorkspaceError(f"{exc} in {path}") from None
+        located = {}
+        for path, ids in groups.items():
+            try:
+                located[path] = locate_bodies(path.read_text(encoding="utf-8"), ids)
+            except WorkspaceError as exc:
+                raise WorkspaceError(f"{exc} in {path}") from None
+        return located
 
     def read_body(self, fn_id: str) -> str:
-        spans, lines = self._locate(self.module_file(fn_id), [fn_id])
+        [(spans, lines)] = self.locate([fn_id]).values()
         return segment_body(lines, *spans[fn_id])
 
     def _raw_segments(self, fn_ids: Iterable[str]) -> dict[str, str]:
         raws = {}
-        for path, ids in self._by_file(fn_ids).items():
-            spans, lines = self._locate(path, ids)
-            for fn_id in ids:
-                begin, end = spans[fn_id]
+        for spans, lines in self.locate(fn_ids).values():
+            for fn_id, (begin, end) in spans.items():
                 raws[fn_id] = "".join(lines[begin + 1 : end])
         return raws
 
     def _write_raw_segments(self, raws: dict[str, str]) -> None:
         """Write each raw segment between its markers, one write per file."""
-        for path, ids in self._by_file(raws).items():
-            spans, lines = self._locate(path, ids)
+        for path, (spans, lines) in self.locate(raws).items():
             # bottom-up, so splicing one segment leaves the others' indices valid
-            for fn_id in sorted(ids, key=lambda f: spans[f][0], reverse=True):
+            for fn_id in sorted(spans, key=lambda f: spans[f][0], reverse=True):
                 begin, end = spans[fn_id]
                 lines[begin + 1 : end] = [raws[fn_id]]
             _replace_file(path, "".join(lines))

@@ -227,7 +227,7 @@ def test_parse_error_shares_file_with_type_error_and_good_bodies(tmp_path):
 
 class SpanMover:
     """A build runner that reports the first error of its first failing
-    build at line 1 of its file, outside every body segment."""
+    build at line 1 of the crate root, outside every function."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -241,7 +241,7 @@ class SpanMover:
         outcome = self.inner.build(root)
         if not outcome.ok and not self.moved:
             self.moved = True
-            outcome.errors[0] = replace(outcome.errors[0], line=1)
+            outcome.errors[0] = replace(outcome.errors[0], file="src/lib.rs", line=1)
         return outcome
 
 
@@ -249,17 +249,26 @@ def test_unattributable_error_takes_serial_path(tmp_path):
     project, workspace, graph, index, layers, runner = build_pipeline(
         tmp_path, {"shared_file.c": SHARED_C}, crate="shared_crate"
     )
-    path = workspace.module_file("crate::shared_file::sh_0")
-    before = path.read_bytes()
     mover = SpanMover(BuildRunner())
-    assert compile_batch(workspace, SHARED_BODIES, mover) is None
-    assert mover.invocations == 1
-    assert path.read_bytes() == before  # the whole batch rolled back
+    results = compile_batch(workspace, SHARED_BODIES, mover)
+    # the batch, rolled back whole, then one build per candidate
+    assert mover.invocations == 1 + len(SHARED_BODIES)
+    assert {fn: ok for fn, (ok, _, _) in results.items()} == {
+        "crate::shared_file::sh_0": True,
+        "crate::shared_file::sh_1": False,
+        "crate::shared_file::sh_2": False,
+        "crate::shared_file::sh_3": True,
+    }
+    assert workspace.read_body("crate::shared_file::sh_0") == "a + b"
+    assert "unimplemented!()" in workspace.read_body("crate::shared_file::sh_1")
+    assert not any(json.loads((tmp_path / "ws" / ".rustport" / "rollback.json").read_text()).values())
 
     # ICompRate falls back to one build per body and still gets the ledger right
+    mover = SpanMover(BuildRunner())
     rate, ledger = incremental_comp_rate(
-        project.workspace_dir, SHARED_BODIES, layers.flatten(), SpanMover(BuildRunner())
+        project.workspace_dir, SHARED_BODIES, layers.flatten(), mover
     )
+    assert mover.invocations == 1 + 1 + len(SHARED_BODIES)  # baseline, batch, serial
     assert rate == 50.0
     assert {e.fn_id: e.outcome for e in ledger} == {
         "crate::shared_file::sh_0": "restored",
@@ -267,6 +276,35 @@ def test_unattributable_error_takes_serial_path(tmp_path):
         "crate::shared_file::sh_2": "failed",
         "crate::shared_file::sh_3": "restored",
     }
+
+
+def test_error_at_signature_is_blamed_on_its_function(tmp_path):
+    """A body without a tail of the return type, or an empty one, is reported
+    at the signature's return type, outside the body segment."""
+    project, workspace, graph, index, layers, runner = build_pipeline(
+        tmp_path, {"shared_file.c": SHARED_C}, crate="shared_crate"
+    )
+    candidates = {
+        "crate::shared_file::sh_0": "a + b",
+        "crate::shared_file::sh_1": "a + b;",
+        "crate::shared_file::sh_2": "",
+        "crate::shared_file::sh_3": "a * b + 3",
+    }
+    before = runner.invocations
+    results = compile_batch(workspace, candidates, runner)
+    assert runner.invocations - before == 2  # the batch, then one clean rebuild
+    assert {fn: ok for fn, (ok, _, _) in results.items()} == {
+        "crate::shared_file::sh_0": True,
+        "crate::shared_file::sh_1": False,
+        "crate::shared_file::sh_2": False,
+        "crate::shared_file::sh_3": True,
+    }
+    for fn in ("crate::shared_file::sh_1", "crate::shared_file::sh_2"):
+        ok, diags, _ = compile_and_install(workspace, fn, candidates[fn], runner)
+        assert not ok
+        assert [(d.code, d.message) for d in diags] == [
+            (d.code, d.message) for d in results[fn][1]
+        ] == [("E0308", "mismatched types")]
 
 
 @pytest.mark.parametrize(
@@ -287,6 +325,7 @@ def test_body_reaching_past_its_function_takes_serial_path(tmp_path, reaching):
     }
     before = runner.invocations
     results = compile_batch(workspace, candidates, runner)
-    assert set(results) == {"crate::shared_file::sh_0", "crate::shared_file::sh_3"}
-    assert runner.invocations - before == 1
-    assert "unimplemented!()" in workspace.read_body("crate::shared_file::sh_1")
+    # the two local bodies build together, the reaching one on its own after
+    assert runner.invocations - before == 2
+    assert all(ok for ok, _, _ in results.values())
+    assert workspace.read_body("crate::shared_file::sh_1") == reaching
