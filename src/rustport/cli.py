@@ -145,9 +145,7 @@ def cmd_skeleton(args) -> int:
         strict_holes=config.strict_holes,
         placeholder_style=config.placeholder_style,
     )
-    plan = plan_skeleton(project_root, units, skel_config)
-    runner = BuildRunner()
-    project = assemble_and_verify(plan, out, runner)
+    project = assemble_and_verify(plan_skeleton(project_root, units, skel_config), out)
 
     if config.rust_tests_dir:
         tests_src = project_root / config.rust_tests_dir

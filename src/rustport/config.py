@@ -12,7 +12,6 @@ from .errors import RustportError
 
 @dataclass
 class RunConfig:
-    project_root: Optional[str] = None
     trace_path: Optional[str] = None
     kb_path: Optional[str] = None
     backend: str = "oracle"
@@ -22,7 +21,6 @@ class RunConfig:
     retrieval_depth: int = 5
     repair_budget: int = 5
     jobs: int = 1
-    out_dir: Optional[str] = None
     run_id: Optional[str] = None
     crate_name: Optional[str] = None
     flatten_root: bool = False
@@ -73,7 +71,6 @@ def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
         "k": "retrieval_depth",
         "repair_budget": "repair_budget",
         "jobs": "jobs",
-        "out": "out_dir",
         "run_id": "run_id",
         "crate_name": "crate_name",
         "endpoint": "endpoint",

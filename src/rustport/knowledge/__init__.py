@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -98,50 +99,16 @@ class KnowledgeBase:
             raise KnowledgeBaseError("knowledge base has no directory to save into")
         self.directory = directory
         directory.mkdir(parents=True, exist_ok=True)
-        _write_jsonl(directory / "pairs.jsonl", [self._pair_record(p) for p in self.pairs])
+        _write_jsonl(directory / "pairs.jsonl", [asdict(p) for p in self.pairs])
         self._save_rules()
 
     def _save_rules(self) -> None:
         if self.directory is None:
             return
+        _write_jsonl(self.directory / "api_rules.jsonl", [asdict(r) for r in self.api_rules])
         _write_jsonl(
-            self.directory / "api_rules.jsonl",
-            [
-                {
-                    "c_interface": r.c_interface,
-                    "rust_interface": r.rust_interface,
-                    "support": r.support,
-                    "provenance": r.provenance,
-                }
-                for r in self.api_rules
-            ],
+            self.directory / "fragment_rules.jsonl", [asdict(r) for r in self.fragment_rules]
         )
-        _write_jsonl(
-            self.directory / "fragment_rules.jsonl",
-            [
-                {
-                    "c_idiom": r.c_idiom,
-                    "rust_idiom": r.rust_idiom,
-                    "hint": r.hint,
-                    "support": r.support,
-                    "provenance": r.provenance,
-                }
-                for r in self.fragment_rules
-            ],
-        )
-
-    @staticmethod
-    def _pair_record(pair: AlignedFunctionPair) -> dict:
-        return {
-            "c_name": pair.c_name,
-            "c_source": pair.c_source,
-            "rust_name": pair.rust_name,
-            "rust_source": pair.rust_source,
-            "c_file": pair.c_file,
-            "rust_file": pair.rust_file,
-            "rerank_score": pair.rerank_score,
-            "commit": pair.commit,
-        }
 
     def _append_journal(self, pair: AlignedFunctionPair) -> None:
         if self.directory is None:
@@ -151,7 +118,7 @@ class KnowledgeBase:
         if not journal.is_file():
             journal.write_text(json.dumps(FORMAT_HEADER) + "\n", encoding="utf-8")
         with journal.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(self._pair_record(pair), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(pair), sort_keys=True) + "\n")
 
     # --- mutation --------------------------------------------------------
 
@@ -164,27 +131,20 @@ class KnowledgeBase:
         changed = False
         for rule in rules:
             if isinstance(rule, ApiRule):
-                existing = next((r for r in self.api_rules if r.key() == rule.key()), None)
-                if existing is not None:
-                    existing.support += rule.support
-                    for p in rule.provenance:
-                        if p not in existing.provenance:
-                            existing.provenance.append(p)
-                else:
-                    self.api_rules.append(rule)
-                changed = True
+                kept = self.api_rules
             elif isinstance(rule, FragmentRule):
-                existing = next(
-                    (r for r in self.fragment_rules if r.key() == rule.key()), None
-                )
-                if existing is not None:
-                    existing.support += rule.support
-                    for p in rule.provenance:
-                        if p not in existing.provenance:
-                            existing.provenance.append(p)
-                else:
-                    self.fragment_rules.append(rule)
-                changed = True
+                kept = self.fragment_rules
+            else:
+                continue
+            existing = next((r for r in kept if r.key() == rule.key()), None)
+            if existing is not None:
+                existing.support += rule.support
+                for p in rule.provenance:
+                    if p not in existing.provenance:
+                        existing.provenance.append(p)
+            else:
+                kept.append(rule)
+            changed = True
         if changed and self.directory is not None:
             self._save_rules()
 
@@ -275,7 +235,9 @@ def build_knowledge_base(
             key=lambda i: (-pair_score(i), candidates[i].c_path, candidates[i].rust_path),
         )
         shortlist = [candidates[i] for i in order[:20]]
-        top_files = rerank_top_n(shortlist, n=5)
+        top_files = rerank_top_n(
+            shortlist, n=5, reranker=lambda c: default_rerank_score(c.c_text, c.rust_text)
+        )
         for file_pair in top_files:
             for pair in align_functions(file_pair):
                 kb.insert_pair(pair)

@@ -3,7 +3,8 @@
 Identifiers are split on underscores and camelCase boundaries; string-literal
 contents contribute word tokens. The default reranker scores normalized
 identifier-set overlap (Jaccard) plus a shared-long-literal bonus and is fully
-deterministic; an external reranker can be plugged in as any callable.
+deterministic; each caller of ``rerank_top_n`` passes the scorer for its own
+record shape, which may also be an external reranker.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import logging
 import math
 import re
 from collections import Counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -114,20 +115,7 @@ def default_rerank_score(left_text: str, right_text: str) -> float:
     return jaccard + 0.1 * len(shared_literals)
 
 
-def pair_texts(pair) -> tuple[str, str]:
-    for left_attr, right_attr in (("c_text", "rust_text"), ("c_source", "rust_source")):
-        left = getattr(pair, left_attr, None)
-        right = getattr(pair, right_attr, None)
-        if left is not None and right is not None:
-            return left, right
-    raise AttributeError(f"cannot extract pair texts from {type(pair).__name__}")
-
-
-def rerank_top_n(
-    pairs: Sequence,
-    n: int = 5,
-    reranker: Optional[Callable] = None,
-) -> list:
+def rerank_top_n(pairs: Sequence, reranker: Callable, n: int = 5) -> list:
     """Keep the top-n pairs under the reranker; stable on ties.
 
     A failing external reranker falls back to input order (logged), never
@@ -135,15 +123,13 @@ def rerank_top_n(
     """
     if not pairs:
         return []
-    scorer = reranker or (lambda pair: default_rerank_score(*pair_texts(pair)))
     try:
-        scored = [(scorer(pair), i) for i, pair in enumerate(pairs)]
+        scored = [(reranker(pair), i) for i, pair in enumerate(pairs)]
     except Exception as exc:  # backend failure: degrade, do not abort
         logger.warning("reranker failed (%s); keeping input order", exc)
         return list(pairs)[:n]
     order = sorted(range(len(pairs)), key=lambda i: (-scored[i][0], i))
     ranked = [pairs[i] for i in order[:n]]
     for i in order[:n]:
-        if hasattr(pairs[i], "rerank_score"):
-            pairs[i].rerank_score = scored[i][0]
+        pairs[i].rerank_score = scored[i][0]
     return ranked

@@ -126,7 +126,7 @@ def split_rust_functions(text: str) -> list[tuple[str, str]]:
     return out
 
 
-def align_functions(file_pair, reranker: Optional[Callable] = None) -> list[AlignedFunctionPair]:
+def align_functions(file_pair) -> list[AlignedFunctionPair]:
     """Cartesian candidate function pairs within one file pair, reranked to 5."""
     c_text, rust_text = file_pair.c_text, file_pair.rust_text
     c_fns = split_c_functions(c_text)
@@ -146,7 +146,9 @@ def align_functions(file_pair, reranker: Optional[Callable] = None) -> list[Alig
         for cn, cs in c_fns
         for rn, rs in rust_fns
     ]
-    return rerank_top_n(candidates, n=5, reranker=reranker)
+    return rerank_top_n(
+        candidates, n=5, reranker=lambda p: default_rerank_score(p.c_source, p.rust_source)
+    )
 
 
 # --- deterministic rule extraction ---------------------------------------------

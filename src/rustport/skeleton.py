@@ -8,12 +8,13 @@ compile before any function logic exists.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import clayout
 from .buildctx import PreprocessedUnit
@@ -67,7 +68,6 @@ class SkeletonConfig:
     flatten_root: bool = False
     strict_holes: bool = True
     placeholder_style: str = "unimplemented"  # or "todo"
-    edition: str = "2021"
 
 
 @dataclass
@@ -98,7 +98,6 @@ class FunctionStub:
     abi_sensitive: bool
     module: str
     param_names: list[str] = field(default_factory=list)
-    rust_return: str = "()"
 
 
 @dataclass
@@ -106,7 +105,6 @@ class LiftedStatic:
     name: str
     emitted_text: str
     module: str
-    mutable: bool
     origin: CGlobalDecl
     accessor_text: str = ""
 
@@ -116,18 +114,21 @@ class NamedConstant:
     name: str
     emitted_text: str
     module: str
-    value: object
 
 
 @dataclass
 class SkeletonProject:
+    """The skeleton record: planned in memory, saved with the workspace, loaded back.
+
+    ``workspace_dir`` is None until the project is assembled, and is never
+    saved: a loaded project lives wherever its file was read from.
+    """
+
     tree: ModuleTree
     types: list[RustTypeDecl]
     stubs: list[FunctionStub]
     statics: list[LiftedStatic]
     constants: list[NamedConstant]
-    shared_layer: str = SHARED_MODULE
-    module_symbols: dict[str, SymbolTable] = field(default_factory=dict)
     workspace_dir: Optional[Path] = None
     holes: list[str] = field(default_factory=list)
     config: SkeletonConfig = field(default_factory=SkeletonConfig)
@@ -188,8 +189,6 @@ def mirror_module_tree(project_root, source_files, config: Optional[SkeletonConf
 class TypePolicy:
     resolver: TypeResolver
     strict: bool = True
-    force_repr_c: bool = True
-    abi_types: set[str] = field(default_factory=set)
 
 
 def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> RustTypeDecl:
@@ -221,7 +220,6 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
         )
 
     keyword = "struct" if t.kind == "record" else "union"
-    repr_c = bool(policy.force_repr_c or t.layout_sensitive or t.name in policy.abi_types)
 
     if t.opaque or not t.members:
         text = f"#[repr(C)]\npub struct {name} {{\n    _opaque: [u8; 0],\n}}"
@@ -264,24 +262,19 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
             name=name, emitted_text="\n".join(lines), repr_c=True, origin=t, module=module
         )
 
-    lines = []
-    if repr_c:
-        lines.append("#[repr(C)]")
-    lines.append("#[derive(Clone, Copy)]")
-    lines.append(f"pub {keyword} {name} {{")
+    lines = ["#[repr(C)]", "#[derive(Clone, Copy)]", f"pub {keyword} {name} {{"]
     for mname, mtype, _width in t.members:
         lowered = clayout.lower_type_text(mtype, policy.resolver)
         lines.append(f"    pub {sanitize_ident(mname)}: {lowered},")
     lines.append("}")
-    if repr_c:
-        try:
-            size, align = clayout.record_size_align(t, policy.resolver)
-            lines.append(f"const _: () = assert!(core::mem::size_of::<{name}>() == {size});")
-            lines.append(f"const _: () = assert!(core::mem::align_of::<{name}>() == {align});")
-        except SkeletonError:
-            logger.info("no layout assertion for %s (member outside layout subset)", t.name)
+    try:
+        size, align = clayout.record_size_align(t, policy.resolver)
+        lines.append(f"const _: () = assert!(core::mem::size_of::<{name}>() == {size});")
+        lines.append(f"const _: () = assert!(core::mem::align_of::<{name}>() == {align});")
+    except SkeletonError:
+        logger.info("no layout assertion for %s (member outside layout subset)", t.name)
     return RustTypeDecl(
-        name=name, emitted_text="\n".join(lines), repr_c=repr_c, origin=t, module=module
+        name=name, emitted_text="\n".join(lines), repr_c=True, origin=t, module=module
     )
 
 
@@ -330,7 +323,6 @@ def emit_stub(
         abi_sensitive=abi_sensitive,
         module=module,
         param_names=param_names,
-        rust_return=ret,
     )
 
 
@@ -412,12 +404,7 @@ def lift_global(
             f"}}"
         )
     return LiftedStatic(
-        name=name,
-        emitted_text=text,
-        module=module,
-        mutable=mutable,
-        origin=g,
-        accessor_text=accessor,
+        name=name, emitted_text=text, module=module, origin=g, accessor_text=accessor
     )
 
 
@@ -440,24 +427,12 @@ def _const_text(name: str, value: object) -> str:
 # --- whole-project planning --------------------------------------------------
 
 
-@dataclass
-class SkeletonPlan:
-    config: SkeletonConfig
-    tree: ModuleTree
-    types: list[RustTypeDecl]
-    stubs: list[FunctionStub]
-    statics: list[LiftedStatic]
-    constants: list[NamedConstant]
-    module_symbols: dict[str, SymbolTable]
-    holes: list[str]
-
-
 def plan_skeleton(
     project_root,
     units: list[PreprocessedUnit],
     config: Optional[SkeletonConfig] = None,
-) -> SkeletonPlan:
-    """Turn preprocessed units into a complete emission plan.
+) -> SkeletonProject:
+    """Turn preprocessed units into a complete, not yet assembled, project.
 
     Decides type/global placement (module-local vs shared layer), stub
     visibility, and name resolution before anything is written to disk.
@@ -617,7 +592,6 @@ def plan_skeleton(
                 name=sanitize_ident(name),
                 emitted_text=_const_text(name, value),
                 module=SHARED_MODULE,
-                value=value,
             )
         )
     for module in sorted(symtabs):
@@ -632,7 +606,6 @@ def plan_skeleton(
                     name=sanitize_ident(name),
                     emitted_text=_const_text(name, value),
                     module=module,
-                    value=value,
                 )
             )
 
@@ -652,15 +625,14 @@ def plan_skeleton(
                 emit_stub(fn, module, policy, visibility=visibility, style=config.placeholder_style)
             )
 
-    return SkeletonPlan(
-        config=config,
+    return SkeletonProject(
         tree=tree,
         types=types,
         stubs=stubs,
         statics=statics,
         constants=constants,
-        module_symbols=symtabs,
         holes=holes + [f"type conflict: {n}" for n in type_conflicts],
+        config=config,
     )
 
 
@@ -696,21 +668,21 @@ def module_rel_file(module: str) -> Path:
     return Path("src", *parts[:-1], parts[-1] + ".rs")
 
 
-def render_module(plan: SkeletonPlan, module: str) -> str:
+def render_module(project: SkeletonProject, module: str) -> str:
     """Render one module file: constants, types, statics, then stubs."""
     sections: list[str] = []
-    for const in plan.constants:
+    for const in project.constants:
         if const.module == module:
             sections.append(const.emitted_text)
-    for t in plan.types:
+    for t in project.types:
         if t.module == module:
             sections.append(t.emitted_text)
-    for s in plan.statics:
+    for s in project.statics:
         if s.module == module:
             sections.append(s.emitted_text)
             if s.accessor_text:
                 sections.append(s.accessor_text)
-    for stub in plan.stubs:
+    for stub in project.stubs:
         if stub.module == module:
             body = "\n".join(
                 "    " + line if line else "" for line in stub.placeholder_body.splitlines()
@@ -726,17 +698,21 @@ def render_module(plan: SkeletonPlan, module: str) -> str:
 
 
 def assemble_and_verify(
-    plan: SkeletonPlan,
+    project: SkeletonProject,
     out_dir,
     runner: Optional[BuildRunner] = None,
 ) -> SkeletonProject:
-    """Write the workspace and require a clean build before any bodies exist."""
+    """Write the workspace and require a clean build before any bodies exist.
+
+    On success the project records ``out_dir`` as its workspace and is saved
+    there; the same object is returned.
+    """
     out_dir = Path(out_dir)
     runner = runner or BuildRunner()
     src = out_dir / "src"
     src.mkdir(parents=True, exist_ok=True)
 
-    modules = sorted(set(plan.tree.mapping.values()) | {SHARED_MODULE})
+    modules = sorted(set(project.tree.mapping.values()) | {SHARED_MODULE})
     # parent module files declare their children
     children: dict[str, set[str]] = {}
     for module in modules:
@@ -756,7 +732,7 @@ def assemble_and_verify(
         pfile = module_rel_file(parent)
         content = "\n".join(f"pub mod {k};" for k in sorted(kids)) + "\n"
         if parent in modules:
-            content += "\n" + render_module(plan, parent)
+            content += "\n" + render_module(project, parent)
         path = out_dir / pfile
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8")
@@ -766,34 +742,34 @@ def assemble_and_verify(
             continue  # already written with child declarations
         path = out_dir / module_rel_file(module)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(render_module(plan, module), encoding="utf-8")
+        path.write_text(render_module(project, module), encoding="utf-8")
 
     manifest = (
         "[package]\n"
-        f'name = "{plan.config.crate_name}"\n'
+        f'name = "{project.config.crate_name}"\n'
         'version = "0.1.0"\n'
-        f'edition = "{plan.config.edition}"\n'
+        'edition = "2021"\n'
     )
     (out_dir / "Cargo.toml").write_text(manifest, encoding="utf-8")
 
     mapping_doc = {
-        "crate": plan.config.crate_name,
-        "modules": dict(sorted(plan.tree.mapping.items())),
+        "crate": project.config.crate_name,
+        "modules": dict(sorted(project.tree.mapping.items())),
         "symbols": {
             stub.qualified_name: {
-                "c_file": plan.tree.reverse.get(stub.module, ""),
+                "c_file": project.tree.reverse.get(stub.module, ""),
                 "c_name": stub.origin.name,
                 "kind": "function",
             }
-            for stub in plan.stubs
+            for stub in project.stubs
         },
     }
-    for t in plan.types:
+    for t in project.types:
         mapping_doc["symbols"][f"{t.module}::{t.name}"] = {
             "c_name": t.origin.name,
             "kind": "type",
         }
-    for s in plan.statics:
+    for s in project.statics:
         mapping_doc["symbols"][f"{s.module}::{s.name}"] = {
             "c_name": s.origin.name,
             "kind": "static",
@@ -810,17 +786,7 @@ def assemble_and_verify(
             diagnostics=outcome.errors,
         )
 
-    project = SkeletonProject(
-        tree=plan.tree,
-        types=plan.types,
-        stubs=plan.stubs,
-        statics=plan.statics,
-        constants=plan.constants,
-        module_symbols=plan.module_symbols,
-        workspace_dir=out_dir,
-        holes=plan.holes,
-        config=plan.config,
-    )
+    project.workspace_dir = out_dir
     save_project(project, out_dir)
     return project
 
@@ -828,163 +794,65 @@ def assemble_and_verify(
 # --- persistence across CLI invocations --------------------------------------
 
 
+SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 1}
+
+_field_types = functools.cache(get_type_hints)  # one entry per record class
+
+
+def _to_json(value):
+    """Record dataclasses to JSON values: tuples become lists, sets sorted lists."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, set):
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    return value
+
+
+def _from_json(hint, value):
+    """The inverse of ``_to_json``, guided by the record classes' annotations."""
+    if is_dataclass(hint):
+        hints = _field_types(hint)
+        return hint(**{k: _from_json(hints[k], v) for k, v in value.items()})
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _from_json(args[0], value)
+    if origin in (list, set):
+        return origin(_from_json(args[0], v) for v in value)
+    if origin is tuple:
+        return tuple(_from_json(a, v) for a, v in zip(args, value, strict=True))
+    if origin is dict:
+        return {k: _from_json(args[1], v) for k, v in value.items()}
+    return value
+
+
 def save_project(project: SkeletonProject, out_dir) -> None:
-    doc = {
-        "config": {
-            "crate_name": project.config.crate_name,
-            "flatten_root": project.config.flatten_root,
-            "strict_holes": project.config.strict_holes,
-            "placeholder_style": project.config.placeholder_style,
-            "edition": project.config.edition,
-        },
-        "mapping": project.tree.mapping,
-        "types": [
-            {
-                "name": t.name,
-                "module": t.module,
-                "emitted_text": t.emitted_text,
-                "repr_c": t.repr_c,
-                "origin_name": t.origin.name,
-                "origin_kind": t.origin.kind,
-            }
-            for t in project.types
-        ],
-        "stubs": [
-            {
-                "qualified_name": s.qualified_name,
-                "signature_text": s.signature_text,
-                "placeholder_body": s.placeholder_body,
-                "visibility": s.visibility,
-                "abi_sensitive": s.abi_sensitive,
-                "module": s.module,
-                "param_names": s.param_names,
-                "rust_return": s.rust_return,
-                "origin": {
-                    "name": s.origin.name,
-                    "return_type": s.origin.return_type,
-                    "params": s.origin.params,
-                    "variadic": s.origin.variadic,
-                    "storage": s.origin.storage,
-                    "source_loc": s.origin.source_loc,
-                    "calls": sorted(s.origin.calls),
-                    "value_refs": sorted(s.origin.value_refs),
-                    "source_text": s.origin.source_text,
-                },
-            }
-            for s in project.stubs
-        ],
-        "statics": [
-            {
-                "name": s.name,
-                "module": s.module,
-                "emitted_text": s.emitted_text,
-                "mutable": s.mutable,
-                "origin_name": s.origin.name,
-            }
-            for s in project.statics
-        ],
-        "constants": [
-            {"name": c.name, "module": c.module, "emitted_text": c.emitted_text}
-            for c in project.constants
-        ],
-        "external_refs": {
-            module: sorted(table.external_refs)
-            for module, table in project.module_symbols.items()
-        },
-        "holes": project.holes,
-    }
+    """Write the whole project record to ``.rustport/skeleton.json``."""
+    record = _to_json(project)
+    del record["workspace_dir"]
     meta = Path(out_dir) / ".rustport"
     meta.mkdir(parents=True, exist_ok=True)
     (meta / "skeleton.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps({**SKELETON_FORMAT, "project": record}, indent=2) + "\n", encoding="utf-8"
     )
 
 
 def load_project(out_dir) -> SkeletonProject:
+    """Read the project record back; it equals the one that was saved."""
     path = Path(out_dir) / ".rustport" / "skeleton.json"
     if not path.is_file():
         raise SkeletonError(f"no skeleton metadata at {path}; run the skeleton step first")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    config = SkeletonConfig(**doc["config"])
-    mapping = doc["mapping"]
-    tree = ModuleTree(
-        crate_name=config.crate_name,
-        mapping=mapping,
-        reverse={v: k for k, v in mapping.items()},
-    )
-    types = [
-        RustTypeDecl(
-            name=t["name"],
-            emitted_text=t["emitted_text"],
-            repr_c=t["repr_c"],
-            origin=CTypeDef(
-                name=t["origin_name"], kind=t["origin_kind"], members=[], source_loc=""
-            ),
-            module=t["module"],
-        )
-        for t in doc["types"]
-    ]
-    stubs = []
-    for s in doc["stubs"]:
-        o = s["origin"]
-        origin = CFunctionDecl(
-            name=o["name"],
-            return_type=o["return_type"],
-            params=[tuple(p) for p in o["params"]],
-            variadic=o["variadic"],
-            storage=o["storage"],
-            defined_here=True,
-            source_loc=o["source_loc"],
-            calls=set(o["calls"]),
-            value_refs=set(o["value_refs"]),
-            source_text=o["source_text"],
-        )
-        stubs.append(
-            FunctionStub(
-                qualified_name=s["qualified_name"],
-                signature_text=s["signature_text"],
-                placeholder_body=s["placeholder_body"],
-                visibility=s["visibility"],
-                origin=origin,
-                abi_sensitive=s["abi_sensitive"],
-                module=s["module"],
-                param_names=s["param_names"],
-                rust_return=s["rust_return"],
-            )
-        )
-    statics = [
-        LiftedStatic(
-            name=s["name"],
-            emitted_text=s["emitted_text"],
-            module=s["module"],
-            mutable=s["mutable"],
-            origin=CGlobalDecl(
-                name=s["origin_name"],
-                c_type_text="",
-                initializer_text=None,
-                storage="external",
-                mutable=s["mutable"],
-                source_loc="",
-            ),
-        )
-        for s in doc["statics"]
-    ]
-    constants = [
-        NamedConstant(name=c["name"], emitted_text=c["emitted_text"], module=c["module"], value=None)
-        for c in doc["constants"]
-    ]
-    module_symbols = {
-        module: SymbolTable(unit=None, external_refs=set(refs))
-        for module, refs in doc["external_refs"].items()
-    }
-    return SkeletonProject(
-        tree=tree,
-        types=types,
-        stubs=stubs,
-        statics=statics,
-        constants=constants,
-        module_symbols=module_symbols,
-        workspace_dir=Path(out_dir),
-        holes=doc.get("holes", []),
-        config=config,
-    )
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if {k: doc.get(k) for k in SKELETON_FORMAT} != SKELETON_FORMAT:
+            raise ValueError(f"no {SKELETON_FORMAT} header")
+        project = _from_json(SkeletonProject, doc["project"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SkeletonError(
+            f"{path}: unreadable skeleton metadata ({exc}); re-run `rustport skeleton`"
+        ) from exc
+    project.workspace_dir = Path(out_dir)
+    return project

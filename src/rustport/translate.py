@@ -17,7 +17,7 @@ from string import Template
 from .errors import SkeletonError
 from .graph import GlobalSymbolIndex, SkeletonGraph
 from .knowledge.rules import ApiRule, FragmentRule
-from .skeleton import SkeletonProject
+from .skeleton import SHARED_MODULE, SkeletonProject
 
 logger = logging.getLogger(__name__)
 
@@ -143,7 +143,7 @@ def assemble_context(
         if qid in statics_by_qid:
             item = statics_by_qid[qid]
             line = f"// at {qid}\n{item.emitted_text}"
-            if item.module == skeleton.shared_layer:
+            if item.module == SHARED_MODULE:
                 shared_excerpts.append(line)
                 if item.accessor_text:
                     shared_excerpts.append(item.accessor_text)
@@ -152,7 +152,7 @@ def assemble_context(
         elif qid in consts_by_qid:
             item = consts_by_qid[qid]
             line = f"// at {qid}\n{item.emitted_text}"
-            (shared_excerpts if item.module == skeleton.shared_layer else global_decls).append(line)
+            (shared_excerpts if item.module == SHARED_MODULE else global_decls).append(line)
     callee_sigs = []
     for qid in callee_qids:
         callee = skeleton.stub_by_name(qid)

@@ -234,3 +234,53 @@ def test_graph_command(tmp_path, capsys):
     doc = json.loads((ws / "graph.json").read_text())
     assert doc["layers"]
     assert any(n["kind"] == "function" for n in doc["nodes"])
+
+
+def test_translate_prompts_equal_an_in_memory_run(tmp_path):
+    """`rustport translate` loads the skeleton from disk; its prompts must be
+    the ones an in-memory run over the same skeleton builds."""
+    from rustport.backends import OracleBackend
+    from rustport.buildctx import (
+        PreprocessorConfig,
+        dedupe_by_source,
+        derive_unit_context,
+        load_compile_commands,
+        preprocess_unit,
+    )
+    from rustport.cargo import BuildRunner
+    from rustport.graph import build_graph, build_symbol_index, schedule
+    from rustport.pipeline import RunArtifacts, TranslationRun
+    from rustport.skeleton import SkeletonConfig, assemble_and_verify, plan_skeleton
+    from rustport.workspace import Workspace
+
+    proj = copy_fixture("mini_cycle", tmp_path / "proj")
+    trace = write_trace(proj, ["core/parity.c", "util/track.c"])
+    ws = tmp_path / "ws"
+    assert run_cli(
+        "skeleton", "--project", proj, "--trace", trace, "--out", ws,
+        "--config", proj / "project.json",
+    ) == 0
+    assert run_cli(
+        "translate", "--workspace", ws, "--backend", "oracle",
+        "--oracle-bodies", proj / "oracle_bodies.json", "--run-id", "cli",
+    ) == 0
+    cli_prompts = ws / "runs" / "cli" / "prompts"
+    # the shared layer's accessor reaches the prompt through the saved record
+    assert "g_checks_ptr" in (cli_prompts / "crate_util_track_read_checks_1.txt").read_text()
+
+    units = [
+        preprocess_unit(derive_unit_context(c), PreprocessorConfig())
+        for c in dedupe_by_source(load_compile_commands(trace))
+    ]
+    project = assemble_and_verify(
+        plan_skeleton(proj, units, SkeletonConfig(crate_name="mini_cycle")), tmp_path / "mem_ws"
+    )
+    index = build_symbol_index(project)
+    graph = build_graph(index, project)
+    TranslationRun(
+        skeleton=project, workspace=Workspace(project.workspace_dir), graph=graph,
+        index=index, layers=schedule(graph),
+        backend=OracleBackend.from_file(proj / "oracle_bodies.json"), runner=BuildRunner(),
+        artifacts=RunArtifacts(tmp_path / "mem_run"),
+    ).execute()
+    assert tree_digest(tmp_path / "mem_run" / "prompts") == tree_digest(cli_prompts)

@@ -63,7 +63,7 @@ def make_static(module, name):
         name=name, c_type_text="int", initializer_text="0", storage="external",
         mutable=True, source_loc="x:1",
     )
-    return LiftedStatic(name=name, emitted_text="", module=module, mutable=True, origin=origin)
+    return LiftedStatic(name=name, emitted_text="", module=module, origin=origin)
 
 
 # --- symbol index -------------------------------------------------------------

@@ -15,7 +15,7 @@ from rustport.knowledge import (
     mine_rules,
     rerank_top_n,
 )
-from rustport.knowledge.bm25 import split_identifier, tokenize_code
+from rustport.knowledge.bm25 import default_rerank_score, split_identifier, tokenize_code
 from rustport.knowledge.mining import FilePairCandidate
 from rustport.knowledge.rules import split_c_functions, split_rust_functions
 
@@ -92,24 +92,28 @@ def jaccard_pair(n_shared, n_left_only, n_right_only, tag):
     return FilePairCandidate(c_path=tag, rust_path=tag, c_text=left, rust_text=right)
 
 
+def file_pair_score(cand):
+    return default_rerank_score(cand.c_text, cand.rust_text)
+
+
 def test_rerank_orders_by_jaccard():
     # hand-computed: 3/5 = 0.6, 1/5 = 0.2, 9/10 = 0.9
     p06 = jaccard_pair(3, 2, 0, "a")
     p02 = jaccard_pair(1, 4, 0, "b")
     p09 = jaccard_pair(9, 1, 0, "c")
-    ranked = rerank_top_n([p06, p02, p09], n=3)
+    ranked = rerank_top_n([p06, p02, p09], file_pair_score, n=3)
     assert [p.c_path for p in ranked] == ["c", "a", "b"]
 
 
 def test_rerank_full_permutation_when_n_large():
     pairs = [jaccard_pair(1, 1, 1, t) for t in ("x", "y")]
-    assert len(rerank_top_n(pairs, n=10)) == 2
+    assert len(rerank_top_n(pairs, file_pair_score, n=10)) == 2
 
 
 def test_rerank_ties_keep_input_order():
     a = jaccard_pair(2, 2, 0, "t1")
     b = jaccard_pair(2, 2, 0, "t2")
-    ranked = rerank_top_n([a, b], n=2)
+    ranked = rerank_top_n([a, b], file_pair_score, n=2)
     assert [p.c_path for p in ranked] == ["t1", "t2"]
 
 

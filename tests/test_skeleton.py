@@ -1,9 +1,20 @@
+import json
+import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
+from conftest import FIXTURES, write_trace
+from test_pipeline import synthetic_project
+
+from rustport.buildctx import (
+    CompileCommand,
+    PreprocessorConfig,
+    derive_unit_context,
+    load_compile_commands,
+    preprocess_unit,
+)
 from rustport.cargo import BuildRunner
 from rustport.clayout import TypeResolver, parse_c_type, record_size_align
 from rustport.csyms import CTypeDef, extract_symbols
@@ -12,6 +23,7 @@ from rustport.skeleton import (
     SkeletonConfig,
     TypePolicy,
     assemble_and_verify,
+    load_project,
     lower_type,
     mirror_module_tree,
     plan_skeleton,
@@ -465,3 +477,61 @@ def test_skeleton_output_deterministic(tmp_path):
     p2 = assemble_and_verify(plan2, out2, RUNNER)
     for rel in ["src/lib.rs", "src/a.rs", "src/shared.rs", "Cargo.toml", "mapping.json"]:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+
+# --- persistence ---------------------------------------------------------------
+
+FIXTURE_SOURCES = {
+    "mini_list": (["list.c"], []),
+    "mini_mix": (["mix.c"], ["-DMIX_ENABLE_EXTRA"]),
+    "mini_cycle": (["core/parity.c", "util/track.c"], []),
+    "mini_kb": (["kb.c"], []),
+}
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_SOURCES, "synthetic_8x8"])
+def test_saved_project_loads_back_equal(tmp_path, name):
+    if name in FIXTURE_SOURCES:
+        root = tmp_path / name
+        shutil.copytree(FIXTURES / name, root)
+        sources, extra_args = FIXTURE_SOURCES[name]
+    else:
+        files, _ = synthetic_project(8, 8)
+        root = make_project(tmp_path, files)
+        sources, extra_args = sorted(f for f in files if f.endswith(".c")), ["-Iinc"]
+    trace = write_trace(root, sources, extra_args=extra_args)
+    units = [preprocess_unit(derive_unit_context(c), CPP) for c in load_compile_commands(trace)]
+    plan = plan_skeleton(root, units, SkeletonConfig(crate_name=name))
+    assert plan.workspace_dir is None
+    project = assemble_and_verify(plan, tmp_path / "ws", RUNNER)
+    assert project.workspace_dir == tmp_path / "ws"
+    assert load_project(tmp_path / "ws") == project
+    # the workspace directory is where the record is read from, not stored
+    shutil.copytree(tmp_path / "ws", tmp_path / "copy")
+    copy = load_project(tmp_path / "copy")
+    assert copy.workspace_dir == tmp_path / "copy"
+    assert copy.stubs == project.stubs and copy.statics == project.statics
+
+
+SKELETON_HEADER = {"format": "rustport-skeleton", "version": 1}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        json.dumps({"config": {"crate_name": "old"}, "mapping": {}, "types": []}),
+        json.dumps({**SKELETON_HEADER, "version": 2, "project": {}}),
+        json.dumps({**SKELETON_HEADER, "project": None}),
+        json.dumps({**SKELETON_HEADER, "project": {"tree": [], "types": []}}),
+        json.dumps({**SKELETON_HEADER, "project": {"no_such_field": 1}}),
+    ],
+    ids=["not-json", "not-an-object", "headerless", "future-version", "null-project",
+         "wrong-shape", "unknown-field"],
+)
+def test_unreadable_skeleton_metadata_is_a_skeleton_error(tmp_path, text):
+    (tmp_path / ".rustport").mkdir()
+    (tmp_path / ".rustport" / "skeleton.json").write_text(text)
+    with pytest.raises(SkeletonError, match="re-run `rustport skeleton`"):
+        load_project(tmp_path)
