@@ -925,19 +925,32 @@ def _split_loc(loc: str) -> tuple[str, int]:
         return loc, 0
 
 
-def _find_function_end(lines: list[str], start: int) -> Optional[int]:
+# literals and comments a C brace matcher skips, or a brace
+_C_BRACE_RE = re.compile(
+    r'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'|//[^\n]*|/\*.*?\*/|[{}]', re.S
+)
+
+
+def match_c_brace(text: str, start: int = 0) -> Optional[int]:
+    """The index of the ``}`` that closes the first ``{`` at or after
+    ``start``, skipping string and char literals and comments; None if it
+    never closes."""
     depth = 0
-    opened = False
-    for i in range(start, len(lines)):
-        for ch in lines[i]:
-            if ch == "{":
-                depth += 1
-                opened = True
-            elif ch == "}":
-                depth -= 1
-        if opened and depth <= 0:
-            return i
+    for m in _C_BRACE_RE.finditer(text, start):
+        if m.group() == "{":
+            depth += 1
+        elif m.group() == "}" and depth:
+            depth -= 1
+            if not depth:
+                return m.start()
     return None
+
+
+def _find_function_end(lines: list[str], start: int) -> Optional[int]:
+    """The index of the line that closes the function starting at ``start``."""
+    text = "\n".join(lines[start:])
+    end = match_c_brace(text)
+    return None if end is None else start + text.count("\n", 0, end)
 
 
 def _slice_preprocessed(pre_lines: list[str], unit: PreprocessedUnit, fn: CFunctionDecl) -> str:

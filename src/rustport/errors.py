@@ -33,10 +33,6 @@ class PreprocessError(RustportError):
         super().__init__(message)
 
 
-class ExtractionError(RustportError):
-    """Symbol extraction hit a construct outside the supported subset."""
-
-
 class SkeletonError(RustportError):
     """Skeleton emission failed (unresolvable type under strict policy, ...)."""
 

@@ -194,12 +194,6 @@ class ScheduleLayers:
     def flatten(self) -> list[str]:
         return [n for layer in self.layers for n in layer]
 
-    def layer_of(self, node_id: str) -> int:
-        for i, layer in enumerate(self.layers):
-            if node_id in layer:
-                return i
-        raise KeyError(node_id)
-
 
 def _tarjan_scc(nodes: list[str], edges: set[tuple[str, str]]) -> list[set[str]]:
     adj: dict[str, list[str]] = {n: [] for n in nodes}

@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .. import rustlex
+from ..csyms import match_c_brace
 from .bm25 import default_rerank_score, rerank_top_n, tokenize_code
 
 logger = logging.getLogger(__name__)
@@ -84,19 +86,6 @@ _C_FN_RE = re.compile(
 _RUST_FN_RE = re.compile(r"^[ \t]*(?:pub(?:\([^)]*\))?[ \t]+)?(?:const[ \t]+|async[ \t]+|unsafe[ \t]+|extern[ \t]+\"[^\"]*\"[ \t]+)*fn[ \t]+(?P<name>[A-Za-z_]\w*)", re.M)
 
 
-def _match_braces(text: str, open_idx: int) -> Optional[int]:
-    depth = 0
-    for i in range(open_idx, len(text)):
-        ch = text[i]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
-
-
 def split_c_functions(text: str) -> list[tuple[str, str]]:
     """(name, full text) for each function definition found in a C file."""
     out: list[tuple[str, str]] = []
@@ -105,7 +94,7 @@ def split_c_functions(text: str) -> list[tuple[str, str]]:
         if name in C_KEYWORDS:
             continue
         open_idx = text.index("{", m.start())
-        end = _match_braces(text, open_idx)
+        end = match_c_brace(text, open_idx)
         if end is None:
             continue
         out.append((name, text[m.start() : end + 1]))
@@ -119,7 +108,7 @@ def split_rust_functions(text: str) -> list[tuple[str, str]]:
         semi_idx = text.find(";", m.end())
         if open_idx == -1 or (semi_idx != -1 and semi_idx < open_idx):
             continue  # trait method signature or declaration
-        end = _match_braces(text, open_idx)
+        end = rustlex.matching(text, open_idx)
         if end is None:
             continue
         out.append((m.group("name"), text[m.start() : end + 1]))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import rustlex
 from .cargo import BuildRunner
 from .errors import HarnessTimeoutError, MetricsError
 from .repair import FunctionOutcome, compile_batch
@@ -142,170 +143,40 @@ def incremental_comp_rate(
 # --- unsafe ratio ------------------------------------------------------------------
 
 
-@dataclass
-class _LineInfo:
-    has_code: bool = False
-    unsafe_token: bool = False
-
-
-def _scan_rust_file(text: str) -> tuple[list[_LineInfo], list[tuple[int, int]], bool]:
-    """Lexical pass: per-line code presence, unsafe tokens, brace pairs.
-
-    Returns (line infos, unsafe block spans as (start_line, end_line), balanced).
-    Comments, string/char literals, and raw strings are excluded from code.
-    """
-    lines = [_LineInfo() for _ in range(text.count("\n") + 2)]
-    brace_stack: list[tuple[int, int]] = []  # (line, token index)
-    unsafe_tokens: list[int] = []  # token index of each `unsafe`
-    blocks: list[tuple[int, int]] = []
-    pending_unsafe: list[int] = []  # unsafe tokens waiting for their block
-
-    state = "code"
-    block_depth = 0
-    raw_hashes = 0
-    line_no = 1
-    i = 0
-    n = len(text)
-    word = ""
-    balanced = True
-
-    def end_word():
-        nonlocal word
-        if word == "unsafe":
-            lines[line_no].unsafe_token = True
-            pending_unsafe.append(len(unsafe_tokens))
-            unsafe_tokens.append(line_no)
-        word = ""
-
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if ch == "\n":
-            if state == "code":
-                end_word()
-            line_no += 1
-            i += 1
-            continue
-
-        if state == "code":
-            if ch == "/" and nxt == "/":
-                end_word()
-                while i < n and text[i] != "\n":
-                    i += 1
-                continue
-            if ch == "/" and nxt == "*":
-                end_word()
-                state = "block_comment"
-                block_depth = 1
-                i += 2
-                continue
-            if ch == '"':
-                end_word()
-                lines[line_no].has_code = True  # the quote itself is code
-                state = "string"
-                i += 1
-                continue
-            if ch == "r" and not word and (nxt == '"' or nxt == "#"):
-                j = i + 1
-                hashes = 0
-                while j < n and text[j] == "#":
-                    hashes += 1
-                    j += 1
-                if j < n and text[j] == '"':
-                    lines[line_no].has_code = True
-                    state = "raw_string"
-                    raw_hashes = hashes
-                    i = j + 1
-                    continue
-            if ch == "'":
-                # char literal or lifetime; consume conservatively
-                end_word()
-                lines[line_no].has_code = True
-                if nxt == "\\":
-                    k = i + 2
-                    while k < n and text[k] != "'":
-                        k += 1
-                    i = k + 1
-                    continue
-                if i + 2 < n and text[i + 2] == "'":
-                    i += 3
-                    continue
-                i += 1  # lifetime tick
-                continue
-            if ch.isalnum() or ch == "_":
-                word += ch
-                lines[line_no].has_code = True
-                i += 1
-                continue
-            end_word()
-            if not ch.isspace():
-                lines[line_no].has_code = True
-            if ch == "{":
-                if pending_unsafe:
-                    idx = pending_unsafe.pop(0)
-                    brace_stack.append((line_no, -(idx + 1)))  # unsafe-opened
-                else:
-                    brace_stack.append((line_no, 0))
-            elif ch == "}":
-                if not brace_stack:
-                    balanced = False
-                else:
-                    open_line, marker = brace_stack.pop()
-                    if marker < 0:
-                        start = unsafe_tokens[-marker - 1]
-                        blocks.append((start, line_no))
-            i += 1
-            continue
-
-        if state == "block_comment":
-            if ch == "/" and nxt == "*":
-                block_depth += 1
-                i += 2
-                continue
-            if ch == "*" and nxt == "/":
-                block_depth -= 1
-                i += 2
-                if block_depth == 0:
-                    state = "code"
-                continue
-            i += 1
-            continue
-
-        if state == "string":
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == '"':
-                state = "code"
-            i += 1
-            continue
-
-        if state == "raw_string":
-            if ch == '"' and text[i + 1 : i + 1 + raw_hashes] == "#" * raw_hashes:
-                state = "code"
-                i += 1 + raw_hashes
-                continue
-            i += 1
-            continue
-
-    if state == "code":
-        end_word()
-    if brace_stack or pending_unsafe:
-        balanced = False
-    return lines, blocks, balanced
-
-
 def classify_file(text: str) -> tuple[set[int], set[int], bool]:
-    """(countable line numbers, unsafe line numbers, balanced) for one file."""
-    lines, blocks, balanced = _scan_rust_file(text)
-    countable = {no for no, info in enumerate(lines) if info.has_code}
-    unsafe_lines = {no for no, info in enumerate(lines) if info.unsafe_token}
-    for start, end in blocks:
-        for no in range(start, end + 1):
-            if no in countable:
-                unsafe_lines.add(no)
-    unsafe_lines &= countable
-    return countable, unsafe_lines, balanced
+    """(countable line numbers, unsafe line numbers, balanced) for one file.
+
+    A line is countable when a token other than a comment starts on it, so a
+    multi-line string counts on its opening line only. A line is unsafe when
+    it holds the ``unsafe`` keyword or is a countable line of the ``{…}``
+    block that the keyword opens: each ``unsafe``, in order, claims the next
+    ``{``. A file whose braces do not pair, whose ``unsafe`` claims no block,
+    or whose last literal or comment never closes is not balanced.
+    """
+    countable: set[int] = set()
+    unsafe_lines: set[int] = set()
+    pending: list[int] = []  # lines of the unsafe keywords waiting for a block
+    opened: list[Optional[int]] = []  # per open brace, its unsafe keyword's line
+    balanced = True
+    for tok in rustlex.tokenize(text):
+        if not tok.closed:
+            balanced = False
+        if tok.kind == "comment":
+            continue
+        countable.add(tok.line)
+        if tok.kind == "ident" and tok.text == "unsafe":
+            unsafe_lines.add(tok.line)
+            pending.append(tok.line)
+        elif tok.text == "{":
+            opened.append(pending.pop(0) if pending else None)
+        elif tok.text == "}":
+            if not opened:
+                balanced = False
+            elif (keyword := opened.pop()) is not None:
+                unsafe_lines.update(range(keyword, tok.line + 1))
+    if opened or pending:
+        balanced = False
+    return countable, unsafe_lines & countable, balanced
 
 
 def unsafe_ratio(workspace_dir) -> float:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generator, Optional
 
+from . import rustlex
 from .backends import GenerationRequest
 from .cargo import BuildRunner, Diagnostic, render_diagnostics
 from .errors import WorkspaceError
@@ -104,64 +105,24 @@ def compile_and_install(
 
 
 # items a body can declare whose effect reaches past its own function
-_CRATE_WIDE_RE = re.compile(r"\bimpl\b|\b(?:macro_export|no_mangle|export_name)\b")
-_RAW_STRING_RE = re.compile(r'b?r(#*)"')
-_CHAR_RE = re.compile(r"'(?:\\(?:u\{[0-9a-fA-F]*\}|x[0-9a-fA-F]{2}|.)|[^\\'\n])'")
-_OPENER = {")": "(", "]": "[", "}": "{"}
-
-
-def _nests(body: str) -> bool:
-    """Whether every delimiter, literal and block comment a body opens closes
-    inside it, so the body cannot end its function early and declare module
-    items. Lexical; a lifetime is told from a char literal by its missing
-    closing quote."""
-    stack: list[str] = []
-    i, n = 0, len(body)
-    while i < n:
-        ch = body[i]
-        if body.startswith("//", i):
-            end = body.find("\n", i)
-            i = n if end < 0 else end
-        elif body.startswith("/*", i):
-            depth, i = 1, i + 2
-            while depth and i < n:
-                if body.startswith("/*", i):
-                    depth, i = depth + 1, i + 2
-                elif body.startswith("*/", i):
-                    depth, i = depth - 1, i + 2
-                else:
-                    i += 1
-            if depth:
-                return False
-        elif ch in "br" and (i == 0 or not (body[i - 1].isalnum() or body[i - 1] == "_")) and (
-            m := _RAW_STRING_RE.match(body, i)
-        ):
-            end = body.find('"' + m.group(1), m.end())
-            if end < 0:
-                return False
-            i = end + 1 + len(m.group(1))
-        elif ch == '"':
-            i += 1
-            while i < n and body[i] != '"':
-                i += 2 if body[i] == "\\" else 1
-            if i >= n:
-                return False
-            i += 1
-        elif ch == "'":
-            m = _CHAR_RE.match(body, i)
-            i = m.end() if m else i + 1
-        else:
-            if ch in "([{":
-                stack.append(ch)
-            elif ch in ")]}" and (not stack or stack.pop() != _OPENER[ch]):
-                return False
-            i += 1
-    return not stack
+_CRATE_WIDE = {"impl", "macro_export", "no_mangle", "export_name"}
 
 
 def _stays_local(body: str) -> bool:
-    """Whether a body's effects stay inside its own function (see module doc)."""
-    return _CRATE_WIDE_RE.search(body) is None and _nests(body)
+    """Whether a body's effects stay inside its own function (see module doc):
+    it names no crate-wide item, and every delimiter, literal and comment it
+    opens closes inside it, so it cannot end its function early."""
+    expected: list[str] = []  # the closers of the open delimiters
+    for tok in rustlex.tokenize(body):
+        if not tok.closed or (tok.kind == "ident" and tok.text in _CRATE_WIDE):
+            return False
+        if tok.kind != "punct":
+            continue
+        if tok.text in rustlex.CLOSER:
+            expected.append(rustlex.CLOSER[tok.text])
+        elif tok.text in ")]}" and (not expected or expected.pop() != tok.text):
+            return False
+    return not expected
 
 
 def _attribute(
@@ -385,16 +346,7 @@ def fallback_body(stub: FunctionStub) -> str:
     """
     sig = stub.signature_text
     open_idx = sig.index("(")
-    depth = 0
-    close_idx = open_idx
-    for i in range(open_idx, len(sig)):
-        if sig[i] == "(":
-            depth += 1
-        elif sig[i] == ")":
-            depth -= 1
-            if depth == 0:
-                close_idx = i
-                break
+    close_idx = rustlex.matching(sig, open_idx)
     params_text = sig[open_idx + 1 : close_idx]
     ret_clause = sig[close_idx + 1 :].strip()
     name = stub.qualified_name.rsplit("::", 1)[1]

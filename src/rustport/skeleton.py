@@ -83,7 +83,6 @@ class ModuleTree:
 class RustTypeDecl:
     name: str
     emitted_text: str
-    repr_c: bool
     origin: CTypeDef
     module: str = SHARED_MODULE
 
@@ -95,7 +94,6 @@ class FunctionStub:
     placeholder_body: str
     visibility: str  # public | crate | private
     origin: CFunctionDecl
-    abi_sensitive: bool
     module: str
     param_names: list[str] = field(default_factory=list)
 
@@ -197,7 +195,7 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
     if t.kind == "alias":
         target = clayout.lower_type_text(t.members[0][1], policy.resolver)
         text = f"pub type {name} = {target};"
-        return RustTypeDecl(name=name, emitted_text=text, repr_c=False, origin=t, module=module)
+        return RustTypeDecl(name=name, emitted_text=text, origin=t, module=module)
 
     if t.kind == "enumeration":
         values = [(sanitize_ident(m[0]), int(m[1])) for m in t.members]
@@ -207,23 +205,19 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
             for vn, vv in values:
                 lines.append(f"pub const {vn}: {name} = {vv};")
             logger.info("enum %s has duplicate discriminants; emitted as alias+consts", t.name)
-            return RustTypeDecl(
-                name=name, emitted_text="\n".join(lines), repr_c=False, origin=t, module=module
-            )
+            return RustTypeDecl(name=name, emitted_text="\n".join(lines), origin=t, module=module)
         lines = ["#[repr(C)]", "#[derive(Clone, Copy, PartialEq)]", f"pub enum {name} {{"]
         for vn, vv in values:
             lines.append(f"    {vn} = {vv},")
         lines.append("}")
         lines.append(f"const _: () = assert!(core::mem::size_of::<{name}>() == 4);")
-        return RustTypeDecl(
-            name=name, emitted_text="\n".join(lines), repr_c=True, origin=t, module=module
-        )
+        return RustTypeDecl(name=name, emitted_text="\n".join(lines), origin=t, module=module)
 
     keyword = "struct" if t.kind == "record" else "union"
 
     if t.opaque or not t.members:
         text = f"#[repr(C)]\npub struct {name} {{\n    _opaque: [u8; 0],\n}}"
-        return RustTypeDecl(name=name, emitted_text=text, repr_c=True, origin=t, module=module)
+        return RustTypeDecl(name=name, emitted_text=text, origin=t, module=module)
 
     if t.layout_sensitive:
         # bit-field records become opaque byte blobs of the computed C size,
@@ -258,9 +252,7 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
             t.name,
             size,
         )
-        return RustTypeDecl(
-            name=name, emitted_text="\n".join(lines), repr_c=True, origin=t, module=module
-        )
+        return RustTypeDecl(name=name, emitted_text="\n".join(lines), origin=t, module=module)
 
     lines = ["#[repr(C)]", "#[derive(Clone, Copy)]", f"pub {keyword} {name} {{"]
     for mname, mtype, _width in t.members:
@@ -273,9 +265,7 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
         lines.append(f"const _: () = assert!(core::mem::align_of::<{name}>() == {align});")
     except SkeletonError:
         logger.info("no layout assertion for %s (member outside layout subset)", t.name)
-    return RustTypeDecl(
-        name=name, emitted_text="\n".join(lines), repr_c=True, origin=t, module=module
-    )
+    return RustTypeDecl(name=name, emitted_text="\n".join(lines), origin=t, module=module)
 
 
 def placeholder_body(param_names: list[str], style: str = "unimplemented") -> str:
@@ -309,10 +299,8 @@ def emit_stub(
     sig = f"{vis_prefix}{abi}fn {name}({', '.join(params)})"
     if ret != "()":
         sig += f" -> {ret}"
-    abi_sensitive = f.variadic
     if f.variadic:
-        # stable Rust cannot define C-variadic bodies; the fixed prefix is
-        # kept and the stub flagged ABI-sensitive
+        # stable Rust cannot define C-variadic bodies; the fixed prefix is kept
         logger.warning("variadic %s: emitted with fixed parameters only", f.name)
     return FunctionStub(
         qualified_name=f"{module}::{name}",
@@ -320,7 +308,6 @@ def emit_stub(
         placeholder_body=placeholder_body(param_names, style),
         visibility=visibility,
         origin=f,
-        abi_sensitive=abi_sensitive,
         module=module,
         param_names=param_names,
     )
@@ -794,7 +781,7 @@ def assemble_and_verify(
 # --- persistence across CLI invocations --------------------------------------
 
 
-SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 1}
+SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 2}
 
 _field_types = functools.cache(get_type_hints)  # one entry per record class
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from string import Template
 
+from . import rustlex
 from .errors import SkeletonError
 from .graph import GlobalSymbolIndex, SkeletonGraph
 from .knowledge.rules import ApiRule, FragmentRule
@@ -285,16 +286,9 @@ def extract_body(response_text: str, fn_name: str) -> str:
     m = re.search(rf"\bfn\s+(?:r#)?{re.escape(bare)}\b", text)
     if m:
         open_idx = text.find("{", m.end())
-        if open_idx != -1:
-            depth = 0
-            for i in range(open_idx, len(text)):
-                if text[i] == "{":
-                    depth += 1
-                elif text[i] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        inner = text[open_idx + 1 : i]
-                        return _dedent(inner.strip("\n"))
+        close_idx = rustlex.matching(text, open_idx) if open_idx != -1 else None
+        if close_idx is not None:
+            return _dedent(text[open_idx + 1 : close_idx].strip("\n"))
     return text
 
 

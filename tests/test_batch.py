@@ -329,3 +329,23 @@ def test_body_reaching_past_its_function_takes_serial_path(tmp_path, reaching):
     assert runner.invocations - before == 2
     assert all(ok for ok, _, _ in results.values())
     assert workspace.read_body("crate::shared_file::sh_1") == reaching
+
+
+def test_crate_wide_word_inside_a_literal_builds_in_the_batch(tmp_path):
+    project, workspace, graph, index, layers, runner = build_pipeline(
+        tmp_path, {"shared_file.c": SHARED_C}, crate="shared_crate"
+    )
+    candidates = {
+        "crate::shared_file::sh_0": "a + b",
+        "crate::shared_file::sh_1": 'let note = "impl Drop"; // no_mangle\na + note.len() as i32',
+        "crate::shared_file::sh_3": "a * b + 3",
+    }
+    _, serial, *_ = clone_pipeline(tmp_path / "ws", tmp_path / "serial")
+    reference = {fn: compile_and_install(serial, fn, body, runner) for fn, body in candidates.items()}
+    before = runner.invocations
+    results = compile_batch(workspace, candidates, runner)
+    assert runner.invocations - before == 1  # one build for all three
+    assert results == reference
+    assert all(ok for ok, _, _ in results.values())
+    path = workspace.module_file("crate::shared_file::sh_1")
+    assert path.read_bytes() == serial.module_file("crate::shared_file::sh_1").read_bytes()

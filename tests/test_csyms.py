@@ -203,6 +203,13 @@ def test_source_text_sliced_from_original(tmp_path):
     assert fn.source_text.startswith("int scaled")
 
 
+def test_source_text_skips_brace_in_char_literal(tmp_path):
+    src = "int close_brace(void)\n{\n    char c = '}';\n    return c + 1;\n}\n"
+    table, _ = extract(tmp_path, src)
+    [fn] = table.functions
+    assert fn.source_text == src.rstrip("\n")
+
+
 def test_anonymous_nested_union_member(tmp_path):
     src = (
         "struct holder {\n"

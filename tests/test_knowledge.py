@@ -173,6 +173,21 @@ def test_function_splitters():
     assert [n for n, _ in rust_fns] == ["w"]
 
 
+def test_split_rust_functions_skips_brace_in_string():
+    assert split_rust_functions('fn a() { let s = "}"; s; }\nfn b() {}\n') == [
+        ("a", 'fn a() { let s = "}"; s; }'),
+        ("b", "fn b() {}"),
+    ]
+
+
+def test_split_c_functions_skips_braces_in_literals_and_comments():
+    c_text = 'const char *a(void) { /* } */ return "}"; }\nint b(void) { return \'}\'; }\n'
+    assert split_c_functions(c_text) == [
+        ("a", 'const char *a(void) { /* } */ return "}"; }'),
+        ("b", "int b(void) { return '}'; }"),
+    ]
+
+
 # --- rule mining --------------------------------------------------------------------
 
 

@@ -154,6 +154,16 @@ def test_extract_body_raw_identifier():
     assert extract_body(resp, "r#match") == "x"
 
 
+def test_extract_body_skips_braces_in_string_literal():
+    resp = '```rust\nfn greet() {\n    println!("{{");\n}\n```'
+    assert extract_body(resp, "greet") == 'println!("{{");'
+
+
+def test_extract_body_skips_brace_in_char_literal():
+    resp = "fn close() -> char {\n    let c = '}';\n    c\n}"
+    assert extract_body(resp, "close") == "let c = '}';\nc"
+
+
 # --- workspace install / rollback ---------------------------------------------------
 
 
