@@ -8,9 +8,10 @@ on change. Every file starts with a format-version header line.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
-from dataclasses import asdict
+import threading
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -69,28 +70,53 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 
 class KnowledgeBase:
+    """Pairs, rules and the BM25 index over the pairs' C sources.
+
+    ``pairs`` is the journal, duplicates included. Retrieval reads the
+    distinct pairs: the first pair seen with a ``pair_id`` stands for it.
+    Rules are keyed by ``key()``, in first-insert order. Loading only reads:
+    the first retrieval builds the distinct-pair map, the BM25 index and
+    the map from pair ids to the rules citing them, and every insert after
+    that keeps the three current.
+    """
+
     def __init__(self, directory=None):
         self.directory: Optional[Path] = Path(directory) if directory else None
         self.pairs: list[AlignedFunctionPair] = []
-        self.api_rules: list[ApiRule] = []
-        self.fragment_rules: list[FragmentRule] = []
+        self._rules: dict[tuple, tuple[int, object]] = {}  # (kind, key) -> (seq, rule)
+        # built by the first retrieval, guarded by the lock from then on
+        self._distinct: dict[str, AlignedFunctionPair] = {}
+        self._index: Optional[Bm25Index] = None
+        self._citing: dict[str, list[tuple[int, object]]] = {}  # pair id -> (seq, rule)
+        self._lock = threading.Lock()
+
+    @property
+    def api_rules(self) -> tuple[ApiRule, ...]:
+        return self._rules_of(ApiRule)
+
+    @property
+    def fragment_rules(self) -> tuple[FragmentRule, ...]:
+        return self._rules_of(FragmentRule)
+
+    def _rules_of(self, kind: type) -> tuple:
+        """The rules of one kind, in first-insert order (a read-only view)."""
+        return tuple(rule for (k, _), (_, rule) in self._rules.items() if k is kind)
 
     # --- persistence ---------------------------------------------------
 
     @classmethod
     def load(cls, directory) -> "KnowledgeBase":
+        """Read the journal and the rule files; rules sharing a key merge."""
         directory = Path(directory)
         kb = cls(directory)
         pairs_file = directory / "pairs.jsonl"
         if pairs_file.is_file():
-            for rec in _read_jsonl(pairs_file):
-                kb.pairs.append(AlignedFunctionPair(**rec))
-        api_file = directory / "api_rules.jsonl"
-        if api_file.is_file():
-            kb.api_rules = [ApiRule(**rec) for rec in _read_jsonl(api_file)]
-        frag_file = directory / "fragment_rules.jsonl"
-        if frag_file.is_file():
-            kb.fragment_rules = [FragmentRule(**rec) for rec in _read_jsonl(frag_file)]
+            kb.pairs = [AlignedFunctionPair(**rec) for rec in _read_jsonl(pairs_file)]
+        for kind, name in ((ApiRule, "api_rules.jsonl"), (FragmentRule, "fragment_rules.jsonl")):
+            path = directory / name
+            if path.is_file():
+                for rec in _read_jsonl(path):
+                    kb._merge_rule(kind(**rec))
         return kb
 
     def save(self, directory=None) -> None:
@@ -99,15 +125,15 @@ class KnowledgeBase:
             raise KnowledgeBaseError("knowledge base has no directory to save into")
         self.directory = directory
         directory.mkdir(parents=True, exist_ok=True)
-        _write_jsonl(directory / "pairs.jsonl", [asdict(p) for p in self.pairs])
+        _write_jsonl(directory / "pairs.jsonl", [vars(p) for p in self.pairs])
         self._save_rules()
 
     def _save_rules(self) -> None:
         if self.directory is None:
             return
-        _write_jsonl(self.directory / "api_rules.jsonl", [asdict(r) for r in self.api_rules])
+        _write_jsonl(self.directory / "api_rules.jsonl", [vars(r) for r in self.api_rules])
         _write_jsonl(
-            self.directory / "fragment_rules.jsonl", [asdict(r) for r in self.fragment_rules]
+            self.directory / "fragment_rules.jsonl", [vars(r) for r in self.fragment_rules]
         )
 
     def _append_journal(self, pair: AlignedFunctionPair) -> None:
@@ -118,64 +144,85 @@ class KnowledgeBase:
         if not journal.is_file():
             journal.write_text(json.dumps(FORMAT_HEADER) + "\n", encoding="utf-8")
         with journal.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(asdict(pair), sort_keys=True) + "\n")
+            fh.write(json.dumps(vars(pair), sort_keys=True) + "\n")
 
     # --- mutation --------------------------------------------------------
 
+    def _merge_rule(self, rule) -> None:
+        """Add a rule, or fold it into the one with the same key: support
+        adds up and new provenance is appended."""
+        slot = (type(rule), rule.key())
+        with self._lock:
+            if slot in self._rules:
+                seq, kept = self._rules[slot]
+                kept.support += rule.support
+                cited = [p for p in dict.fromkeys(rule.provenance) if p not in kept.provenance]
+                kept.provenance.extend(cited)
+            else:
+                seq, kept, cited = len(self._rules), rule, rule.provenance
+                self._rules[slot] = (seq, rule)
+            if self._index is not None:
+                self._cite(seq, kept, cited)
+
+    def _cite(self, seq: int, rule, pair_ids) -> None:
+        for pair_id in dict.fromkeys(pair_ids):
+            self._citing.setdefault(pair_id, []).append((seq, rule))
+
     def insert_pair(self, pair: AlignedFunctionPair) -> None:
-        self.pairs.append(pair)
+        with self._lock:
+            self.pairs.append(pair)
+            pair_id = pair.pair_id
+            if self._index is not None and pair_id not in self._distinct:
+                self._distinct[pair_id] = pair
+                self._index.add(pair_id, pair.c_source)
         self._append_journal(pair)
 
     def insert_rules(self, rules: list) -> None:
         """Merge rules; duplicates increment support instead of new records."""
-        changed = False
+        rules = [r for r in rules if isinstance(r, (ApiRule, FragmentRule))]
         for rule in rules:
-            if isinstance(rule, ApiRule):
-                kept = self.api_rules
-            elif isinstance(rule, FragmentRule):
-                kept = self.fragment_rules
-            else:
-                continue
-            existing = next((r for r in kept if r.key() == rule.key()), None)
-            if existing is not None:
-                existing.support += rule.support
-                for p in rule.provenance:
-                    if p not in existing.provenance:
-                        existing.provenance.append(p)
-            else:
-                kept.append(rule)
-            changed = True
-        if changed and self.directory is not None:
+            self._merge_rule(rule)
+        if rules:
             self._save_rules()
 
     # --- retrieval ---------------------------------------------------------
 
-    def _distinct_pairs(self) -> list[tuple[str, AlignedFunctionPair]]:
-        """Index view: duplicate journal content collapses to one doc."""
-        seen: dict[str, AlignedFunctionPair] = {}
-        for pair in self.pairs:
-            seen.setdefault(pair.pair_id, pair)
-        return sorted(seen.items())
+    def _indexed(self) -> Bm25Index:
+        """The index, built on first use; the caller holds the lock."""
+        if self._index is None:
+            for pair in self.pairs:
+                self._distinct.setdefault(pair.pair_id, pair)
+            for seq, rule in self._rules.values():
+                self._cite(seq, rule, rule.provenance)
+            self._index = Bm25Index((pid, pair.c_source) for pid, pair in self._distinct.items())
+        return self._index
+
+    def shortlist(self, query_source: str, n: int) -> list[str]:
+        """The ids of the n distinct pairs whose C sources rank highest
+        under BM25 for the query; ties break by pair id."""
+        with self._lock:
+            return self._indexed().top_n(query_source, n)
 
     def retrieve(self, query_source: str, k: int = 5) -> tuple[list[AlignedFunctionPair], list[ApiRule], list[FragmentRule]]:
-        """Top-k pairs by BM25 then rerank, plus rules tied to those pairs."""
+        """Top-k pairs by BM25 then rerank, plus rules tied to those pairs.
+
+        The pairs returned are copies carrying this query's ``rerank_score``,
+        so concurrent retrievals never see each other's scores.
+        """
         if k <= 0:
             return [], [], []
-        distinct = self._distinct_pairs()
-        if not distinct:
-            return [], [], []
-        docs = [(pid, pair.c_source) for pid, pair in distinct]
-        shortlist_ids = bm25_top_n(query_source, docs, n=max(20, k))
-        by_id = dict(distinct)
-        shortlist = [by_id[pid] for pid in shortlist_ids]
-        top = rerank_top_n(
-            shortlist,
-            n=k,
-            reranker=lambda pair: default_rerank_score(query_source, pair.c_source),
-        )
-        top_ids = {pair.pair_id for pair in top}
-        api = [r for r in self.api_rules if set(r.provenance) & top_ids]
-        frags = [r for r in self.fragment_rules if set(r.provenance) & top_ids]
+        with self._lock:
+            ids = self._indexed().top_n(query_source, max(20, k))
+            shortlist = [copy.copy(self._distinct[pid]) for pid in ids]
+            top = rerank_top_n(
+                shortlist,
+                n=k,
+                reranker=lambda pair: default_rerank_score(query_source, pair.c_source),
+            )
+            cited = {seq: rule for pair in top for seq, rule in self._citing.get(pair.pair_id, ())}
+        rules = [cited[seq] for seq in sorted(cited)]
+        api = [r for r in rules if isinstance(r, ApiRule)]
+        frags = [r for r in rules if isinstance(r, FragmentRule)]
         return top, api, frags
 
     def accumulate(
@@ -229,7 +276,7 @@ def build_knowledge_base(
         rust_docs = [(f"{i:06d}", c.rust_text) for i, c in enumerate(candidates)]
         index = Bm25Index(rust_docs)
         def pair_score(i: int) -> float:
-            return index.score(candidates[i].c_text)[f"{i:06d}"]
+            return index.scores(candidates[i].c_text).get(f"{i:06d}", 0.0)
         order = sorted(
             range(len(candidates)),
             key=lambda i: (-pair_score(i), candidates[i].c_path, candidates[i].rust_path),

@@ -9,11 +9,13 @@ record shape, which may also be an external reranker.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import logging
 import math
 import re
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -54,40 +56,87 @@ def long_string_literals(text: str, min_len: int = 6) -> set[str]:
 
 
 class Bm25Index:
-    """Okapi BM25 with the nonnegative (plus-one) idf variant."""
+    """Okapi BM25 with the nonnegative (plus-one) idf variant, kept incrementally.
 
-    def __init__(self, docs: Sequence[tuple[str, str]], k1: float = 1.2, b: float = 0.75):
+    ``add`` tokenizes a document once and keeps the postings (term -> doc ->
+    term frequency), the document lengths and their total current, so a
+    growing corpus is never re-tokenized. A query scores only the documents
+    that share one of its terms; every other document scores 0.
+
+    A term's per-document weight ``idf * (f * (k1 + 1)) / (f + norm)``
+    depends on the corpus only through the document count and the total
+    length, so weights are cached per term until the next ``add``. Each
+    document's score is the sum of its weights in query-token order, the
+    same expression added in the same order as a full recount, so scores
+    are bit-identical to one. An index is not safe for concurrent use;
+    ``KnowledgeBase`` holds a lock around its own.
+    """
+
+    def __init__(self, docs: Iterable[tuple[str, str]] = (), k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
-        self.doc_ids = [doc_id for doc_id, _ in docs]
-        self.doc_tokens = {doc_id: tokenize_code(text) for doc_id, text in docs}
-        self.tf = {doc_id: Counter(toks) for doc_id, toks in self.doc_tokens.items()}
-        self.doc_len = {doc_id: len(toks) for doc_id, toks in self.doc_tokens.items()}
-        n = len(self.doc_ids)
-        self.avgdl = (sum(self.doc_len.values()) / n) if n else 0.0
-        df: Counter = Counter()
-        for counts in self.tf.values():
-            for term in counts:
-                df[term] += 1
-        self.idf = {
-            term: math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for term, d in df.items()
-        }
+        self.postings: dict[str, dict[str, int]] = {}
+        self.doc_len: dict[str, int] = {}
+        self.total_len = 0
+        self._sorted_ids: list[str] = []
+        self._weights: dict[str, dict[str, float]] = {}
+        self._weights_key = (0, 0)
+        for doc_id, text in docs:
+            self.add(doc_id, text)
 
-    def score(self, query_text: str) -> dict[str, float]:
-        query = tokenize_code(query_text)
-        scores = {doc_id: 0.0 for doc_id in self.doc_ids}
-        for doc_id in self.doc_ids:
-            tf = self.tf[doc_id]
-            dl = self.doc_len[doc_id]
-            norm = self.k1 * (1.0 - self.b + self.b * (dl / self.avgdl if self.avgdl else 0.0))
-            s = 0.0
-            for term in query:
-                f = tf.get(term, 0)
-                if not f:
-                    continue
-                s += self.idf.get(term, 0.0) * (f * (self.k1 + 1.0)) / (f + norm)
-            scores[doc_id] = s
+    def add(self, doc_id: str, text: str) -> None:
+        if doc_id in self.doc_len:
+            raise ValueError(f"document {doc_id!r} is already indexed")
+        tokens = tokenize_code(text)
+        for term, f in Counter(tokens).items():
+            self.postings.setdefault(term, {})[doc_id] = f
+        self.doc_len[doc_id] = len(tokens)
+        self.total_len += len(tokens)
+        bisect.insort(self._sorted_ids, doc_id)
+
+    def _term_weights(self, term: str) -> dict[str, float]:
+        """doc id -> the term's BM25 weight in that doc, for docs holding it."""
+        posting = self.postings.get(term)
+        if not posting:
+            return {}
+        n, total = len(self.doc_len), self.total_len
+        if (n, total) != self._weights_key:
+            self._weights, self._weights_key = {}, (n, total)
+        weights = self._weights.get(term)
+        if weights is None:
+            d = len(posting)
+            idf = math.log(1.0 + (n - d + 0.5) / (d + 0.5))
+            avgdl = total / n
+            k1, b = self.k1, self.b
+            weights = {}
+            for doc_id, f in posting.items():
+                norm = k1 * (1.0 - b + b * (self.doc_len[doc_id] / avgdl))
+                weights[doc_id] = idf * (f * (k1 + 1.0)) / (f + norm)
+            self._weights[term] = weights
+        return weights
+
+    def scores(self, query_text: str) -> dict[str, float]:
+        """BM25 scores of the docs that share a term with the query."""
+        scores: dict[str, float] = {}
+        for term in tokenize_code(query_text):
+            for doc_id, weight in self._term_weights(term).items():
+                scores[doc_id] = scores.get(doc_id, 0.0) + weight
         return scores
+
+    def top_n(self, query_text: str, n: int) -> list[str]:
+        """The n best doc ids by score; ties break by id lexicographic order.
+
+        Docs that share no query term all score 0 and follow the scored ones
+        in id order, exactly where a full ranking of every doc puts them.
+        """
+        scores = self.scores(query_text)
+        ranked = heapq.nsmallest(n, scores, key=lambda doc_id: (-scores[doc_id], doc_id))
+        for doc_id in self._sorted_ids:
+            if len(ranked) >= n:
+                break
+            if doc_id not in scores:
+                ranked.append(doc_id)
+        return ranked
 
 
 def bm25_top_n(
@@ -98,12 +147,7 @@ def bm25_top_n(
     b: float = 0.75,
 ) -> list[str]:
     """Rank candidate (id, text) docs; ties break by id lexicographic order."""
-    if not candidates:
-        return []
-    index = Bm25Index(candidates, k1=k1, b=b)
-    scores = index.score(query_text)
-    ranked = sorted(scores, key=lambda doc_id: (-scores[doc_id], doc_id))
-    return ranked[:n]
+    return Bm25Index(candidates, k1=k1, b=b).top_n(query_text, n)
 
 
 def default_rerank_score(left_text: str, right_text: str) -> float:

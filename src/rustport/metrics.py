@@ -143,38 +143,81 @@ def incremental_comp_rate(
 # --- unsafe ratio ------------------------------------------------------------------
 
 
+_UNSAFE_ITEMS = {"fn", "impl", "trait"}
+
+
+def _unsafe_scope(code: list, i: int) -> Optional[int]:
+    """The position in ``code`` of the ``{`` whose block the ``unsafe`` at
+    ``i`` makes unsafe, or None when it marks only its own line.
+
+    ``unsafe {`` opens a block. ``unsafe fn name``, ``unsafe extern "abi" fn
+    name``, ``unsafe impl`` and ``unsafe trait`` open their item's body when
+    its ``{`` comes before a ``;`` outside parentheses and brackets; a
+    declaration without a body (in a trait or an ``extern`` block) has none.
+    A function pointer type, ``unsafe extern "C" fn(..)``, opens nothing.
+    """
+    def text(j: int) -> str:
+        return code[j].text if j < len(code) else ""
+
+    j = i + 1
+    if text(j) == "{":
+        return j
+    if text(j) == "extern":
+        j += 2 if j + 1 < len(code) and code[j + 1].kind == "string" else 1
+    if text(j) not in _UNSAFE_ITEMS:
+        return None
+    if text(j) == "fn" and (j + 1 >= len(code) or code[j + 1].kind != "ident"):
+        return None  # `unsafe fn(` is a type
+    depth = 0
+    for k in range(j + 1, len(code)):
+        tok = code[k]
+        if tok.kind != "punct":
+            continue
+        if tok.text in ("(", "["):
+            depth += 1
+        elif tok.text in (")", "]"):
+            depth -= 1
+        elif depth == 0 and tok.text == ";":
+            return None
+        elif depth == 0 and tok.text == "{":
+            return k
+    return None
+
+
 def classify_file(text: str) -> tuple[set[int], set[int], bool]:
     """(countable line numbers, unsafe line numbers, balanced) for one file.
 
     A line is countable when a token other than a comment starts on it, so a
     multi-line string counts on its opening line only. A line is unsafe when
-    it holds the ``unsafe`` keyword or is a countable line of the ``{…}``
-    block that the keyword opens: each ``unsafe``, in order, claims the next
-    ``{``. A file whose braces do not pair, whose ``unsafe`` claims no block,
-    or whose last literal or comment never closes is not balanced.
+    it holds the ``unsafe`` keyword or is a countable line of a ``{…}``
+    block the keyword opens (see ``_unsafe_scope``). A file whose braces do
+    not pair, or whose last literal or comment never closes, is not
+    balanced.
     """
-    countable: set[int] = set()
+    tokens = list(rustlex.tokenize(text))
+    balanced = all(tok.closed for tok in tokens)
+    code = [tok for tok in tokens if tok.kind != "comment"]
+    countable = {tok.line for tok in code}
     unsafe_lines: set[int] = set()
-    pending: list[int] = []  # lines of the unsafe keywords waiting for a block
-    opened: list[Optional[int]] = []  # per open brace, its unsafe keyword's line
-    balanced = True
-    for tok in rustlex.tokenize(text):
-        if not tok.closed:
-            balanced = False
-        if tok.kind == "comment":
-            continue
-        countable.add(tok.line)
+    scopes: dict[int, int] = {}  # position of an unsafe block's `{` -> keyword line
+    for i, tok in enumerate(code):
         if tok.kind == "ident" and tok.text == "unsafe":
             unsafe_lines.add(tok.line)
-            pending.append(tok.line)
-        elif tok.text == "{":
-            opened.append(pending.pop(0) if pending else None)
+            brace = _unsafe_scope(code, i)
+            if brace is not None:
+                scopes.setdefault(brace, tok.line)
+    opened: list[Optional[int]] = []  # per open brace, its unsafe keyword's line
+    for i, tok in enumerate(code):
+        if tok.kind != "punct":
+            continue
+        if tok.text == "{":
+            opened.append(scopes.get(i))
         elif tok.text == "}":
             if not opened:
                 balanced = False
             elif (keyword := opened.pop()) is not None:
                 unsafe_lines.update(range(keyword, tok.line + 1))
-    if opened or pending:
+    if opened:
         balanced = False
     return countable, unsafe_lines & countable, balanced
 

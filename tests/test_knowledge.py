@@ -1,7 +1,12 @@
+import functools
 import json
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
+import pytest
 from conftest import build_planted_repo
 
 from rustport.knowledge import (
@@ -15,7 +20,8 @@ from rustport.knowledge import (
     mine_rules,
     rerank_top_n,
 )
-from rustport.knowledge.bm25 import default_rerank_score, split_identifier, tokenize_code
+from rustport.knowledge import bm25
+from rustport.knowledge.bm25 import Bm25Index, default_rerank_score, split_identifier, tokenize_code
 from rustport.knowledge.mining import FilePairCandidate
 from rustport.knowledge.rules import split_c_functions, split_rust_functions
 
@@ -469,3 +475,200 @@ def test_model_rule_extractor_via_replay(tmp_path):
     assert api and api[0].c_interface == "memset" and api[0].rust_interface == "fill"
     assert frags and frags[0].hint == "use slice fill"
     assert frags[0].provenance == [pair.pair_id]
+
+
+# --- incremental index ------------------------------------------------------------------
+
+
+INTERFACES = [("memcpy", "copy_from_slice"), ("strlen", "len"), ("abs", "wrapping_abs"),
+              ("htonl", "to_be"), ("memset", "fill"), ("atoi", "parse")]
+
+
+def history_pair(rng, n):
+    """One deterministic C/Rust pair in the style of a migrated project."""
+    name = f"{rng.choice(['buf', 'node', 'hash', 'ring'])}_{rng.choice(['get', 'put', 'scan'])}_{n}"
+    calls = rng.sample(INTERFACES, rng.randint(1, 3))
+    c_lines = [f"int {name}(int v)", "{", "    int t = v;"]
+    r_lines = [f"pub fn {name}(v: i32) -> i32 {{", "    let mut t = v;"]
+    for c_iface, r_iface in calls:
+        k = rng.randint(1, 9)
+        c_lines.append(f"    t = {c_iface}(t, {k});")
+        r_lines.append(f"    t = t.{r_iface}({k});")
+    if rng.random() < 0.3:
+        c_lines.append("    assert(t >= 0);")
+        r_lines.append("    debug_assert!(t >= 0);")
+    c_lines += ["    return t;", "}"]
+    r_lines += ["    t", "}"]
+    return AlignedFunctionPair(
+        c_name=name, c_source="\n".join(c_lines), rust_name=name, rust_source="\n".join(r_lines)
+    )
+
+
+def kb_history(rng, kb, n_pairs):
+    for n in range(n_pairs):
+        pair = history_pair(rng, n)
+        kb.insert_pair(pair)
+        kb.insert_rules(mine_rules(pair))
+
+
+def distinct_docs(kb):
+    first = {}
+    for pair in kb.pairs:
+        first.setdefault(pair.pair_id, pair)
+    return sorted(first.items())
+
+
+def serial_retrieve(kb, query, k):
+    """The reference path: a fresh BM25 ranking of the sorted distinct pairs,
+    rerank, then every rule citing a kept pair, in rule-store order."""
+    distinct = distinct_docs(kb)
+    ids = bm25_top_n(query, [(pid, pair.c_source) for pid, pair in distinct], n=max(20, k))
+    by_id = dict(distinct)
+    shortlist = [AlignedFunctionPair(**vars(by_id[pid])) for pid in ids]
+    top = rerank_top_n(shortlist, lambda p: default_rerank_score(query, p.c_source), n=k)
+    top_ids = {p.pair_id for p in top}
+    api = [r for r in kb.api_rules if set(r.provenance) & top_ids]
+    frags = [r for r in kb.fragment_rules if set(r.provenance) & top_ids]
+    return top, api, frags
+
+
+def retrieval_record(result):
+    top, api, frags = result
+    return (
+        [(p.pair_id, p.rerank_score) for p in top],
+        [(r.key(), r.support, list(r.provenance)) for r in api],
+        [(r.key(), r.support, list(r.provenance)) for r in frags],
+    )
+
+
+def test_index_top_n_matches_brute_force_after_every_insert():
+    rng = random.Random(6)
+    vocab = [f"term{i}" for i in range(30)]
+    texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 40))) for _ in range(25)]
+    kb = KnowledgeBase()
+    kb.insert_pair(make_pair(texts[0], "first"))
+    assert kb.shortlist("term1", 5)  # the index is live from here on
+    for step in range(60):
+        if step % 4 == 3 and kb.pairs:
+            pair = rng.choice(kb.pairs)  # a duplicate pair id: the first one stays
+            kb.insert_pair(make_pair(pair.c_source, pair.rust_source))
+        else:
+            kb.insert_pair(make_pair(rng.choice(texts), f"rust {step}"))
+        docs = [(pid, pair.c_source) for pid, pair in distinct_docs(kb)]
+        query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
+        assert kb.shortlist(query, len(docs) + 3) == brute_force_bm25(query, docs)
+        assert kb.shortlist(query, 4) == brute_force_bm25(query, docs)[:4]
+
+
+def test_index_added_one_by_one_equals_the_batch_index():
+    rng = random.Random(8)
+    vocab = [f"w{i}" for i in range(20)]
+    docs = [(f"d{i:03d}", " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 30)))) for i in range(40)]
+    index = Bm25Index()
+    for n, (doc_id, text) in enumerate(rng.sample(docs, len(docs)), 1):
+        index.add(doc_id, text)
+        query = " ".join(rng.choice(vocab + ["absent"]) for _ in range(5))
+        added = sorted(index.doc_len)
+        batch = [d for d in docs if d[0] in added]
+        assert index.top_n(query, n + 2) == brute_force_bm25(query, batch)
+        assert index.scores(query) == {d: s for d, s in Bm25Index(batch).scores(query).items()}
+    with pytest.raises(ValueError):
+        index.add("d000", "again")
+
+
+def test_retrieve_equals_the_serial_reference(tmp_path):
+    rng = random.Random(11)
+    kb = KnowledgeBase(tmp_path / "kb")
+    kb_history(rng, kb, 120)
+    queries = [history_pair(rng, 1000 + i).c_source for i in range(12)]
+    queries += [pair.c_source for pair in rng.sample(kb.pairs, 6)]
+    for step, query in enumerate(queries):
+        for k in (1, 5):
+            assert retrieval_record(kb.retrieve(query, k=k)) == retrieval_record(
+                serial_retrieve(kb, query, k)
+            ), (step, k)
+        pair = history_pair(rng, 2000 + step) if step % 3 else rng.choice(kb.pairs)
+        kb.accumulate(pair.c_name, pair.c_source, pair.rust_name, pair.rust_source)
+
+
+def test_retrieve_from_threads_equals_serial(tmp_path):
+    rng = random.Random(12)
+    seed_kb = KnowledgeBase(tmp_path / "kb")
+    kb_history(rng, seed_kb, 80)
+    queries = [history_pair(rng, 500 + i).c_source for i in range(48)]
+    serial_kb = KnowledgeBase.load(tmp_path / "kb")
+    serial = [retrieval_record(serial_kb.retrieve(q, k=5)) for q in queries]
+    extra = [history_pair(rng, 900 + i) for i in range(40)]
+    threaded_kb = KnowledgeBase.load(tmp_path / "kb")  # its index is built under contention
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda q=q: retrieval_record(threaded_kb.retrieve(q, k=5))) for q in queries]
+            threaded = [f.result(timeout=60) for f in futures]
+            # inserts racing retrievals: a lost index update breaks the ranking below
+            tasks = [functools.partial(threaded_kb.insert_pair, p) for p in extra + extra[:10]]
+            tasks += [functools.partial(threaded_kb.retrieve, q, 5) for q in queries]
+            rng.shuffle(tasks)
+            for future in [pool.submit(task) for task in tasks]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    docs = [(pid, pair.c_source) for pid, pair in distinct_docs(threaded_kb)]
+    assert len(docs) == 120
+    for query in queries[:5]:
+        assert threaded_kb.shortlist(query, len(docs)) == brute_force_bm25(query, docs)
+
+
+def test_tokenizes_each_distinct_pair_once(tmp_path, monkeypatch):
+    rng = random.Random(13)
+    kb_history(rng, KnowledgeBase(tmp_path / "kb"), 30)
+    seen = []
+
+    def counting(text):
+        seen.append(text)
+        return tokenize_code(text)
+
+    monkeypatch.setattr(bm25, "tokenize_code", counting)
+    kb = KnowledgeBase.load(tmp_path / "kb")
+    assert seen == []  # loading indexes nothing
+    kb.retrieve("int query(int v) { return memcpy(v, 1); }", k=5)
+    distinct = [pair.c_source for _, pair in distinct_docs(kb)]
+    assert sorted(seen[:-1]) == sorted(distinct) and len(distinct) == 30
+    assert seen[-1].startswith("int query")
+    del seen[:]
+    kb.retrieve("int other(int v) { return abs(v, 2); }", k=5)
+    assert seen == ["int other(int v) { return abs(v, 2); }"]
+    del seen[:]
+    fresh = history_pair(rng, 99)
+    kb.accumulate(fresh.c_name, fresh.c_source, fresh.rust_name, fresh.rust_source)
+    kb.accumulate(fresh.c_name, fresh.c_source, fresh.rust_name, fresh.rust_source)
+    assert seen == [fresh.c_source]  # the duplicate is not indexed again
+
+
+def test_rule_files_equal_the_asdict_rendering(tmp_path):
+    rng = random.Random(14)
+    kb = KnowledgeBase(tmp_path / "kb")
+    kb_history(rng, kb, 40)
+    assert kb.api_rules and kb.fragment_rules
+    for name, rules in (("api_rules.jsonl", kb.api_rules), ("fragment_rules.jsonl", kb.fragment_rules)):
+        lines = [json.dumps({"format": "rustport-kb", "version": 1})]
+        lines += [json.dumps(asdict(r), sort_keys=True) for r in rules]
+        assert (tmp_path / "kb" / name).read_text() == "\n".join(lines) + "\n"
+
+
+def test_rule_store_merges_by_key_in_first_insert_order():
+    kb = KnowledgeBase()
+    kb.insert_rules([ApiRule("memcpy", "copy_from_slice", provenance=["p1"]),
+                     FragmentRule("assert(x);", "debug_assert!(x);", "h", provenance=["p1"]),
+                     ApiRule("strlen", "len", provenance=["p2"])])
+    kb.insert_rules([ApiRule("strlen", "len", support=2, provenance=["p2", "p3", "p3"]),
+                     ApiRule("memcpy", "copy_from_slice", provenance=["p4"]),
+                     ApiRule("abs", "wrapping_abs", provenance=["p3"])])
+    assert [(r.key(), r.support, r.provenance) for r in kb.api_rules] == [
+        (("memcpy", "copy_from_slice"), 2, ["p1", "p4"]),
+        (("strlen", "len"), 3, ["p2", "p3"]),
+        (("abs", "wrapping_abs"), 1, ["p3"]),
+    ]
+    assert [r.key() for r in kb.fragment_rules] == [("assert(x);", "debug_assert!(x);")]

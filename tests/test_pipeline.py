@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import FIXTURES, build_pipeline
 from rustport.backends import OracleBackend, ScriptedFailureBackend
 from rustport.graph import FALLBACK, TRANSLATED
 from rustport.knowledge import KnowledgeBase
+from rustport.knowledge.rules import split_c_functions
 from rustport.pipeline import RunArtifacts, TranslationRun
 from rustport.workspace import Workspace
 
@@ -172,3 +174,19 @@ def test_parallel_generation_same_outcomes(tmp_path):
     assert {f: o.final_body for f, o in out1.items()} == {
         f: o.final_body for f, o in out2.items()
     }
+
+
+def test_parallel_retrieval_same_prompts(tmp_path):
+    seed = KnowledgeBase(tmp_path / "kb")
+    for name, c_source in split_c_functions(LIST_C):
+        seed.accumulate(name, c_source, name, f"pub fn {name}() {{\n    todo!()\n}}")
+    prompts = {}
+    for jobs in (1, 3):
+        shutil.copytree(tmp_path / "kb", tmp_path / f"kb{jobs}")
+        pipe = build_pipeline(tmp_path / f"p{jobs}", {"list.c": LIST_C}, crate="mini_list")
+        run = make_run(pipe, OracleBackend(LIST_BODIES), tmp_path / f"p{jobs}",
+                       kb=KnowledgeBase.load(tmp_path / f"kb{jobs}"), jobs=jobs)
+        run.execute()
+        prompts[jobs] = {p.name: p.read_text() for p in (tmp_path / f"p{jobs}" / "run" / "prompts").iterdir()}
+    assert len(prompts[1]) == 3 and "## Examples" in "".join(prompts[1].values())
+    assert prompts[3] == prompts[1]
