@@ -197,12 +197,6 @@ class KnowledgeBase:
             self._index = Bm25Index((pid, pair.c_source) for pid, pair in self._distinct.items())
         return self._index
 
-    def shortlist(self, query_source: str, n: int) -> list[str]:
-        """The ids of the n distinct pairs whose C sources rank highest
-        under BM25 for the query; ties break by pair id."""
-        with self._lock:
-            return self._indexed().top_n(query_source, n)
-
     def retrieve(self, query_source: str, k: int = 5) -> tuple[list[AlignedFunctionPair], list[ApiRule], list[FragmentRule]]:
         """Top-k pairs by BM25 then rerank, plus rules tied to those pairs.
 

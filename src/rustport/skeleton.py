@@ -132,55 +132,10 @@ class SkeletonProject:
     config: SkeletonConfig = field(default_factory=SkeletonConfig)
 
     def stub_by_name(self, qualified: str) -> Optional[FunctionStub]:
-        return self.lookups().stubs.get(qualified)
-
-    def lookups(self) -> "ProjectLookups":
-        """The name maps over the record lists, built on first use.
-
-        They are rebuilt when a record list is replaced or changes length.
-        Records are not renamed in place: ``plan_skeleton`` and
-        ``load_project`` build every list whole.
-        """
-        lists = (self.stubs, self.types, self.statics, self.constants)
-        cached = getattr(self, "_lookups", None)
-        if cached is None or cached.shape != _shape(lists):
-            cached = self._lookups = ProjectLookups.of(*lists)
-        return cached
-
-
-def _shape(lists: tuple) -> tuple:
-    return tuple((id(records), len(records)) for records in lists)
-
-
-@dataclass(frozen=True)
-class ProjectLookups:
-    """Records by name: stubs by qualified name (the first stub wins), types,
-    statics and constants by ``module::name``, and types by C name (for
-    these the last record wins)."""
-
-    stubs: dict[str, FunctionStub]
-    types: dict[str, RustTypeDecl]
-    types_by_c_name: dict[str, RustTypeDecl]
-    statics: dict[str, LiftedStatic]
-    constants: dict[str, NamedConstant]
-    shape: tuple
-    lists: tuple  # held so the ids in ``shape`` stay those of live lists
-
-    @classmethod
-    def of(cls, stubs, types, statics, constants) -> "ProjectLookups":
-        by_name: dict[str, FunctionStub] = {}
-        for stub in stubs:
-            by_name.setdefault(stub.qualified_name, stub)
-        lists = (stubs, types, statics, constants)
-        return cls(
-            stubs=by_name,
-            types={f"{t.module}::{t.name}": t for t in types},
-            types_by_c_name={t.origin.name: t for t in types},
-            statics={f"{s.module}::{s.name}": s for s in statics},
-            constants={f"{c.module}::{c.name}": c for c in constants},
-            shape=_shape(lists),
-            lists=lists,
-        )
+        for s in self.stubs:
+            if s.qualified_name == qualified:
+                return s
+        return None
 
 
 def _relative_keys(project_root, source_files, config: SkeletonConfig) -> dict[str, str]:

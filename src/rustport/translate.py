@@ -67,15 +67,14 @@ def assemble_context(
     Over budget, callee signatures are dropped first, then globals, then the
     shared excerpts; type declarations are retained to the last.
     """
-    lookups = skeleton.lookups()
-    stub = lookups.stubs.get(fn_id)
+    stub = skeleton.stub_by_name(fn_id)
     if stub is None:
         raise SkeletonError(f"no stub for {fn_id}")
 
-    types_by_qid = lookups.types
-    statics_by_qid = lookups.statics
-    consts_by_qid = lookups.constants
-    origins_by_name = lookups.types_by_c_name
+    types_by_qid = {f"{t.module}::{t.name}": t for t in skeleton.types}
+    statics_by_qid = {f"{s.module}::{s.name}": s for s in skeleton.statics}
+    consts_by_qid = {f"{c.module}::{c.name}": c for c in skeleton.constants}
+    origins_by_name = {t.origin.name: t for t in skeleton.types}
 
     type_qids: list[str] = []
     global_qids: list[str] = []
@@ -157,7 +156,7 @@ def assemble_context(
             (shared_excerpts if item.module == SHARED_MODULE else global_decls).append(line)
     callee_sigs = []
     for qid in callee_qids:
-        callee = lookups.stubs.get(qid)
+        callee = skeleton.stub_by_name(qid)
         if callee is not None:
             callee_sigs.append(f"// at {qid}\n{callee.signature_text};")
 

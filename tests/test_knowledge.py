@@ -518,11 +518,11 @@ def distinct_docs(kb):
     return sorted(first.items())
 
 
-def serial_retrieve(kb, query, k):
+def serial_retrieve(kb, query, k, rank=bm25_top_n):
     """The reference path: a fresh BM25 ranking of the sorted distinct pairs,
     rerank, then every rule citing a kept pair, in rule-store order."""
     distinct = distinct_docs(kb)
-    ids = bm25_top_n(query, [(pid, pair.c_source) for pid, pair in distinct], n=max(20, k))
+    ids = rank(query, [(pid, pair.c_source) for pid, pair in distinct], n=max(20, k))
     by_id = dict(distinct)
     shortlist = [AlignedFunctionPair(**vars(by_id[pid])) for pid in ids]
     top = rerank_top_n(shortlist, lambda p: default_rerank_score(query, p.c_source), n=k)
@@ -530,6 +530,10 @@ def serial_retrieve(kb, query, k):
     api = [r for r in kb.api_rules if set(r.provenance) & top_ids]
     frags = [r for r in kb.fragment_rules if set(r.provenance) & top_ids]
     return top, api, frags
+
+
+def oracle_top_n(query, docs, n):
+    return brute_force_bm25(query, docs)[:n]
 
 
 def retrieval_record(result):
@@ -541,23 +545,24 @@ def retrieval_record(result):
     )
 
 
-def test_index_top_n_matches_brute_force_after_every_insert():
+def test_retrieve_matches_brute_force_after_every_insert():
     rng = random.Random(6)
     vocab = [f"term{i}" for i in range(30)]
     texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 40))) for _ in range(25)]
     kb = KnowledgeBase()
     kb.insert_pair(make_pair(texts[0], "first"))
-    assert kb.shortlist("term1", 5)  # the index is live from here on
+    assert kb.retrieve("term1", k=5)[0]  # the index is live from here on
     for step in range(60):
         if step % 4 == 3 and kb.pairs:
             pair = rng.choice(kb.pairs)  # a duplicate pair id: the first one stays
             kb.insert_pair(make_pair(pair.c_source, pair.rust_source))
         else:
             kb.insert_pair(make_pair(rng.choice(texts), f"rust {step}"))
-        docs = [(pid, pair.c_source) for pid, pair in distinct_docs(kb)]
         query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
-        assert kb.shortlist(query, len(docs) + 3) == brute_force_bm25(query, docs)
-        assert kb.shortlist(query, 4) == brute_force_bm25(query, docs)[:4]
+        for k in (4, len(kb.pairs) + 3):  # a cut at the BM25 shortlist, then every pair
+            assert retrieval_record(kb.retrieve(query, k=k)) == retrieval_record(
+                serial_retrieve(kb, query, k, rank=oracle_top_n)
+            ), (step, k)
 
 
 def test_index_added_one_by_one_equals_the_batch_index():
@@ -618,7 +623,10 @@ def test_retrieve_from_threads_equals_serial(tmp_path):
     docs = [(pid, pair.c_source) for pid, pair in distinct_docs(threaded_kb)]
     assert len(docs) == 120
     for query in queries[:5]:
-        assert threaded_kb.shortlist(query, len(docs)) == brute_force_bm25(query, docs)
+        for k in (5, len(docs)):
+            assert retrieval_record(threaded_kb.retrieve(query, k=k)) == retrieval_record(
+                serial_retrieve(threaded_kb, query, k, rank=oracle_top_n)
+            )
 
 
 def test_tokenizes_each_distinct_pair_once(tmp_path, monkeypatch):

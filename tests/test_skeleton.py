@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import shutil
 import subprocess
@@ -537,30 +536,3 @@ def test_unreadable_skeleton_metadata_is_a_skeleton_error(tmp_path, text):
     (tmp_path / ".rustport" / "skeleton.json").write_text(text)
     with pytest.raises(SkeletonError, match="re-run `rustport skeleton`"):
         load_project(tmp_path)
-
-
-def test_lookups_match_the_record_lists(tmp_path):
-    files, _ = synthetic_project(4, 4)
-    root = make_project(tmp_path, files)
-    trace = write_trace(root, sorted(f for f in files if f.endswith(".c")), extra_args=["-Iinc"])
-    units = [preprocess_unit(derive_unit_context(c), CPP) for c in load_compile_commands(trace)]
-    project = plan_skeleton(root, units, SkeletonConfig(crate_name="lookups"))
-    lookups = project.lookups()
-    assert lookups is project.lookups()  # built once
-    for stub in project.stubs:
-        assert project.stub_by_name(stub.qualified_name) is stub
-    assert project.stub_by_name("crate::nowhere::f") is None
-    assert lookups.types == {f"{t.module}::{t.name}": t for t in project.types}
-    assert lookups.types_by_c_name == {t.origin.name: t for t in project.types}
-    assert lookups.statics == {f"{s.module}::{s.name}": s for s in project.statics}
-    assert lookups.constants == {f"{c.module}::{c.name}": c for c in project.constants}
-
-    # a later append or a replaced list is seen; the first stub of a name wins
-    first = project.stubs[0]
-    extra = dataclasses.replace(first, qualified_name="crate::extra::f")
-    project.stubs.append(extra)
-    assert project.stub_by_name("crate::extra::f") is extra
-    project.stubs.append(dataclasses.replace(first))
-    assert project.stub_by_name(first.qualified_name) is first
-    project.stubs = [extra]
-    assert project.stub_by_name(first.qualified_name) is None
