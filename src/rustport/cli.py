@@ -187,7 +187,7 @@ def cmd_translate(args) -> int:
     kb = None
     if config.kb_path:
         kb = KnowledgeBase.load(config.kb_path)
-    # one progress line per schedule layer on stderr
+    # one progress line per wave of the schedule on stderr
     layer_log = logging.getLogger("rustport.pipeline")
     if layer_log.getEffectiveLevel() > logging.INFO:
         layer_log.setLevel(logging.INFO)
@@ -287,8 +287,8 @@ def cmd_evaluate(args) -> int:
     else:
         report.fc_note = "no test command configured"
 
-    summary_file = workspace_dir / "runs" / (args.run_id or "") / "summary.json"
-    if args.run_id and summary_file.is_file():
+    summary_file = run_dir / "summary.json"
+    if summary_file.is_file():
         summary = json.loads(summary_file.read_text(encoding="utf-8"))
         report.avg_repair = summary.get("avg_repair")
 

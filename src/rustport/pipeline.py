@@ -1,9 +1,16 @@
-"""Layer-by-layer translation run: retrieval, generation, repair, accumulation.
+"""Wave-by-wave translation run: retrieval, generation, repair, accumulation.
 
-Within a layer, initial generation may fan out across worker threads; the
-layer's functions then settle together, each repair step built as one batch
-(see ``repair``), and results are reduced in canonical layer order so runs are
-reproducible. One line per layer is logged with its builds and times.
+The skeleton fixes every signature, type and global before any body exists,
+and prompts read only the skeleton, so one schedule layer hands the next
+nothing but what the knowledge base accumulates from it. A run therefore
+settles in *waves*: the whole schedule as one wave when no knowledge flows
+between layers (no knowledge base, accumulation off, or retrieval depth 0),
+otherwise one wave per layer.
+
+Within a wave, initial generation may fan out across worker threads; the
+wave's functions then settle together, each repair step built as one batch
+(see ``repair``), and results are reduced in canonical schedule order so runs
+are reproducible. One line per wave is logged with its builds and times.
 """
 
 from __future__ import annotations
@@ -85,21 +92,33 @@ class TranslationRun:
     accumulate: bool = True
     outcomes: dict[str, FunctionOutcome] = field(default_factory=dict)
 
+    def _waves(self) -> list[tuple[str, list[str]]]:
+        """The schedule as the units that settle together, each with its name:
+        one wave per layer when accumulated knowledge reaches later layers'
+        retrievals, else the whole schedule in canonical order."""
+        layers = self.layers.layers
+        layered = [(f"layer {number}", layer) for number, layer in enumerate(layers)]
+        if len(layers) <= 1 or (
+            self.kb is not None and self.accumulate and self.retrieval_depth > 0
+        ):
+            return layered
+        return [(f"wave 0 (layers 0-{len(layers) - 1})", self.layers.flatten())]
+
     def execute(self) -> dict[str, FunctionOutcome]:
-        for number, layer in enumerate(self.layers.layers):
+        for name, wave in self._waves():
             start = time.perf_counter()
             builds, build_s = self.runner.invocations, self.runner.build_seconds
-            prepared = self._prepare_layer(layer)
-            stubs = {fn_id: self.skeleton.stub_by_name(fn_id) for fn_id in layer}
+            prepared = self._prepare_layer(wave)
+            stubs = {fn_id: self.skeleton.stub_by_name(fn_id) for fn_id in wave}
             machines = {}
-            for fn_id in layer:
+            for fn_id in wave:
                 ctx, _prompt, body = prepared[fn_id]
                 machines[fn_id] = repair_steps(
                     stubs[fn_id], ctx, body, self.backend, index=self.index,
                     budget=self.repair_budget, prompt_sink=self._prompt_sink,
                 )
             settled = repair_layer(self.workspace, machines, self.runner)
-            for fn_id in layer:  # canonical order: reduce deterministically
+            for fn_id in wave:  # canonical order: reduce deterministically
                 outcome = settled[fn_id]
                 stub = stubs[fn_id]
                 self.outcomes[fn_id] = outcome
@@ -118,14 +137,15 @@ class TranslationRun:
                         rust_source=f"{stub.signature_text} {{\n{outcome.final_body}\n}}",
                     )
             logger.info(
-                "layer %d: %d functions, %d builds, %.2f s building, %.2f s wall",
-                number, len(layer), self.runner.invocations - builds,
+                "%s: %d functions, %d builds, %.2f s building, %.2f s wall",
+                name, len(wave), self.runner.invocations - builds,
                 self.runner.build_seconds - build_s, time.perf_counter() - start,
             )
         return self.outcomes
 
     def _prepare_layer(self, layer: list[str]) -> dict[str, tuple]:
-        """Assemble contexts and run initial generation, possibly in parallel."""
+        """Assemble contexts and run initial generation for a wave's functions,
+        possibly in parallel."""
         def prepare(fn_id: str):
             ctx = assemble_context(fn_id, self.skeleton, self.graph, self.index)
             examples, api_rules, frag_rules = [], [], []

@@ -1,7 +1,8 @@
 """Compiler-feedback repair: compile-and-install validation, batched
-compilation of a schedule layer, a closed set of deterministic rule fixes,
-model-guided repair under a budget, and the foreign-declaration fallback that
-keeps the project compilable while counting as a translation failure.
+compilation of a wave of the schedule, a closed set of deterministic rule
+fixes, model-guided repair under a budget, and the foreign-declaration
+fallback that keeps the project compilable while counting as a translation
+failure.
 
 Round accounting: a rule-based fix is free when its candidate compiles; if it
 fails to compile it consumes the round. Each function therefore proposes at
@@ -9,13 +10,16 @@ most budget + 2 candidates (initial, one per round, at most one extra for a
 successful rule fix or the fallback install).
 
 Build bounds. Serially (``repair_loop``), compile invocations per function
-stay within budget + 2. In a layer (``repair_layer``) the functions advance in
-lockstep, one step per candidate, so a layer takes at most budget + 2 steps. A
-batched step costs one build plus one rebuild when some but not all of its
-candidates fail, so a layer costs at most 2 * (budget + 2) builds plus one per
+stay within budget + 2. In a wave (``repair_layer``: one schedule layer, or the
+whole schedule when no knowledge flows between layers) the functions advance
+in lockstep, one step per candidate, so a wave takes at most budget + 2 steps.
+A batched step costs one build plus one rebuild when some but not all of its
+candidates fail, so a wave costs at most 2 * (budget + 2) builds plus one per
 fixed-point rebuild (a rebuild that itself fails, because an error only shows
 once others are rolled back). A step that cannot be batched pays the serial
-price, one build per candidate, on top.
+price, one build per candidate, on top. Every unsettled function of the wave
+is in each step, so one unattributable error sends the whole wave down the
+serial path for that step.
 
 The batched path rests on body locality: the skeleton fixes every signature,
 so rustc checks each body against fixed interfaces and reports each error at
@@ -363,8 +367,6 @@ def fallback_body(stub: FunctionStub) -> str:
     )
 
 
-
-
 def repair_steps(
     stub: FunctionStub,
     ctx: TranslationContext,
@@ -496,6 +498,7 @@ def repair_layer(
     machines: dict[str, Generator[str, Compiled, FunctionOutcome]],
     runner: BuildRunner,
 ) -> dict[str, FunctionOutcome]:
-    """Settle one schedule layer: the step machines of its functions advance
-    in lockstep, each step's candidates compiled through ``compile_batch``."""
+    """Settle one wave of the schedule: the step machines of its functions
+    advance in lockstep, each step's candidates compiled through
+    ``compile_batch``."""
     return _settle(machines, lambda step: compile_batch(workspace, step, runner))

@@ -283,8 +283,13 @@ def emit_stub(
     policy: TypePolicy,
     visibility: str = "public",
     style: str = "unimplemented",
+    address_taken: bool = False,
 ) -> FunctionStub:
-    """Emit a placeholder-bodied stub with lowered signature types."""
+    """Emit a placeholder-bodied stub with lowered signature types.
+
+    External functions, and internal ones whose address is taken, get the C
+    ABI: a function pointer lowers to ``unsafe extern "C" fn``, which a
+    Rust-ABI function cannot be stored in."""
     name = sanitize_ident(f.name)
     params: list[str] = []
     param_names: list[str] = []
@@ -295,7 +300,7 @@ def emit_stub(
     ret = clayout.lower_type_text(f.return_type, policy.resolver, position="return")
 
     vis_prefix = {"public": "pub ", "crate": "pub(crate) ", "private": ""}[visibility]
-    abi = 'extern "C" ' if f.storage == "external" else ""
+    abi = 'extern "C" ' if f.storage == "external" or address_taken else ""
     sig = f"{vis_prefix}{abi}fn {name}({', '.join(params)})"
     if ret != "()":
         sig += f" -> {ret}"
@@ -599,6 +604,9 @@ def plan_skeleton(
     # stubs with storage- and usage-derived visibility
     stubs: list[FunctionStub] = []
     for module in sorted(symtabs):
+        # an internal function can be named, so have its address taken, only
+        # in its own unit
+        values = set().union(*(fn.value_refs for fn in symtabs[module].functions))
         for fn in symtabs[module].functions:
             if not fn.defined_here:
                 continue
@@ -609,7 +617,10 @@ def plan_skeleton(
             else:
                 visibility = "public"
             stubs.append(
-                emit_stub(fn, module, policy, visibility=visibility, style=config.placeholder_style)
+                emit_stub(
+                    fn, module, policy, visibility=visibility,
+                    style=config.placeholder_style, address_taken=fn.name in values,
+                )
             )
 
     return SkeletonProject(

@@ -59,6 +59,7 @@ FIXTURE_PROJECTS = {
     "mini_mix": (["mix.c"], ["-DMIX_ENABLE_EXTRA"]),
     "mini_cycle": (["core/parity.c", "util/track.c"], []),
     "mini_kb": (["kb.c"], []),
+    "mini_callback": (["callback.c"], []),
 }
 
 

@@ -1,13 +1,20 @@
-"""Batched compilation of a schedule layer against the serial reference.
+"""Batched compilation of a wave against the layer-at-a-time serial reference.
 
-The serial reference builds once per candidate body (``repair_loop`` per
-function, ``compile_and_install`` per ICompRate body); the batched path builds
-each step of a layer once and blames errors on body segments. Outcomes and
-ledgers must match exactly.
+The serial reference settles the schedule one layer after another and builds
+once per candidate body (``repair_loop`` per function, ``compile_and_install``
+per ICompRate body). The batched path settles each wave (the whole schedule
+when no knowledge flows between layers, else one layer) and builds each step
+of it once, blaming errors on body segments. Outcomes, ledgers, knowledge-base
+journals and initial-generation prompts must match exactly. Repair prompts may
+differ only in the source positions they quote (``file:line:column`` and the
+line-number gutter): a batch build sees the other candidates of the same
+file, those of later layers included, where the reference sees the earlier
+layers' final bodies and the later layers' placeholders.
 """
 
 import json
 import logging
+import re
 import shutil
 from dataclasses import replace
 
@@ -19,8 +26,9 @@ from test_acceptance import FIXTURE_PROJECTS, run_cli
 from rustport.backends import OracleBackend, ScriptedFailureBackend
 from rustport.cargo import BuildRunner
 from rustport.graph import build_graph, build_symbol_index, schedule
+from rustport.knowledge import KnowledgeBase
 from rustport.metrics import LedgerEntry, incremental_comp_rate
-from rustport.pipeline import TranslationRun
+from rustport.pipeline import RunArtifacts, TranslationRun
 from rustport.repair import compile_and_install, compile_batch, repair_loop
 from rustport.skeleton import FALLBACK_MARK, load_project
 from rustport.workspace import Workspace
@@ -53,6 +61,45 @@ WIDE_VALID = {
 }
 WIDE_FAILURES = {"crate::w0::w0_f0": 1, "crate::w1::w1_f0": 2, "crate::w1::w1_f1": None}
 
+# five layers in two files: callers share a file with their callees, and a
+# later layer's function sits above an earlier layer's (mid and top above
+# leaf_add and leaf_sub, edge above peak)
+LAYERED_FILES = {
+    "lay0.c": (
+        "int leaf_add(int a, int b);\n"
+        "int leaf_sub(int a, int b);\n\n"
+        "int mid(int a, int b) {\n    return leaf_add(a, b) * 2;\n}\n\n"
+        "int leaf_add(int a, int b) {\n    return a + b;\n}\n\n"
+        "int top(int a, int b) {\n    return mid(a, b) - leaf_sub(a, b);\n}\n\n"
+        "int leaf_sub(int a, int b) {\n    return a - b;\n}\n\n"
+        "int leaf_odd(int a, int b) {\n    return a + b + 1;\n}\n"
+    ),
+    "lay1.c": (
+        "int mid(int a, int b);\n"
+        "int top(int a, int b);\n"
+        "int peak(int a, int b);\n\n"
+        "int edge(int a, int b) {\n    return peak(a, b) - 1;\n}\n\n"
+        "int side(int a, int b) {\n    return mid(a, b) + 1;\n}\n\n"
+        "int peak(int a, int b) {\n    return top(a, b) + side(a, b);\n}\n"
+    ),
+}
+LAYERED_VALID = {
+    "crate::lay0::leaf_add": "a + b",  # layer 0
+    "crate::lay0::leaf_sub": "let wide: i64 = (a as i64) - b as i64;\nwide",  # rule fix: cast
+    "crate::lay0::leaf_odd": "a +",  # a parse error, every attempt: fallback
+    "crate::lay0::mid": "leaf_add(a, b) * 2",  # layer 1, one model repair
+    "crate::lay0::top": "let total = mid(a, b);\ntotal -= leaf_sub(a, b);\ntotal",  # layer 2, rule fix: mut
+    "crate::lay1::side": "mid(a, b) + 1",  # layer 2, rule fix: path
+    "crate::lay1::peak": "crate::lay0::top(a, b) + side(a, b)",  # layer 3, two model repairs
+    "crate::lay1::edge": "peak(a, b) - 1",  # layer 4, never valid: fallback
+}
+LAYERED_FAILURES = {"crate::lay0::mid": 1, "crate::lay1::peak": 2, "crate::lay1::edge": None}
+
+SCRIPTED = {  # name: (C files, crate, failures, valid bodies)
+    "scripted": (WIDE_FILES, "wide_crate", WIDE_FAILURES, WIDE_VALID),
+    "layered": (LAYERED_FILES, "layered_crate", LAYERED_FAILURES, LAYERED_VALID),
+}
+
 
 def clone_pipeline(ws_dir, dest):
     """A fresh copy of a verified skeleton with its graph and schedule."""
@@ -63,16 +110,20 @@ def clone_pipeline(ws_dir, dest):
     return project, Workspace(dest), graph, index, schedule(graph), BuildRunner()
 
 
-def make_run(pipe, backend, jobs=1, budget=3):
+def make_run(pipe, backend, jobs=1, budget=3, run_dir=None, kb=None, k=5):
     project, workspace, graph, index, layers, runner = pipe
     return TranslationRun(
         skeleton=project, workspace=workspace, graph=graph, index=index, layers=layers,
         backend=backend, runner=runner, repair_budget=budget, jobs=jobs,
+        artifacts=RunArtifacts(run_dir) if run_dir is not None else None,
+        kb=kb, retrieval_depth=k, accumulate=kb is not None,
     )
 
 
 def serial_execute(run):
-    """The reference driver: one function after another, one build per candidate."""
+    """The reference driver: one layer after another, one function after
+    another, one build per candidate; each layer's translated functions then
+    accumulate into the knowledge base in canonical order."""
     for layer in run.layers.layers:
         prepared = run._prepare_layer(layer)
         for fn_id in layer:
@@ -80,9 +131,19 @@ def serial_execute(run):
             outcome = repair_loop(
                 run.workspace, run.skeleton.stub_by_name(fn_id), ctx, body, run.backend,
                 run.runner, index=run.index, budget=run.repair_budget,
+                prompt_sink=run._prompt_sink,
             )
             run.outcomes[fn_id] = outcome
             run.graph.mark(fn_id, outcome.final_state)
+        for fn_id in layer:
+            stub, outcome = run.skeleton.stub_by_name(fn_id), run.outcomes[fn_id]
+            if outcome.final_state == "translated" and run.kb is not None and run.accumulate:
+                run.kb.accumulate(
+                    c_name=stub.origin.name,
+                    c_source=stub.origin.source_text,
+                    rust_name=fn_id,
+                    rust_source=f"{stub.signature_text} {{\n{outcome.final_body}\n}}",
+                )
     return run.outcomes
 
 
@@ -107,6 +168,29 @@ def summary(outcomes):
     }
 
 
+def without_positions(text):
+    """A prompt with the source positions it quotes taken out: the
+    ``file:line:column`` of each span and the line-number gutter, whose
+    width follows the numbers."""
+    text = re.sub(r"(\.rs):\d+:\d+", r"\1", text)
+    text = re.sub(r"(?m)^ *(\d+ *)?\|", "|", text)
+    return re.sub(r"(?m)^ *(-->|:::|= )", r"\1", text)
+
+
+def saved_prompts(run_dir):
+    """A run's prompts by tag: the initial generations' as written, the
+    repairs' without source positions."""
+    prompts = {}
+    for path in sorted((run_dir / "prompts").glob("*.txt")):
+        text = path.read_text(encoding="utf-8")
+        prompts[path.stem] = text if path.stem.endswith("_1") else without_positions(text)
+    return prompts
+
+
+def wave_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "rustport.pipeline"]
+
+
 def fixture_skeleton(tmp_path, name):
     sources, extra_args = FIXTURE_PROJECTS[name]
     proj = tmp_path / name
@@ -121,12 +205,13 @@ def fixture_skeleton(tmp_path, name):
     return ws, lambda: OracleBackend(bodies), bodies
 
 
-def scripted_skeleton(tmp_path):
-    project, *_ = build_pipeline(tmp_path / "scripted", WIDE_FILES, crate="wide_crate")
+def scripted_skeleton(tmp_path, name):
+    files, crate, failures, bodies = SCRIPTED[name]
+    project, *_ = build_pipeline(tmp_path / name, files, crate=crate)
     return (
         project.workspace_dir,
-        lambda: ScriptedFailureBackend(failures=WIDE_FAILURES, bodies=WIDE_VALID),
-        WIDE_VALID,
+        lambda: ScriptedFailureBackend(failures=failures, bodies=bodies),
+        bodies,
     )
 
 
@@ -138,23 +223,42 @@ def skeletons(tmp_path_factory):
     def get(name):
         if name not in made:
             tmp = tmp_path_factory.mktemp(name)
-            made[name] = scripted_skeleton(tmp) if name == "scripted" else fixture_skeleton(tmp, name)
+            made[name] = (
+                scripted_skeleton(tmp, name) if name in SCRIPTED else fixture_skeleton(tmp, name)
+            )
         return made[name]
 
     return get
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
-@pytest.mark.parametrize("name", sorted(FIXTURE_PROJECTS) + ["scripted"])
-def test_batched_driver_matches_serial_reference(tmp_path, skeletons, name, jobs):
+@pytest.mark.parametrize("name", sorted(FIXTURE_PROJECTS) + sorted(SCRIPTED))
+def test_batched_driver_matches_serial_reference(tmp_path, skeletons, caplog, name, jobs):
     ws, backend, first_bodies = skeletons(name)
 
-    batched = make_run(clone_pipeline(ws, tmp_path / "batched"), backend(), jobs=jobs)
-    serial = make_run(clone_pipeline(ws, tmp_path / "serial"), backend(), jobs=jobs)
-    got, want = batched.execute(), serial_execute(serial)
+    batched = make_run(
+        clone_pipeline(ws, tmp_path / "batched"), backend(), jobs=jobs,
+        run_dir=tmp_path / "batched_run",
+    )
+    serial = make_run(
+        clone_pipeline(ws, tmp_path / "serial"), backend(), jobs=jobs,
+        run_dir=tmp_path / "serial_run",
+    )
+    with caplog.at_level(logging.INFO, logger="rustport.pipeline"):
+        got = batched.execute()
+    want = serial_execute(serial)
     assert list(got) == list(want)
     assert summary(got) == summary(want)
     assert batched.runner.invocations <= serial.runner.invocations
+    assert saved_prompts(tmp_path / "batched_run") == saved_prompts(tmp_path / "serial_run")
+
+    # no knowledge base: the whole schedule settles as one wave, within the
+    # bound of one (no rebuild here fails, no step falls back to one build
+    # per candidate)
+    last = len(batched.layers.layers) - 1
+    [line] = wave_lines(caplog)
+    assert line.startswith(f"wave 0 (layers 0-{last}): " if last else "layer 0: ")
+    assert batched.runner.invocations <= 2 * (batched.repair_budget + 2)
 
     # ICompRate over the final bodies and over the first-attempt bodies,
     # which include failures
@@ -176,6 +280,44 @@ def test_batched_driver_matches_serial_reference(tmp_path, skeletons, name, jobs
             assert runner.invocations <= 2  # the baseline and one batch
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_knowledge_flow_decides_the_waves(tmp_path, skeletons, caplog, k):
+    """A run that accumulates hands each layer's translations to the next
+    layer's retrievals, so with k > 0 it settles layer by layer; with k = 0
+    nothing flows and it takes one wave. Either way outcomes, prompts and the
+    knowledge base's files equal the layer-at-a-time reference's."""
+    ws, backend, _ = skeletons("layered")
+    runs = {
+        label: make_run(
+            clone_pipeline(ws, tmp_path / label), backend(), run_dir=tmp_path / f"{label}_run",
+            kb=KnowledgeBase(tmp_path / f"{label}_kb"), k=k,
+        )
+        for label in ("waves", "serial")
+    }
+    with caplog.at_level(logging.INFO, logger="rustport.pipeline"):
+        got = runs["waves"].execute()
+    assert summary(got) == summary(serial_execute(runs["serial"]))
+
+    layers = len(runs["waves"].layers.layers)
+    names = [line.split(":")[0] for line in wave_lines(caplog)]
+    if k == 0:
+        assert names == [f"wave 0 (layers 0-{layers - 1})"]
+    else:
+        assert names == [f"layer {n}" for n in range(layers)]
+    prompts = saved_prompts(tmp_path / "waves_run")
+    assert prompts == saved_prompts(tmp_path / "serial_run")
+    # retrieval shows later layers what earlier ones learned, e.g. leaf_sub's rule-fixed body
+    assert any("(wide) as i32" in text for text in prompts.values()) == (k > 0)
+
+    kb_files = sorted(p.name for p in (tmp_path / "waves_kb").iterdir())
+    assert "pairs.jsonl" in kb_files
+    assert kb_files == sorted(p.name for p in (tmp_path / "serial_kb").iterdir())
+    for name in kb_files:
+        assert (tmp_path / "waves_kb" / name).read_bytes() == (
+            tmp_path / "serial_kb" / name
+        ).read_bytes(), name
+
+
 def test_scripted_layer_build_count_bound(tmp_path, skeletons, caplog):
     ws, backend, _ = skeletons("scripted")
     pipe = clone_pipeline(ws, tmp_path / "run")
@@ -191,7 +333,7 @@ def test_scripted_layer_build_count_bound(tmp_path, skeletons, caplog):
     states = {fn: o.final_state for fn, o in outcomes.items()}
     assert states["crate::w1::w1_f1"] == states["crate::w1::w1_f2"] == "fallback"
     assert run.runner.build_seconds > 0
-    lines = [r.getMessage() for r in caplog.records if r.name == "rustport.pipeline"]
+    lines = wave_lines(caplog)
     assert lines == [lines[0]] and lines[0].startswith(f"layer 0: 6 functions, {builds} builds, ")
 
 

@@ -170,6 +170,28 @@ def test_evaluate_without_skeleton_reports_partial_metrics(tmp_path, capsys):
     assert report["fc"] is None and "no test command" in report["fc_note"]
 
 
+def test_evaluate_reads_summary_of_run_id_from_config(tmp_path):
+    proj, trace = setup_mini_list(tmp_path)
+    ws = tmp_path / "ws"
+    run_cli("skeleton", "--project", proj, "--trace", trace, "--out", ws)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({
+        "failures": {"crate::list::record_push": 1},
+        "bodies": json.loads((proj / "oracle_bodies.json").read_text()),
+    }))
+    config = tmp_path / "run.json"  # the run id is set here and by no flag
+    config.write_text(json.dumps(
+        {"run_id": "from-config", "backend": "script", "script_file": str(script)}
+    ))
+    assert run_cli("translate", "--workspace", ws, "--config", config) == 0
+    summary = json.loads((ws / "runs" / "from-config" / "summary.json").read_text())
+    assert summary["avg_repair"] > 0  # record_push took one model repair
+
+    assert run_cli("evaluate", "--workspace", ws, "--config", config) == 0
+    report = json.loads((ws / "runs" / "from-config" / "report.json").read_text())
+    assert report["avg_repair"] == summary["avg_repair"]
+
+
 def test_mine_command_on_planted_repo(tmp_path, capsys):
     build_planted_repo(tmp_path / "repo")
     kb_dir = tmp_path / "kb"
@@ -223,6 +245,40 @@ def test_cycle_project_full_flow(tmp_path, capsys):
     assert report["icomp_rate"] == 100.0
     assert report["fc"] == 100.0
     assert report["unsafe_ratio"] > 0  # shared static access is unsafe
+
+
+def test_callback_project_full_flow(tmp_path):
+    # a function-pointer typedef used by a struct member and a parameter, and
+    # a static function stored in that member
+    proj = copy_fixture("mini_callback", tmp_path / "proj")
+    write_trace(proj, ["callback.c"])
+    ws_skel = tmp_path / "ws_skel"
+    assert run_cli(
+        "skeleton", "--project", proj, "--trace", proj / "compile_commands.json",
+        "--out", ws_skel, "--config", proj / "project.json",
+    ) == 0
+    ws_tr = tmp_path / "ws_tr"
+    shutil.copytree(ws_skel, ws_tr)
+    assert run_cli(
+        "translate", "--workspace", ws_tr, "--backend", "oracle",
+        "--oracle-bodies", proj / "oracle_bodies.json", "--run-id", "run-001",
+    ) == 0
+    summary = json.loads((ws_tr / "runs" / "run-001" / "summary.json").read_text())
+    # use_twice stores the static `twice` in an `unsafe extern "C" fn` member
+    assert summary["outcomes"]["crate::callback::use_twice"]["state"] == "translated"
+    assert summary["translated"] == 4
+
+    assert run_cli(
+        "evaluate", "--workspace", ws_tr, "--skeleton", ws_skel,
+        "--tests", "cargo test", "--run-id", "run-001",
+    ) == 0
+    report = json.loads((ws_tr / "runs" / "run-001" / "report.json").read_text())
+    assert report["icomp_rate"] == 100.0
+    assert report["fc"] == 100.0
+    # hand count: callback.rs has 25 counted lines, lib.rs 3, shared.rs none;
+    # unsafe are the `cb_t` alias (a function pointer type marks its own line)
+    # and `Some(f) => unsafe { f(v) },` in apply_cb
+    assert report["unsafe_ratio"] == 100.0 * 2 / 28
 
 
 def test_graph_command(tmp_path, capsys):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, write_trace
+from test_acceptance import FIXTURE_PROJECTS
 from test_pipeline import synthetic_project
 
 from rustport.buildctx import (
@@ -19,6 +20,7 @@ from rustport.cargo import BuildRunner
 from rustport.clayout import TypeResolver, parse_c_type, record_size_align
 from rustport.csyms import CTypeDef, extract_symbols
 from rustport.errors import SkeletonError
+from rustport.repair import compile_and_install
 from rustport.skeleton import (
     SkeletonConfig,
     TypePolicy,
@@ -29,6 +31,7 @@ from rustport.skeleton import (
     plan_skeleton,
     sanitize_ident,
 )
+from rustport.workspace import Workspace
 
 CPP = PreprocessorConfig()
 RUNNER = BuildRunner()
@@ -347,6 +350,33 @@ def test_static_function_stub_is_private(tmp_path):
     assert top.visibility == "public"
 
 
+CALLBACK_C = """\
+typedef int (*cb_t)(int);
+struct handler { cb_t cb; int tag; };
+static int twice(int v) { return v * 2; }
+static int once(int v) { return v; }
+int run(int v) { struct handler h = { twice, 0 }; return h.cb(v) + once(v); }
+"""
+
+
+def test_address_taken_static_function_gets_c_abi(tmp_path):
+    plan, project = build_skeleton(tmp_path, {"h.c": CALLBACK_C})
+    signatures = {s.qualified_name: s.signature_text for s in project.stubs}
+    # stored in a C function pointer: C ABI, still private
+    assert signatures["crate::h::twice"] == 'extern "C" fn twice(v: i32) -> i32'
+    assert signatures["crate::h::once"] == "fn once(v: i32) -> i32"  # only called
+    # a Rust-ABI `twice` fails here with E0308: expected "C" fn, found "Rust" fn
+    body = (
+        "let h = handler { cb: Some(twice), tag: 0 };\n"
+        "let r = unsafe { h.cb.unwrap()(v) };\n"
+        "r + once(v)"
+    )
+    ok, diags, _ = compile_and_install(
+        Workspace(project.workspace_dir), "crate::h::run", body, RUNNER
+    )
+    assert ok, [d.message for d in diags]
+
+
 def test_cross_module_called_function_gets_crate_visibility(tmp_path):
     files = {
         "a.c": "int shared_fn(int v) { return v; }\n",
@@ -481,20 +511,12 @@ def test_skeleton_output_deterministic(tmp_path):
 
 # --- persistence ---------------------------------------------------------------
 
-FIXTURE_SOURCES = {
-    "mini_list": (["list.c"], []),
-    "mini_mix": (["mix.c"], ["-DMIX_ENABLE_EXTRA"]),
-    "mini_cycle": (["core/parity.c", "util/track.c"], []),
-    "mini_kb": (["kb.c"], []),
-}
-
-
-@pytest.mark.parametrize("name", [*FIXTURE_SOURCES, "synthetic_8x8"])
+@pytest.mark.parametrize("name", [*FIXTURE_PROJECTS, "synthetic_8x8"])
 def test_saved_project_loads_back_equal(tmp_path, name):
-    if name in FIXTURE_SOURCES:
+    if name in FIXTURE_PROJECTS:
         root = tmp_path / name
         shutil.copytree(FIXTURES / name, root)
-        sources, extra_args = FIXTURE_SOURCES[name]
+        sources, extra_args = FIXTURE_PROJECTS[name]
     else:
         files, _ = synthetic_project(8, 8)
         root = make_project(tmp_path, files)
