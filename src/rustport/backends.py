@@ -26,14 +26,15 @@ logger = logging.getLogger(__name__)
 
 MAX_OUTPUT_TOKENS_CAP = 8192
 REMOTE_MAX_INFLIGHT = 4  # concurrent requests one RemoteBackend lets through
+# decoding parameters sent with every remote request: greedy decoding
+REMOTE_TEMPERATURE = 0.0
+REMOTE_TOP_P = 1.0
 
 
 @dataclass
 class GenerationRequest:
     system: str
     user: str
-    temperature: float = 0.0
-    top_p: float = 1.0
     max_tokens: int = MAX_OUTPUT_TOKENS_CAP
     tag: str = ""  # "<function id>#<attempt number>"
 
@@ -169,7 +170,6 @@ class RemoteBackend:
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         timeout: float = 120.0,
-        extra_params: Optional[dict] = None,
     ):
         self.endpoint = endpoint
         self.model = model
@@ -177,7 +177,6 @@ class RemoteBackend:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self.extra_params = dict(extra_params or {})
         self._gate = threading.Semaphore(REMOTE_MAX_INFLIGHT)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
@@ -187,11 +186,10 @@ class RemoteBackend:
                 {"role": "system", "content": req.system},
                 {"role": "user", "content": req.user},
             ],
-            "temperature": req.temperature,
-            "top_p": req.top_p,
+            "temperature": REMOTE_TEMPERATURE,
+            "top_p": REMOTE_TOP_P,
             "max_tokens": req.max_tokens,
         }
-        body.update(self.extra_params)
         payload = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_env, "")

@@ -29,7 +29,6 @@ class CompileCommand:
     directory: str
     source_file: str
     arguments: list[str]
-    output_file: Optional[str] = None
 
     def source_path(self) -> Path:
         p = Path(self.source_file)
@@ -108,12 +107,7 @@ def load_compile_commands(path, skip_missing_sources: bool = False) -> list[Comp
         else:
             raise MalformedRecordError(i, "command/arguments", "entry has neither")
 
-        cmd = CompileCommand(
-            directory=directory,
-            source_file=source,
-            arguments=arguments,
-            output_file=entry.get("output"),
-        )
+        cmd = CompileCommand(directory=directory, source_file=source, arguments=arguments)
         if not cmd.source_path().is_file():
             if skip_missing_sources:
                 logger.warning("trace entry %d: source %s missing, skipped", i, cmd.source_path())

@@ -59,7 +59,6 @@ class BuildOutcome:
     ok: bool
     errors: list[Diagnostic]
     warnings: list[Diagnostic]
-    raw: str = ""
 
 
 def _parse_message(msg: dict) -> Diagnostic:
@@ -134,15 +133,14 @@ def _run(argv: list[str], cwd, timeout: float) -> subprocess.CompletedProcess:
 class BuildRunner:
     """Serializes `cargo` invocations over a workspace and parses JSON output."""
 
-    def __init__(self, cargo: str = "cargo", extra_args: Optional[list[str]] = None):
+    def __init__(self, cargo: str = "cargo"):
         self.cargo = cargo
-        self.extra_args = list(extra_args or [])
         self._lock = threading.Lock()
         self.invocations = 0
         self.build_seconds = 0.0
 
     def build(self, workspace_dir) -> BuildOutcome:
-        argv = [self.cargo, "build", "--message-format=json", *self.extra_args]
+        argv = [self.cargo, "build", "--message-format=json"]
         with self._lock:
             self.invocations += 1
             start = time.perf_counter()
@@ -180,7 +178,7 @@ class BuildRunner:
                 f"{self.cargo} failed (exit {proc.returncode}) without diagnostics:\n"
                 + proc.stderr[-2000:]
             )
-        return BuildOutcome(ok=ok, errors=errors, warnings=warnings, raw=proc.stdout)
+        return BuildOutcome(ok=ok, errors=errors, warnings=warnings)
 
     def run_tests(self, workspace_dir, command: Optional[list[str]] = None) -> subprocess.CompletedProcess:
         argv = command or [self.cargo, "test"]

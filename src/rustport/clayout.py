@@ -109,6 +109,7 @@ PRIMITIVES: dict[str, tuple[str, int, int]] = {
     "ptrdiff_t": ("isize", 8, 8),
     "intptr_t": ("isize", 8, 8),
     "uintptr_t": ("usize", 8, 8),
+    "wchar_t": ("i32", 4, 4),
     "int8_t": ("i8", 1, 1),
     "int16_t": ("i16", 2, 2),
     "int32_t": ("i32", 4, 4),

@@ -141,9 +141,7 @@ def cmd_skeleton(args) -> int:
 
     skel_config = SkeletonConfig(
         crate_name=config.crate_name or project_root.name.replace("-", "_"),
-        flatten_root=config.flatten_root,
         strict_holes=config.strict_holes,
-        placeholder_style=config.placeholder_style,
     )
     project = assemble_and_verify(plan_skeleton(project_root, units, skel_config), out)
 
@@ -341,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("skeleton", help="build the compilable Rust skeleton")
     p.add_argument("--project", required=True, help="C project root")
-    p.add_argument("--trace", default=None, help="compile_commands.json path")
+    p.add_argument("--trace", dest="trace_path", default=None, help="compile_commands.json path")
     p.add_argument("--out", required=True, help="workspace output directory")
     p.add_argument("--config", default=None)
     p.add_argument("--crate-name", dest="crate_name", default=None)
@@ -358,14 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="translate function bodies bottom-up")
     p.add_argument("--workspace", required=True)
     p.add_argument("--backend", choices=["remote", "replay", "oracle", "script"], default=None)
-    p.add_argument("--kb", default=None, help="knowledge base directory")
-    p.add_argument("--k", type=int, default=None, help="retrieval depth (0 disables retrieval)")
+    p.add_argument("--kb", dest="kb_path", default=None, help="knowledge base directory")
+    p.add_argument(
+        "--k", dest="retrieval_depth", type=int, default=None,
+        help="retrieval depth (0 disables retrieval)",
+    )
     p.add_argument("--repair-budget", dest="repair_budget", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--run-id", dest="run_id", default=None)
     p.add_argument("--oracle-bodies", dest="oracle_bodies", default=None)
     p.add_argument("--replay-dir", dest="replay_dir", default=None)
-    p.add_argument("--script", default=None)
+    p.add_argument("--script", dest="script_file", default=None)
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--auth-env", dest="auth_env", default=None)

@@ -23,9 +23,7 @@ class RunConfig:
     jobs: int = 1
     run_id: Optional[str] = None
     crate_name: Optional[str] = None
-    flatten_root: bool = False
     strict_holes: bool = True
-    placeholder_style: str = "unimplemented"
     test_command: Optional[list[str]] = None
     rust_tests_dir: Optional[str] = None
     oracle_bodies: Optional[str] = None
@@ -63,26 +61,11 @@ def load_config(path: Optional[str]) -> RunConfig:
 
 
 def apply_flag_overrides(config: RunConfig, args) -> RunConfig:
-    """CLI flags win over config-file values when explicitly provided."""
-    mapping = {
-        "trace": "trace_path",
-        "kb": "kb_path",
-        "backend": "backend",
-        "k": "retrieval_depth",
-        "repair_budget": "repair_budget",
-        "jobs": "jobs",
-        "run_id": "run_id",
-        "crate_name": "crate_name",
-        "endpoint": "endpoint",
-        "model": "model",
-        "auth_env": "auth_env",
-        "oracle_bodies": "oracle_bodies",
-        "replay_dir": "replay_dir",
-        "script": "script_file",
-    }
-    for flag, attr in mapping.items():
-        value = getattr(args, flag, None)
+    """CLI flags win over config-file values when explicitly provided; each
+    flag's argparse ``dest`` is the name of the field it sets."""
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(config, attr, value)
+            setattr(config, f.name, value)
     config.validate()
     return config

@@ -91,7 +91,6 @@ class CGlobalDecl:
 
 @dataclass
 class SymbolTable:
-    unit: Optional[PreprocessedUnit]
     types: list[CTypeDef] = field(default_factory=list)
     functions: list[CFunctionDecl] = field(default_factory=list)
     globals: list[CGlobalDecl] = field(default_factory=list)
@@ -863,7 +862,7 @@ def extract_symbols(unit: PreprocessedUnit, project_root=None) -> SymbolTable:
         project_root = Path(unit.origin.command.directory)
     project_root = Path(project_root).resolve()
 
-    table = SymbolTable(unit=unit)
+    table = SymbolTable()
 
     # attribute each line through the unit's line map; lines from outside the
     # project (system headers) only feed type-name harvesting
@@ -1019,7 +1018,7 @@ _STR_LITERAL_RE = re.compile(r'^"((?:\\.|[^"\\])*)"$')
 _CHAR_LITERAL_RE = re.compile(r"^'(?:\\.|[^'\\])+'$")
 
 
-def collect_macro_constants(unit: PreprocessedUnit, original_source: str) -> list[tuple[str, object]]:
+def collect_macro_constants(original_source: str) -> list[tuple[str, object]]:
     """Recover object-like macros with single-literal replacements.
 
     Preprocessing erases these names; recording them lets the skeleton emit

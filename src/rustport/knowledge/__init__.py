@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from ..errors import KnowledgeBaseError
-from .bm25 import Bm25Index, bm25_top_n, default_rerank_score, rerank_top_n
-from .mining import FilePairCandidate, MiningConfig, get_file_candidates
+from .bm25 import Bm25Index, default_rerank_score, rerank_top_n
+from .mining import FilePairCandidate, get_file_candidates
 from .rules import (
     AlignedFunctionPair,
     ApiRule,
@@ -33,10 +33,8 @@ __all__ = [
     "FilePairCandidate",
     "FragmentRule",
     "KnowledgeBase",
-    "MiningConfig",
     "ModelRuleExtractor",
     "align_functions",
-    "bm25_top_n",
     "build_knowledge_base",
     "get_file_candidates",
     "mine_rules",
@@ -245,7 +243,6 @@ def build_knowledge_base(
     repo_paths,
     regime: str = "co_evolution",
     out_dir=None,
-    config: Optional[MiningConfig] = None,
     extractor: Optional[Callable] = None,
 ) -> tuple[KnowledgeBase, dict]:
     """The offline construction cascade over one or more repositories.
@@ -258,7 +255,7 @@ def build_knowledge_base(
     stats: dict = {"repos": 0, "candidates": 0, "heuristics": {}, "pairs": 0, "rules": 0}
     for repo_path in repo_paths:
         stats["repos"] += 1
-        candidates = get_file_candidates(repo_path, regime=regime, config=config)
+        candidates = get_file_candidates(repo_path, regime=regime)
         stats["candidates"] += len(candidates)
         for cand in candidates:
             for tag in cand.evidence:

@@ -23,6 +23,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _STRING_RE = re.compile(r'"((?:\\.|[^"\\])*)"')
 _NUM_RE = re.compile(r"\b\d[\w]*\b")
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z0-9])|[A-Z]?[a-z0-9]+|[A-Z]+")
+LITERAL_MIN_LEN = 6  # literals longer than 5 characters count as "long"
 
 
 def split_identifier(ident: str) -> list[str]:
@@ -51,8 +52,8 @@ def identifiers(text: str) -> set[str]:
     return {m.group(0) for m in _IDENT_RE.finditer(_STRING_RE.sub(" ", text))}
 
 
-def long_string_literals(text: str, min_len: int = 6) -> set[str]:
-    return {m.group(1) for m in _STRING_RE.finditer(text) if len(m.group(1)) >= min_len}
+def long_string_literals(text: str) -> set[str]:
+    return {m.group(1) for m in _STRING_RE.finditer(text) if len(m.group(1)) >= LITERAL_MIN_LEN}
 
 
 class Bm25Index:
@@ -72,9 +73,10 @@ class Bm25Index:
     ``KnowledgeBase`` holds a lock around its own.
     """
 
-    def __init__(self, docs: Iterable[tuple[str, str]] = (), k1: float = 1.2, b: float = 0.75):
-        self.k1 = k1
-        self.b = b
+    K1 = 1.2
+    B = 0.75
+
+    def __init__(self, docs: Iterable[tuple[str, str]] = ()):
         self.postings: dict[str, dict[str, int]] = {}
         self.doc_len: dict[str, int] = {}
         self.total_len = 0
@@ -107,7 +109,7 @@ class Bm25Index:
             d = len(posting)
             idf = math.log(1.0 + (n - d + 0.5) / (d + 0.5))
             avgdl = total / n
-            k1, b = self.k1, self.b
+            k1, b = self.K1, self.B
             weights = {}
             for doc_id, f in posting.items():
                 norm = k1 * (1.0 - b + b * (self.doc_len[doc_id] / avgdl))
@@ -137,17 +139,6 @@ class Bm25Index:
             if doc_id not in scores:
                 ranked.append(doc_id)
         return ranked
-
-
-def bm25_top_n(
-    query_text: str,
-    candidates: Sequence[tuple[str, str]],
-    n: int = 20,
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> list[str]:
-    """Rank candidate (id, text) docs; ties break by id lexicographic order."""
-    return Bm25Index(candidates, k1=k1, b=b).top_n(query_text, n)
 
 
 def default_rerank_score(left_text: str, right_text: str) -> float:

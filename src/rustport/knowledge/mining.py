@@ -27,16 +27,14 @@ BUILD_FILE_NAMES = {"Makefile", "makefile", "CMakeLists.txt", "meson.build", "BU
 BUILD_FILE_SUFFIXES = {".mk", ".gn", ".gni", ".bp"}
 
 
-@dataclass
-class MiningConfig:
-    keywords: tuple[str, ...] = ("rewrite", "port", "migrate", "translate")
-    churn_ratio: float = 0.5
-    coupling_min_commits: int = 3
-    window_days: int = 365
-    recent_contributor_commits: int = 10
-    key_token_min_overlap: int = 3
-    key_token_max_df: int = 1
-    literal_min_len: int = 6  # literals longer than 5 characters
+# heuristic thresholds
+KEYWORDS = ("rewrite", "port", "migrate", "translate")  # commit-message stems
+CHURN_RATIO = 0.5  # max |C lines deleted - Rust lines added| / the larger
+COUPLING_MIN_COMMITS = 3  # co-changes that make evolutionary coupling
+WINDOW_DAYS = 365  # delete-then-create window
+RECENT_CONTRIBUTOR_COMMITS = 10  # a C file's last commits that count as recent
+KEY_TOKEN_MIN_OVERLAP = 3  # shared rare identifiers that make key-token overlap
+KEY_TOKEN_MAX_DF = 1  # files per side an identifier may occur in to be rare
 
 
 @dataclass
@@ -55,7 +53,6 @@ class FilePairCandidate:
 @dataclass
 class Commit:
     sha: str
-    author: str
     email: str
     timestamp: int
     message: str
@@ -83,16 +80,14 @@ class GitRepo:
         return proc.stdout
 
     def commits(self) -> list[Commit]:
-        fmt = "%H%x01%an%x01%ae%x01%at%x01%s"
+        fmt = "%H%x01%ae%x01%at%x01%s"
         raw = self._git("log", "--reverse", f"--format={fmt}")
         commits: list[Commit] = []
         for line in raw.splitlines():
             if not line.strip():
                 continue
-            sha, author, email, ts, message = line.split("\x01", 4)
-            commits.append(
-                Commit(sha=sha, author=author, email=email, timestamp=int(ts), message=message)
-            )
+            sha, email, ts, message = line.split("\x01", 3)
+            commits.append(Commit(sha=sha, email=email, timestamp=int(ts), message=message))
         for commit in commits:
             # rename detection off: the heuristics reason over raw add/delete
             status_raw = self._git("show", "--no-renames", "--name-status", "--format=", commit.sha)
@@ -166,11 +161,7 @@ class _CandidateSet:
             )
 
 
-def get_file_candidates(
-    repo_path,
-    regime: str = "co_evolution",
-    config: Optional[MiningConfig] = None,
-) -> list[FilePairCandidate]:
+def get_file_candidates(repo_path, regime: str = "co_evolution") -> list[FilePairCandidate]:
     """Union of candidates from all enabled heuristics, each tagged.
 
     The general regime falls back to the Cartesian product of snapshot C and
@@ -178,7 +169,6 @@ def get_file_candidates(
     returns only evidence-tagged pairs. Unreadable history degrades to
     snapshot heuristics with a logged warning.
     """
-    config = config or MiningConfig()
     root = Path(repo_path)
     repo = GitRepo(root)
     cands = _CandidateSet(regime)
@@ -194,10 +184,10 @@ def get_file_candidates(
             logger.warning("history unreadable (%s); falling back to snapshot heuristics", exc)
 
     if commits:
-        _mine_synchronous(commits, cands, config, repo, root)
-        _mine_asynchronous(commits, cands, config)
+        _mine_synchronous(commits, cands, repo, root)
+        _mine_asynchronous(commits, cands)
 
-    _mine_snapshot(root, c_files, rust_files, cands, config)
+    _mine_snapshot(root, c_files, rust_files, cands)
 
     if regime == "general":
         for c in c_files:
@@ -216,13 +206,7 @@ def _commit_files(commit: Commit, suffix: str, statuses: str) -> list[str]:
     )
 
 
-def _mine_synchronous(
-    commits: list[Commit],
-    cands: _CandidateSet,
-    config: MiningConfig,
-    repo: GitRepo,
-    root: Path,
-) -> None:
+def _mine_synchronous(commits: list[Commit], cands: _CandidateSet, repo: GitRepo, root: Path) -> None:
     # snapshot definition maps for interface-migration lookups
     c_def_files: dict[str, str] = {}
     for path in _snapshot_files(root, ".c"):
@@ -245,7 +229,7 @@ def _mine_synchronous(
 
         # commit-message keyword matching
         message = commit.message.lower()
-        if any(re.search(rf"\b{re.escape(k)}", message) for k in config.keywords):
+        if any(re.search(rf"\b{re.escape(k)}", message) for k in KEYWORDS):
             for c in gone_c:
                 for r in new_rust:
                     cands.tag(c, r, "keyword", commit=commit.sha)
@@ -260,7 +244,7 @@ def _mine_synchronous(
                 if r_add <= 0:
                     continue
                 ratio = abs(c_del - r_add) / max(c_del, r_add)
-                if ratio <= config.churn_ratio:
+                if ratio <= CHURN_RATIO:
                     cands.tag(c, r, "churn_balance", score=ratio, commit=commit.sha)
 
         # build-config switch: one build-file diff drops a .c and gains a .rs
@@ -323,8 +307,8 @@ def _resolve_repo_path(name: str, commit: Commit, root: Path) -> str:
     return name
 
 
-def _mine_asynchronous(commits: list[Commit], cands: _CandidateSet, config: MiningConfig) -> None:
-    window = config.window_days * 86400
+def _mine_asynchronous(commits: list[Commit], cands: _CandidateSet) -> None:
+    window = WINDOW_DAYS * 86400
 
     deletions: list[tuple[str, int, str]] = []  # (path, ts, sha)
     creations: list[tuple[str, int, str]] = []
@@ -349,7 +333,7 @@ def _mine_asynchronous(commits: list[Commit], cands: _CandidateSet, config: Mini
             for r in touched_rust:
                 co_changes[(c, r)] = co_changes.get((c, r), 0) + 1
     for (c, r), count in sorted(co_changes.items()):
-        if count >= config.coupling_min_commits:
+        if count >= COUPLING_MIN_COMMITS:
             cands.tag(c, r, "evolutionary_coupling", score=float(count))
 
     # developer identity: Rust author was the C file's recent contributor
@@ -362,7 +346,7 @@ def _mine_asynchronous(commits: list[Commit], cands: _CandidateSet, config: Mini
             elif path.endswith(".c"):
                 c_touchers.setdefault(path, []).append(commit.email)
     for c_path, emails in c_touchers.items():
-        recent = set(emails[-config.recent_contributor_commits :])
+        recent = set(emails[-RECENT_CONTRIBUTOR_COMMITS:])
         for r_path, creator in rust_creators.items():
             if creator in recent:
                 cands.tag(c_path, r_path, "developer_identity")
@@ -373,7 +357,6 @@ def _mine_snapshot(
     c_files: list[str],
     rust_files: list[str],
     cands: _CandidateSet,
-    config: MiningConfig,
 ) -> None:
     texts: dict[str, str] = {}
     for path in c_files + rust_files:
@@ -414,17 +397,14 @@ def _mine_snapshot(
             shared = {
                 ident
                 for ident in file_idents[c] & file_idents[r]
-                if side_df["c"][ident] <= config.key_token_max_df
-                and side_df["rs"][ident] <= config.key_token_max_df
+                if side_df["c"][ident] <= KEY_TOKEN_MAX_DF
+                and side_df["rs"][ident] <= KEY_TOKEN_MAX_DF
             }
-            if len(shared) >= config.key_token_min_overlap:
+            if len(shared) >= KEY_TOKEN_MIN_OVERLAP:
                 cands.tag(c, r, "key_token_overlap", score=float(len(shared)))
 
     # shared long string literals
-    literal_cache = {
-        path: long_string_literals(texts[path], min_len=config.literal_min_len)
-        for path in c_files + rust_files
-    }
+    literal_cache = {path: long_string_literals(texts[path]) for path in c_files + rust_files}
     for c in c_files:
         for r in rust_files:
             shared = literal_cache[c] & literal_cache[r]

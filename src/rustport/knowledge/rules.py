@@ -33,6 +33,7 @@ RUST_KEYWORDS = {
 }
 # housekeeping macros that are never translation idioms
 BORING_MACROS = {"unimplemented", "todo", "panic", "assert", "assert_eq", "assert_ne", "dbg"}
+FRAGMENT_TOKEN_BUDGET = 30  # longest C or Rust line, in code tokens, a fragment rule keeps
 
 
 @dataclass
@@ -171,11 +172,7 @@ def _rust_callees(text: str) -> list[str]:
     return seen
 
 
-def mine_rules(
-    pair: AlignedFunctionPair,
-    extractor: Optional[Callable] = None,
-    token_budget: int = 30,
-) -> list:
+def mine_rules(pair: AlignedFunctionPair, extractor: Optional[Callable] = None) -> list:
     """Extract API-Level and Fragment-Level rules from one aligned pair.
 
     An extractor failure yields an empty list (logged); mining must never
@@ -218,7 +215,10 @@ def mine_rules(
                 best_line, best_overlap = c_line, overlap
         if best_line is None:
             continue
-        if len(tokenize_code(stripped)) > token_budget or len(tokenize_code(best_line)) > token_budget:
+        if (
+            len(tokenize_code(stripped)) > FRAGMENT_TOKEN_BUDGET
+            or len(tokenize_code(best_line)) > FRAGMENT_TOKEN_BUDGET
+        ):
             logger.info("fragment near %r exceeds token budget; skipped", macro_match.group(1))
             continue
         key = (best_line, stripped)

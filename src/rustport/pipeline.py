@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -52,8 +51,10 @@ class RunArtifacts:
         self.attempts_file = self.run_dir / "attempts.jsonl"
 
     def save_prompt(self, tag: str, text: str) -> None:
-        safe = re.sub(r"\W+", "_", tag).strip("_")
-        (self.run_dir / "prompts" / f"{safe}.txt").write_text(text, encoding="utf-8")
+        """One file per tag, named injectively: ``crate::a::f#2`` is saved as
+        ``prompts/crate.a.f#2.txt`` (a Rust path holds no ``.``)."""
+        name = tag.replace("::", ".")
+        (self.run_dir / "prompts" / f"{name}.txt").write_text(text, encoding="utf-8")
 
     def log_attempts(self, outcome: FunctionOutcome) -> None:
         with self.attempts_file.open("a", encoding="utf-8") as fh:

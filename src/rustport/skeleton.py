@@ -65,14 +65,11 @@ def sanitize_ident(name: str) -> str:
 @dataclass
 class SkeletonConfig:
     crate_name: str = "translated"
-    flatten_root: bool = False
     strict_holes: bool = True
-    placeholder_style: str = "unimplemented"  # or "todo"
 
 
 @dataclass
 class ModuleTree:
-    crate_name: str
     # C path (project-relative, posix) <-> Rust module path ("crate::a::b")
     mapping: dict[str, str]
     reverse: dict[str, str]
@@ -138,26 +135,21 @@ class SkeletonProject:
         return None
 
 
-def _relative_keys(project_root, source_files, config: SkeletonConfig) -> dict[str, str]:
+def _relative_keys(project_root, source_files) -> dict[str, str]:
     """Absolute source path -> the project-relative key used in the mapping."""
     root = Path(project_root).resolve()
     out: dict[str, str] = {}
     for f in source_files:
         p = Path(f).resolve()
+        if not p.is_relative_to(root):
+            raise SkeletonError(f"source file {p} lies outside the project root {root}")
         out[str(p)] = p.relative_to(root).as_posix()
-    if config.flatten_root:
-        rels = list(out.values())
-        tops = {r.split("/", 1)[0] for r in rels if "/" in r}
-        if len(tops) == 1 and all("/" in r for r in rels):
-            prefix = next(iter(tops)) + "/"
-            out = {k: v[len(prefix):] for k, v in out.items()}
     return out
 
 
-def mirror_module_tree(project_root, source_files, config: Optional[SkeletonConfig] = None) -> ModuleTree:
+def mirror_module_tree(project_root, source_files) -> ModuleTree:
     """Map every C source file one-to-one onto a Rust module path."""
-    config = config or SkeletonConfig()
-    rels = sorted(_relative_keys(project_root, source_files, config).values())
+    rels = sorted(_relative_keys(project_root, source_files).values())
     if not rels:
         raise SkeletonError("empty project: no C source files")
 
@@ -178,9 +170,7 @@ def mirror_module_tree(project_root, source_files, config: Optional[SkeletonConf
             logger.warning("module name collision for %s -> %s", rel, final)
         mapping[rel] = final
         reverse[final] = rel
-    return ModuleTree(
-        crate_name=config.crate_name, mapping=mapping, reverse=reverse, collisions=collisions
-    )
+    return ModuleTree(mapping=mapping, reverse=reverse, collisions=collisions)
 
 
 @dataclass
@@ -268,8 +258,8 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
     return RustTypeDecl(name=name, emitted_text="\n".join(lines), origin=t, module=module)
 
 
-def placeholder_body(param_names: list[str], style: str = "unimplemented") -> str:
-    sentinel = "todo!()" if style == "todo" else "unimplemented!()"
+def placeholder_body(param_names: list[str]) -> str:
+    sentinel = "unimplemented!()"
     if len(param_names) == 1:
         return f"let _ = {param_names[0]};\n{sentinel}"
     if param_names:
@@ -282,7 +272,6 @@ def emit_stub(
     module: str,
     policy: TypePolicy,
     visibility: str = "public",
-    style: str = "unimplemented",
     address_taken: bool = False,
 ) -> FunctionStub:
     """Emit a placeholder-bodied stub with lowered signature types.
@@ -310,7 +299,7 @@ def emit_stub(
     return FunctionStub(
         qualified_name=f"{module}::{name}",
         signature_text=sig,
-        placeholder_body=placeholder_body(param_names, style),
+        placeholder_body=placeholder_body(param_names),
         visibility=visibility,
         origin=f,
         module=module,
@@ -433,9 +422,9 @@ def plan_skeleton(
     project_root = Path(project_root).resolve()
 
     unit_paths = [u.origin.command.source_path() for u in units]
-    tree = mirror_module_tree(project_root, unit_paths, config)
+    tree = mirror_module_tree(project_root, unit_paths)
 
-    rel_keys = _relative_keys(project_root, unit_paths, config)
+    rel_keys = _relative_keys(project_root, unit_paths)
     symtabs: dict[str, SymbolTable] = {}
     macro_consts: dict[str, list[tuple[str, object]]] = {}
     for unit in units:
@@ -447,7 +436,7 @@ def plan_skeleton(
             source = unit.origin.command.source_path().read_text(encoding="utf-8")
         except OSError:
             source = ""
-        macro_consts[module] = collect_macro_constants(unit, source)
+        macro_consts[module] = collect_macro_constants(source)
 
     # macros defined in project headers land in the shared layer
     header_consts: list[tuple[str, object]] = []
@@ -457,7 +446,7 @@ def plan_skeleton(
             text = header.read_text(encoding="utf-8")
         except OSError:
             continue
-        for name, value in collect_macro_constants(units[0], text) if units else []:
+        for name, value in collect_macro_constants(text):
             if name not in seen_headers:
                 seen_headers.add(name)
                 header_consts.append((name, value))
@@ -619,7 +608,7 @@ def plan_skeleton(
             stubs.append(
                 emit_stub(
                     fn, module, policy, visibility=visibility,
-                    style=config.placeholder_style, address_taken=fn.name in values,
+                    address_taken=fn.name in values,
                 )
             )
 
@@ -792,7 +781,7 @@ def assemble_and_verify(
 # --- persistence across CLI invocations --------------------------------------
 
 
-SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 2}
+SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 3}
 
 _field_types = functools.cache(get_type_hints)  # one entry per record class
 

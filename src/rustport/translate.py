@@ -25,7 +25,7 @@ logger = logging.getLogger(__name__)
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
 
 DEFAULT_CONTEXT_BUDGET = 4000  # whitespace tokens
-DEFAULT_EXAMPLE_CAP = 3
+EXAMPLE_CAP = 3  # retrieved examples shown in one prompt
 
 
 @dataclass
@@ -184,10 +184,6 @@ def assemble_context(
 @dataclass
 class Prompt:
     system: str
-    context_section: str
-    examples_section: str
-    rules_section: str
-    target_section: str
     user: str
 
     def render(self) -> str:
@@ -205,21 +201,15 @@ def _rule_bullet(rule) -> str:
     raise TypeError(f"unknown rule type {type(rule).__name__}")
 
 
-def build_prompt(
-    ctx: TranslationContext,
-    examples=(),
-    rules=(),
-    example_cap: int = DEFAULT_EXAMPLE_CAP,
-) -> Prompt:
+def build_prompt(ctx: TranslationContext, examples=(), rules=()) -> Prompt:
     """Deterministic prompt: system, context, examples, rules, target.
 
     Empty retrieval omits the examples and rules sections entirely.
     """
     system = (_TEMPLATE_DIR / "translate_system.txt").read_text(encoding="utf-8").strip()
-    context_section = ctx.render()
 
     examples_section = ""
-    kept = list(examples)[:example_cap]
+    kept = list(examples)[:EXAMPLE_CAP]
     if kept:
         blocks = []
         for i, pair in enumerate(kept, 1):
@@ -232,20 +222,13 @@ def build_prompt(
 
     template = Template((_TEMPLATE_DIR / "translate_user.txt").read_text(encoding="utf-8"))
     user = template.substitute(
-        context=context_section,
+        context=ctx.render(),
         examples=examples_section,
         rules=rules_section,
         c_source=ctx.c_source,
         signature=ctx.signature,
     )
-    return Prompt(
-        system=system,
-        context_section=context_section,
-        examples_section=examples_section,
-        rules_section=rules_section,
-        target_section=ctx.c_source,
-        user=user,
-    )
+    return Prompt(system=system, user=user)
 
 
 def build_repair_prompt(ctx: TranslationContext, body: str, diagnostics_text: str) -> Prompt:
@@ -257,14 +240,7 @@ def build_repair_prompt(ctx: TranslationContext, body: str, diagnostics_text: st
         diagnostics=diagnostics_text,
         signature=ctx.signature,
     )
-    return Prompt(
-        system=system,
-        context_section=ctx.render(),
-        examples_section="",
-        rules_section="",
-        target_section=body,
-        user=user,
-    )
+    return Prompt(system=system, user=user)
 
 
 _FENCE_RE = re.compile(r"```(?:rust|rs)?\s*\n(.*?)```", re.S)

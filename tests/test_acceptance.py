@@ -19,7 +19,8 @@ from rustport.backends import OracleBackend, ScriptedFailureBackend
 from rustport.cargo import BuildRunner
 from rustport.cli import main as cli_main
 from rustport.graph import schedule
-from rustport.knowledge import KnowledgeBase, bm25_top_n, get_file_candidates
+from rustport.knowledge import KnowledgeBase, get_file_candidates
+from rustport.knowledge.bm25 import Bm25Index
 from rustport.metrics import (
     MetricsReport,
     avg_repair,
@@ -125,7 +126,7 @@ def test_criterion_3_bm25_oracle_equivalence():
                 words = [rng.choice(vocab[:vocab_used]) for _ in range(rng.randint(2, 80))]
                 docs.append((f"d{d:04d}", " ".join(words)))
             query = " ".join(rng.choice(vocab) for _ in range(8))
-            assert bm25_top_n(query, docs, n=n_docs) == brute_force_bm25(query, docs)
+            assert Bm25Index(docs).top_n(query, n_docs) == brute_force_bm25(query, docs)
 
 
 # --- 4. mining recall ------------------------------------------------------------------

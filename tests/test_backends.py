@@ -87,10 +87,13 @@ def test_local_backends_deterministic(tmp_path):
 class _Handler(http.server.BaseHTTPRequestHandler):
     fail_times = 0
     hits = []
+    bodies = []
 
     def do_POST(self):
         _Handler.hits.append(self.path)
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        _Handler.bodies.append(raw)
+        body = json.loads(raw)
         if len(_Handler.hits) <= _Handler.fail_times:
             self.send_response(500)
             self.end_headers()
@@ -120,6 +123,7 @@ def http_backend_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.hits = []
+    _Handler.bodies = []
     _Handler.fail_times = 0
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
@@ -130,6 +134,18 @@ def test_remote_backend_round_trip(http_backend_server):
     resp = backend.generate(req(user="hello wire"))
     assert resp.finish_reason == "complete"
     assert resp.text == "echo:hello wire"
+
+
+def test_remote_backend_request_body_bytes(http_backend_server):
+    """The wire body is fixed byte for byte: greedy decoding parameters and
+    the output-token cap, nothing taken from the request but the prompt."""
+    backend = RemoteBackend(endpoint=http_backend_server, model="test-model", backoff_base=0.0)
+    backend.generate(GenerationRequest(system="sys", user="usr", tag="crate::m::f#1"))
+    assert _Handler.bodies == [
+        b'{"model": "test-model", "messages": [{"role": "system", "content": "sys"}, '
+        b'{"role": "user", "content": "usr"}], "temperature": 0.0, "top_p": 1.0, '
+        b'"max_tokens": 8192}'
+    ]
 
 
 def test_remote_backend_recovers_after_transient_failure(http_backend_server):

@@ -183,7 +183,7 @@ def saved_prompts(run_dir):
     prompts = {}
     for path in sorted((run_dir / "prompts").glob("*.txt")):
         text = path.read_text(encoding="utf-8")
-        prompts[path.stem] = text if path.stem.endswith("_1") else without_positions(text)
+        prompts[path.stem] = text if path.stem.endswith("#1") else without_positions(text)
     return prompts
 
 

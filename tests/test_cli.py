@@ -7,7 +7,8 @@ import pytest
 
 from conftest import FIXTURES, build_planted_repo, write_trace
 
-from rustport.cli import main
+from rustport.cli import build_parser, main
+from rustport.config import apply_flag_overrides, load_config
 
 
 def copy_fixture(name: str, dest: Path) -> Path:
@@ -71,6 +72,65 @@ def test_usage_error_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["skeleton"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_trace_entry_outside_project_is_an_error(tmp_path, capsys):
+    proj, _ = setup_mini_list(tmp_path)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "x.c").write_text("int x_value(void) { return 1; }\n")
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([
+        {"directory": str(proj), "file": "list.c", "arguments": ["cc", "-c", "list.c"]},
+        {"directory": str(elsewhere), "file": "x.c", "arguments": ["cc", "-c", "x.c"]},
+    ]))
+    rc = run_cli("skeleton", "--project", proj, "--trace", trace, "--out", tmp_path / "ws")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert str(elsewhere / "x.c") in err and str(proj.resolve()) in err
+
+
+@pytest.mark.parametrize("key", ["flatten_root", "placeholder_style"])
+def test_removed_settings_are_unknown_config_keys(tmp_path, capsys, key):
+    proj, trace = setup_mini_list(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: True}))
+    rc = run_cli(
+        "skeleton", "--project", proj, "--trace", trace, "--out", tmp_path / "ws",
+        "--config", config,
+    )
+    assert rc == 1
+    assert f"unknown config key: {key!r}" in capsys.readouterr().err
+
+
+def test_flags_override_config_file_values(tmp_path):
+    """Each flag whose name differs from its config key still overrides that
+    key, a zero included, and leaves the other keys as the file set them."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({
+        "trace_path": "file-trace.json", "kb_path": "file-kb",
+        "retrieval_depth": 7, "script_file": "file-script.json",
+    }))
+    parser = build_parser()
+
+    args = parser.parse_args([
+        "skeleton", "--project", "p", "--out", "o", "--config", str(config_file),
+        "--trace", "flag-trace.json",
+    ])
+    config = apply_flag_overrides(load_config(args.config), args)
+    assert (config.trace_path, config.kb_path, config.retrieval_depth, config.script_file) == (
+        "flag-trace.json", "file-kb", 7, "file-script.json"
+    )
+
+    args = parser.parse_args([
+        "translate", "--workspace", "w", "--config", str(config_file),
+        "--kb", "flag-kb", "--k", "0", "--script", "flag-script.json",
+    ])
+    config = apply_flag_overrides(load_config(args.config), args)
+    assert (config.trace_path, config.kb_path, config.retrieval_depth, config.script_file) == (
+        "file-trace.json", "flag-kb", 0, "flag-script.json"
+    )
 
 
 def test_translate_oracle_and_reports(tmp_path, capsys):
@@ -322,7 +382,7 @@ def test_translate_prompts_equal_an_in_memory_run(tmp_path):
     ) == 0
     cli_prompts = ws / "runs" / "cli" / "prompts"
     # the shared layer's accessor reaches the prompt through the saved record
-    assert "g_checks_ptr" in (cli_prompts / "crate_util_track_read_checks_1.txt").read_text()
+    assert "g_checks_ptr" in (cli_prompts / "crate.util.track.read_checks#1.txt").read_text()
 
     units = [
         preprocess_unit(derive_unit_context(c), PreprocessorConfig())

@@ -282,8 +282,7 @@ def test_macro_constants_object_like_only(tmp_path):
         "#define NEWLINE '\\n'\n"
         "#define EXPR (MAX_LEN + 1)\n"
     )
-    _, unit = extract(tmp_path, source + "int x;\n")
-    consts = collect_macro_constants(unit, source)
+    consts = collect_macro_constants(source)
     as_dict = dict(consts)
     assert as_dict["MAX_LEN"] == 64
     assert as_dict["HDF_POWER_DYNAMIC_CTRL"] == 0

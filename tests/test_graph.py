@@ -46,7 +46,7 @@ def make_stub(module, name, storage="external", calls=(), value_refs=()):
 
 
 def make_project(stubs, statics=()):
-    tree = ModuleTree(crate_name="t", mapping={}, reverse={})
+    tree = ModuleTree(mapping={}, reverse={})
     return SkeletonProject(
         tree=tree,
         types=[],

@@ -15,7 +15,6 @@ from rustport.knowledge import (
     FragmentRule,
     KnowledgeBase,
     align_functions,
-    bm25_top_n,
     get_file_candidates,
     mine_rules,
     rerank_top_n,
@@ -65,12 +64,12 @@ def brute_force_bm25(query_text, candidates, k1=1.2, b=0.75):
 
 
 def test_bm25_single_candidate():
-    assert bm25_top_n("anything at all", [("only", "unrelated text")], n=20) == ["only"]
+    assert Bm25Index([("only", "unrelated text")]).top_n("anything at all", 20) == ["only"]
 
 
 def test_bm25_no_overlap_tiebreak_order():
     cands = [("b/path", "alpha beta"), ("a/path", "gamma delta"), ("c/path", "epsilon")]
-    ranked = bm25_top_n("zzz_nothing_shared", cands, n=20)
+    ranked = Bm25Index(cands).top_n("zzz_nothing_shared", 20)
     assert ranked == ["a/path", "b/path", "c/path"]
 
 
@@ -86,7 +85,7 @@ def test_bm25_matches_brute_force_oracle():
         corpora.append(docs)
     for docs in corpora:
         query = " ".join(rng.choice(vocab) for _ in range(6))
-        assert bm25_top_n(query, docs, n=len(docs)) == brute_force_bm25(query, docs)
+        assert Bm25Index(docs).top_n(query, len(docs)) == brute_force_bm25(query, docs)
 
 
 # --- reranker --------------------------------------------------------------------
@@ -518,7 +517,11 @@ def distinct_docs(kb):
     return sorted(first.items())
 
 
-def serial_retrieve(kb, query, k, rank=bm25_top_n):
+def index_top_n(query, docs, n):
+    return Bm25Index(docs).top_n(query, n)
+
+
+def serial_retrieve(kb, query, k, rank=index_top_n):
     """The reference path: a fresh BM25 ranking of the sorted distinct pairs,
     rerank, then every rule citing a kept pair, in rule-store order."""
     distinct = distinct_docs(kb)

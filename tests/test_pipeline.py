@@ -59,6 +59,19 @@ def test_run_artifacts_written(list_pipe, tmp_path):
     assert record["ok"] is True and record["fix_source"] == "generation"
 
 
+def test_prompt_files_of_different_tags_never_collide(tmp_path):
+    artifacts = RunArtifacts(tmp_path / "run")
+    tags = ["crate::net_io::read#1", "crate::net::io_read#1", "crate::net::io_read#12"]
+    for tag in tags:
+        artifacts.save_prompt(tag, f"prompt of {tag}")
+    saved = {p.name: p.read_text() for p in (tmp_path / "run" / "prompts").iterdir()}
+    assert saved == {
+        "crate.net_io.read#1.txt": "prompt of crate::net_io::read#1",
+        "crate.net.io_read#1.txt": "prompt of crate::net::io_read#1",
+        "crate.net.io_read#12.txt": "prompt of crate::net::io_read#12",
+    }
+
+
 def test_scripted_run_reaches_fallback(list_pipe, tmp_path):
     backend = ScriptedFailureBackend(
         failures={"crate::list::record_push": None}, bodies=LIST_BODIES

@@ -17,8 +17,8 @@ from rustport.buildctx import (
     preprocess_unit,
 )
 from rustport.cargo import BuildRunner
-from rustport.clayout import TypeResolver, parse_c_type, record_size_align
-from rustport.csyms import CTypeDef, extract_symbols
+from rustport.clayout import PRIMITIVES, TypeResolver, parse_c_type, record_size_align
+from rustport.csyms import KNOWN_ENV_TYPEDEFS, CTypeDef, extract_symbols
 from rustport.errors import SkeletonError
 from rustport.repair import compile_and_install
 from rustport.skeleton import (
@@ -88,12 +88,6 @@ def test_mirror_single_file(tmp_path):
     root = make_project(tmp_path, {"src/a.c": "int x;\n"})
     tree = mirror_module_tree(root, [root / "src/a.c"])
     assert tree.mapping == {"src/a.c": "crate::src::a"}
-
-
-def test_mirror_flatten_root(tmp_path):
-    root = make_project(tmp_path, {"src/a.c": "int x;\n"})
-    tree = mirror_module_tree(root, [root / "src/a.c"], SkeletonConfig(flatten_root=True))
-    assert tree.mapping == {"a.c": "crate::a"}
 
 
 def test_mirror_parent_modules(tmp_path):
@@ -193,6 +187,7 @@ def test_lower_unresolvable_member_strict_errors(tmp_path):
         ("struct Q { char c; long l; short s; };", "struct Q", None),
         ("union U { int i; double d; char buf[3]; };", "union U", None),
         ("struct R { char a; struct Inner { int v; } in; char b; }; struct Inner dummy;", "struct R", None),
+        ("#include <stddef.h>\nstruct W { wchar_t w; char c; };", "struct W", None),
     ],
 )
 def test_layout_matches_host_compiler(tmp_path, c_decls, type_expr, members):
@@ -203,6 +198,12 @@ def test_layout_matches_host_compiler(tmp_path, c_decls, type_expr, members):
     got = record_size_align(td, resolver)
     want = c_sizeof_oracle(tmp_path, c_decls, type_expr)
     assert got == want
+
+
+def test_every_known_environment_typedef_has_a_layout():
+    """A typedef the front end accepts from a system header must also lower,
+    or the skeleton refuses it as an unresolvable type."""
+    assert KNOWN_ENV_TYPEDEFS <= PRIMITIVES.keys()
 
 
 def test_bitfield_layout_matches_host_compiler(tmp_path):
@@ -535,7 +536,7 @@ def test_saved_project_loads_back_equal(tmp_path, name):
     assert copy.stubs == project.stubs and copy.statics == project.statics
 
 
-SKELETON_HEADER = {"format": "rustport-skeleton", "version": 2}
+SKELETON_HEADER = {"format": "rustport-skeleton", "version": 3}
 
 
 @pytest.mark.parametrize(
@@ -545,13 +546,14 @@ SKELETON_HEADER = {"format": "rustport-skeleton", "version": 2}
         "[]",
         json.dumps({"config": {"crate_name": "old"}, "mapping": {}, "types": []}),
         json.dumps({**SKELETON_HEADER, "version": 1, "project": {}}),
-        json.dumps({**SKELETON_HEADER, "version": 3, "project": {}}),
+        json.dumps({**SKELETON_HEADER, "version": 2, "project": {}}),
+        json.dumps({**SKELETON_HEADER, "version": 4, "project": {}}),
         json.dumps({**SKELETON_HEADER, "project": None}),
         json.dumps({**SKELETON_HEADER, "project": {"tree": [], "types": []}}),
         json.dumps({**SKELETON_HEADER, "project": {"no_such_field": 1}}),
     ],
-    ids=["not-json", "not-an-object", "headerless", "version-1", "future-version", "null-project",
-         "wrong-shape", "unknown-field"],
+    ids=["not-json", "not-an-object", "headerless", "version-1", "version-2", "future-version",
+         "null-project", "wrong-shape", "unknown-field"],
 )
 def test_unreadable_skeleton_metadata_is_a_skeleton_error(tmp_path, text):
     (tmp_path / ".rustport").mkdir()

@@ -90,8 +90,6 @@ def test_prompt_without_retrieval_omits_sections(pipe):
     project, _, graph, index, _, _ = pipe
     ctx = assemble_context("crate::items::bump_seen", project, graph, index)
     prompt = build_prompt(ctx, examples=[], rules=[])
-    assert prompt.examples_section == ""
-    assert prompt.rules_section == ""
     assert "## Examples" not in prompt.user
     assert "## Reuse rules" not in prompt.user
 
@@ -105,8 +103,8 @@ def test_prompt_fragment_rule_bullet(pipe):
         hint="use the offset_of! idiom",
     )
     prompt = build_prompt(ctx, examples=[], rules=[rule])
-    assert "offset_of!" in prompt.rules_section
-    assert prompt.rules_section.startswith("## Reuse rules")
+    rules_section = prompt.user.split("## Reuse rules\n", 1)[1].split("## Target", 1)[0]
+    assert "offset_of!" in rules_section
 
 
 def test_prompt_examples_capped_at_three(pipe):
@@ -118,9 +116,10 @@ def test_prompt_examples_capped_at_three(pipe):
         for i in range(5)
     ]
     prompt = build_prompt(ctx, examples=pairs, rules=[])
-    assert prompt.examples_section.count("Example ") == 3
-    assert "r0" in prompt.examples_section and "r2" in prompt.examples_section
-    assert "r3" not in prompt.examples_section
+    examples_section = prompt.user.split("## Examples\n", 1)[1].split("## Target", 1)[0]
+    assert examples_section.count("Example ") == 3
+    assert "r0" in examples_section and "r2" in examples_section
+    assert "r3" not in examples_section
 
 
 def test_prompt_deterministic(pipe):
