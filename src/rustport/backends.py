@@ -24,7 +24,7 @@ from .errors import BackendError
 
 logger = logging.getLogger(__name__)
 
-MAX_OUTPUT_TOKENS_CAP = 8192
+MAX_OUTPUT_TOKENS = 8192  # the output cap sent with every remote request
 REMOTE_MAX_INFLIGHT = 4  # concurrent requests one RemoteBackend lets through
 # decoding parameters sent with every remote request: greedy decoding
 REMOTE_TEMPERATURE = 0.0
@@ -35,15 +35,11 @@ REMOTE_TOP_P = 1.0
 class GenerationRequest:
     system: str
     user: str
-    max_tokens: int = MAX_OUTPUT_TOKENS_CAP
     tag: str = ""  # "<function id>#<attempt number>"
 
-    def __post_init__(self):
-        if self.max_tokens > MAX_OUTPUT_TOKENS_CAP:
-            logger.warning(
-                "max_tokens %d exceeds cap %d; clamped", self.max_tokens, MAX_OUTPUT_TOKENS_CAP
-            )
-            self.max_tokens = MAX_OUTPUT_TOKENS_CAP
+    def render(self) -> str:
+        """The prompt as one text, as a run saves it."""
+        return self.system + "\n\n" + self.user
 
     @property
     def function_id(self) -> str:
@@ -188,7 +184,7 @@ class RemoteBackend:
             ],
             "temperature": REMOTE_TEMPERATURE,
             "top_p": REMOTE_TOP_P,
-            "max_tokens": req.max_tokens,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
         payload = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}

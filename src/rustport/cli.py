@@ -104,7 +104,6 @@ def _load_pipeline(project):
 
 
 def cmd_mine(args) -> int:
-    config = apply_flag_overrides(load_config(args.config), args)
     for repo in args.repo:
         if not Path(repo).is_dir():
             raise RustportError(f"repository path unreadable: {repo}")
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repo", action="append", required=True, help="repository path (repeatable)")
     p.add_argument("--regime", choices=["co_evolution", "general"], default="co_evolution")
     p.add_argument("--out", required=True, help="knowledge base output directory")
-    p.add_argument("--config", default=None)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_mine)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import RustportError
 
@@ -52,12 +52,29 @@ def load_config(path: Optional[str]) -> RunConfig:
         data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise RustportError(f"config file is not valid JSON: {exc}") from exc
-    known = {f.name for f in fields(RunConfig)}
+    hints = get_type_hints(RunConfig)
+    declared = {f.name: f.type for f in fields(RunConfig)}
     for key, value in data.items():
-        if key not in known:
+        if key not in declared:
             raise RustportError(f"unknown config key: {key!r}")
+        if not _has_type(value, hints[key]):
+            raise RustportError(
+                f"config key {key!r} must be {declared[key]}, not {type(value).__name__}"
+            )
         setattr(config, key, value)
     return config
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field's annotation (``bool`` is no ``int``)."""
+    if get_origin(hint) is Union:
+        return any(_has_type(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if hint is int and isinstance(value, bool):
+        return False
+    return isinstance(value, hint)
 
 
 def apply_flag_overrides(config: RunConfig, args) -> RunConfig:

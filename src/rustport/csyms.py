@@ -152,7 +152,6 @@ class _Parser:
         self.pos = 0
         self.table = table
         self.typedefs: set[str] = set(KNOWN_ENV_TYPEDEFS) | set(table.env_types)
-        self.record_tags: set[str] = set()
         self.enum_constants: set[str] = set()
         self.anon_counter = 0
         self._decl_start: Optional[_Tok] = None
@@ -369,7 +368,6 @@ class _Parser:
         if self.at("{"):
             name = tag or self.synth_anon_name(kw_tok)
             members, has_bits = self.parse_member_list()
-            self.record_tags.add(name)
             self.table.types.append(
                 CTypeDef(
                     name=name,
@@ -624,7 +622,7 @@ class _Parser:
             source_loc=self.loc(tok),
         )
         if body is not None:
-            calls, values = _harvest_body_refs(body, self.typedefs, self.record_tags)
+            calls, values = _harvest_body_refs(body, self.typedefs)
             param_names = {p[0] for p in decl.params if p[0]}
             # calls through function-pointer parameters are indirect call sites
             fn.calls = calls - {decl.name} - param_names
@@ -740,9 +738,7 @@ def _render_type(base: str, is_const: bool, ptr: int, dims: list[int]) -> str:
 _STATEMENT_TERMINATORS = {";", "{", "}"}
 
 
-def _harvest_body_refs(
-    body: list[_Tok], typedefs: set[str], record_tags: set[str]
-) -> tuple[set[str], set[str]]:
+def _harvest_body_refs(body: list[_Tok], typedefs: set[str]) -> tuple[set[str], set[str]]:
     """Collect call-position identifiers and other value identifiers.
 
     Local declarations are tracked with a statement-start heuristic so locals

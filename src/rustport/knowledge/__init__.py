@@ -13,7 +13,7 @@ import json
 import logging
 import threading
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import KnowledgeBaseError
 from .bm25 import Bm25Index, default_rerank_score, rerank_top_n
@@ -22,7 +22,6 @@ from .rules import (
     AlignedFunctionPair,
     ApiRule,
     FragmentRule,
-    ModelRuleExtractor,
     align_functions,
     mine_rules,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "FilePairCandidate",
     "FragmentRule",
     "KnowledgeBase",
-    "ModelRuleExtractor",
     "align_functions",
     "build_knowledge_base",
     "get_file_candidates",
@@ -177,7 +175,6 @@ class KnowledgeBase:
 
     def insert_rules(self, rules: list) -> None:
         """Merge rules; duplicates increment support instead of new records."""
-        rules = [r for r in rules if isinstance(r, (ApiRule, FragmentRule))]
         for rule in rules:
             self._merge_rule(rule)
         if rules:
@@ -223,7 +220,6 @@ class KnowledgeBase:
         c_source: str,
         rust_name: str,
         rust_source: str,
-        extractor: Optional[Callable] = None,
     ) -> AlignedFunctionPair:
         """Append a compilation-accepted pair and mine its rules."""
         pair = AlignedFunctionPair(
@@ -235,15 +231,12 @@ class KnowledgeBase:
             rust_file="accumulated",
         )
         self.insert_pair(pair)
-        self.insert_rules(mine_rules(pair, extractor=extractor))
+        self.insert_rules(mine_rules(pair))
         return pair
 
 
 def build_knowledge_base(
-    repo_paths,
-    regime: str = "co_evolution",
-    out_dir=None,
-    extractor: Optional[Callable] = None,
+    repo_paths, regime: str = "co_evolution", out_dir=None
 ) -> tuple[KnowledgeBase, dict]:
     """The offline construction cascade over one or more repositories.
 
@@ -280,7 +273,7 @@ def build_knowledge_base(
             for pair in align_functions(file_pair):
                 kb.insert_pair(pair)
                 stats["pairs"] += 1
-                rules = mine_rules(pair, extractor=extractor)
+                rules = mine_rules(pair)
                 kb.insert_rules(rules)
                 stats["rules"] += len(rules)
     if out_dir is not None:

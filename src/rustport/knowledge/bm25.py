@@ -1,23 +1,20 @@
 """Lexical retrieval: code tokenization, BM25 scoring, and reranking.
 
 Identifiers are split on underscores and camelCase boundaries; string-literal
-contents contribute word tokens. The default reranker scores normalized
-identifier-set overlap (Jaccard) plus a shared-long-literal bonus and is fully
-deterministic; each caller of ``rerank_top_n`` passes the scorer for its own
-record shape, which may also be an external reranker.
+contents contribute word tokens. The reranker, ``default_rerank_score``, scores
+normalized identifier-set overlap (Jaccard) plus a shared-long-literal bonus
+and is fully deterministic; each caller of ``rerank_top_n`` applies it to the
+texts of its own record shape.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import logging
 import math
 import re
 from collections import Counter
 from typing import Callable, Iterable, Sequence
-
-logger = logging.getLogger(__name__)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _STRING_RE = re.compile(r'"((?:\\.|[^"\\])*)"')
@@ -151,20 +148,11 @@ def default_rerank_score(left_text: str, right_text: str) -> float:
 
 
 def rerank_top_n(pairs: Sequence, reranker: Callable, n: int = 5) -> list:
-    """Keep the top-n pairs under the reranker; stable on ties.
-
-    A failing external reranker falls back to input order (logged), never
-    aborts the cascade.
-    """
-    if not pairs:
-        return []
-    try:
-        scored = [(reranker(pair), i) for i, pair in enumerate(pairs)]
-    except Exception as exc:  # backend failure: degrade, do not abort
-        logger.warning("reranker failed (%s); keeping input order", exc)
-        return list(pairs)[:n]
-    order = sorted(range(len(pairs)), key=lambda i: (-scored[i][0], i))
+    """Keep the top-n pairs under the reranker, each carrying its
+    ``rerank_score``; stable on ties."""
+    scores = [reranker(pair) for pair in pairs]
+    order = sorted(range(len(pairs)), key=lambda i: (-scores[i], i))
     ranked = [pairs[i] for i in order[:n]]
     for i in order[:n]:
-        pairs[i].rerank_score = scored[i][0]
+        pairs[i].rerank_score = scores[i]
     return ranked

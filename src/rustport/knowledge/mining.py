@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bm25 import long_string_literals
-from .rules import split_c_functions, split_rust_functions
+from .rules import _CALL_RE, split_c_functions, split_rust_functions
 
 logger = logging.getLogger(__name__)
 
@@ -42,8 +42,6 @@ class FilePairCandidate:
     c_path: str
     rust_path: str
     evidence: set[str] = field(default_factory=set)
-    scores: dict[str, float] = field(default_factory=dict)
-    regime: str = "co_evolution"
     c_text: str = ""
     rust_text: str = ""
     commit: Optional[str] = None
@@ -133,32 +131,22 @@ def _is_build_file(path: str) -> bool:
     return p.name in BUILD_FILE_NAMES or p.suffix in BUILD_FILE_SUFFIXES
 
 
-_CALL_IN_LINE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-
-
 class _CandidateSet:
-    def __init__(self, regime: str):
-        self.regime = regime
+    def __init__(self):
         self.items: dict[tuple[str, str], FilePairCandidate] = {}
 
-    def tag(self, c_path: str, rust_path: str, heuristic: str, score: float = 1.0,
+    def tag(self, c_path: str, rust_path: str, heuristic: str,
             commit: Optional[str] = None) -> None:
-        key = (c_path, rust_path)
-        cand = self.items.get(key)
-        if cand is None:
-            cand = FilePairCandidate(c_path=c_path, rust_path=rust_path, regime=self.regime)
-            self.items[key] = cand
+        cand = self.ensure(c_path, rust_path)
         cand.evidence.add(heuristic)
-        cand.scores[heuristic] = score
         if commit and cand.commit is None:
             cand.commit = commit
 
-    def ensure(self, c_path: str, rust_path: str) -> None:
+    def ensure(self, c_path: str, rust_path: str) -> FilePairCandidate:
         key = (c_path, rust_path)
         if key not in self.items:
-            self.items[key] = FilePairCandidate(
-                c_path=c_path, rust_path=rust_path, regime=self.regime
-            )
+            self.items[key] = FilePairCandidate(c_path=c_path, rust_path=rust_path)
+        return self.items[key]
 
 
 def get_file_candidates(repo_path, regime: str = "co_evolution") -> list[FilePairCandidate]:
@@ -171,7 +159,7 @@ def get_file_candidates(repo_path, regime: str = "co_evolution") -> list[FilePai
     """
     root = Path(repo_path)
     repo = GitRepo(root)
-    cands = _CandidateSet(regime)
+    cands = _CandidateSet()
 
     c_files = _snapshot_files(root, ".c")
     rust_files = _snapshot_files(root, ".rs")
@@ -243,9 +231,8 @@ def _mine_synchronous(commits: list[Commit], cands: _CandidateSet, repo: GitRepo
                 r_add = commit.numstat.get(r, (0, 0))[0]
                 if r_add <= 0:
                     continue
-                ratio = abs(c_del - r_add) / max(c_del, r_add)
-                if ratio <= CHURN_RATIO:
-                    cands.tag(c, r, "churn_balance", score=ratio, commit=commit.sha)
+                if abs(c_del - r_add) / max(c_del, r_add) <= CHURN_RATIO:
+                    cands.tag(c, r, "churn_balance", commit=commit.sha)
 
         # build-config switch: one build-file diff drops a .c and gains a .rs
         for path, status in commit.status.items():
@@ -283,9 +270,9 @@ def _mine_synchronous(commits: list[Commit], cands: _CandidateSet, repo: GitRepo
             added_calls: set[str] = set()
             for line in diff.splitlines():
                 if line.startswith("-") and not line.startswith("---"):
-                    removed_calls.update(m.group(1) for m in _CALL_IN_LINE_RE.finditer(line))
+                    removed_calls.update(m.group(1) for m in _CALL_RE.finditer(line))
                 elif line.startswith("+") and not line.startswith("+++"):
-                    added_calls.update(m.group(1) for m in _CALL_IN_LINE_RE.finditer(line))
+                    added_calls.update(m.group(1) for m in _CALL_RE.finditer(line))
             for old_call in sorted(removed_calls - added_calls):
                 c_home = c_def_files.get(old_call)
                 if c_home is None:
@@ -321,8 +308,7 @@ def _mine_asynchronous(commits: list[Commit], cands: _CandidateSet) -> None:
     for c_path, c_ts, del_sha in deletions:
         for r_path, r_ts, _sha in creations:
             if 0 <= r_ts - c_ts <= window:
-                cands.tag(c_path, r_path, "delete_then_create", score=(r_ts - c_ts) / 86400.0,
-                          commit=del_sha)
+                cands.tag(c_path, r_path, "delete_then_create", commit=del_sha)
 
     # evolutionary coupling: co-changed in enough commits
     co_changes: dict[tuple[str, str], int] = {}
@@ -334,7 +320,7 @@ def _mine_asynchronous(commits: list[Commit], cands: _CandidateSet) -> None:
                 co_changes[(c, r)] = co_changes.get((c, r), 0) + 1
     for (c, r), count in sorted(co_changes.items()):
         if count >= COUPLING_MIN_COMMITS:
-            cands.tag(c, r, "evolutionary_coupling", score=float(count))
+            cands.tag(c, r, "evolutionary_coupling")
 
     # developer identity: Rust author was the C file's recent contributor
     rust_creators: dict[str, str] = {}
@@ -401,15 +387,14 @@ def _mine_snapshot(
                 and side_df["rs"][ident] <= KEY_TOKEN_MAX_DF
             }
             if len(shared) >= KEY_TOKEN_MIN_OVERLAP:
-                cands.tag(c, r, "key_token_overlap", score=float(len(shared)))
+                cands.tag(c, r, "key_token_overlap")
 
     # shared long string literals
     literal_cache = {path: long_string_literals(texts[path]) for path in c_files + rust_files}
     for c in c_files:
         for r in rust_files:
-            shared = literal_cache[c] & literal_cache[r]
-            if shared:
-                cands.tag(c, r, "shared_literal", score=float(len(shared)))
+            if literal_cache[c] & literal_cache[r]:
+                cands.tag(c, r, "shared_literal")
 
 
 def _attach_texts(

@@ -3,19 +3,16 @@
 The deterministic extractor derives API-Level rules from call-site
 correspondence (unmatched C callees paired with unmatched Rust callees by
 first occurrence) and Fragment-Level rules from Rust macro-idiom lines paired
-with their closest C line by token overlap. A model-backed extractor can be
-plugged in through the generation backend protocol and must return the same
-record shapes.
+with their closest C line by token overlap.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .. import rustlex
 from ..csyms import match_c_brace
@@ -172,19 +169,8 @@ def _rust_callees(text: str) -> list[str]:
     return seen
 
 
-def mine_rules(pair: AlignedFunctionPair, extractor: Optional[Callable] = None) -> list:
-    """Extract API-Level and Fragment-Level rules from one aligned pair.
-
-    An extractor failure yields an empty list (logged); mining must never
-    abort the pipeline.
-    """
-    if extractor is not None:
-        try:
-            return list(extractor(pair))
-        except Exception as exc:
-            logger.warning("rule extractor failed on %s: %s", pair.pair_id, exc)
-            return []
-
+def mine_rules(pair: AlignedFunctionPair) -> list:
+    """Extract API-Level and Fragment-Level rules from one aligned pair."""
     rules: list = []
     c_calls = _c_callees(pair.c_source)
     rust_calls = _rust_callees(pair.rust_source)
@@ -235,51 +221,3 @@ def mine_rules(pair: AlignedFunctionPair, extractor: Optional[Callable] = None) 
             )
         )
     return rules
-
-
-class ModelRuleExtractor:
-    """Rule extraction through a generation backend.
-
-    The backend is prompted for a JSON array of rule records and must return
-    the same shapes as the deterministic extractor.
-    """
-
-    def __init__(self, backend, max_tokens: int = 1024):
-        self.backend = backend
-        self.max_tokens = max_tokens
-
-    def __call__(self, pair: AlignedFunctionPair) -> list:
-        from ..backends import GenerationRequest
-
-        req = GenerationRequest(
-            system=(
-                "Extract reusable C-to-Rust mapping rules from the aligned pair. "
-                'Reply with a JSON array; each item is {"type": "api"|"fragment", '
-                '"c": ..., "rust": ..., "hint": ...}.'
-            ),
-            user=f"C:\n{pair.c_source}\n\nRust:\n{pair.rust_source}\n",
-            max_tokens=self.max_tokens,
-            tag=f"mine:{pair.pair_id}",
-        )
-        resp = self.backend.generate(req)
-        records = json.loads(resp.text)
-        out: list = []
-        for rec in records:
-            if rec.get("type") == "api":
-                out.append(
-                    ApiRule(
-                        c_interface=rec["c"],
-                        rust_interface=rec["rust"],
-                        provenance=[pair.pair_id],
-                    )
-                )
-            elif rec.get("type") == "fragment":
-                out.append(
-                    FragmentRule(
-                        c_idiom=rec["c"],
-                        rust_idiom=rec["rust"],
-                        hint=rec.get("hint", ""),
-                        provenance=[pair.pair_id],
-                    )
-                )
-        return out

@@ -70,12 +70,12 @@ class MetricsReport:
         )
 
 
-def _fmt(value, suffix="") -> str:
+def _fmt(value) -> str:
     if value is None:
         return "--"
     if isinstance(value, float):
-        return f"{value:.2f}{suffix}"
-    return f"{value}{suffix}"
+        return f"{value:.2f}"
+    return str(value)
 
 
 def render_table(report: MetricsReport, title: str = "run") -> str:

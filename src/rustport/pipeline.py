@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .backends import GenerationRequest
 from .cargo import BuildRunner
 from .graph import ScheduleLayers, SkeletonGraph, GlobalSymbolIndex
 from .knowledge import KnowledgeBase
@@ -35,7 +34,7 @@ from .repair import (
     repair_steps,
 )
 from .skeleton import SkeletonProject
-from .translate import assemble_context, build_prompt, extract_body
+from .translate import TranslationContext, assemble_context, build_prompt, extract_body
 from .workspace import Workspace
 
 logger = logging.getLogger(__name__)
@@ -113,7 +112,7 @@ class TranslationRun:
             stubs = {fn_id: self.skeleton.stub_by_name(fn_id) for fn_id in wave}
             machines = {}
             for fn_id in wave:
-                ctx, _prompt, body = prepared[fn_id]
+                ctx, body = prepared[fn_id]
                 machines[fn_id] = repair_steps(
                     stubs[fn_id], ctx, body, self.backend, index=self.index,
                     budget=self.repair_budget, prompt_sink=self._prompt_sink,
@@ -144,9 +143,9 @@ class TranslationRun:
             )
         return self.outcomes
 
-    def _prepare_layer(self, layer: list[str]) -> dict[str, tuple]:
+    def _prepare_layer(self, layer: list[str]) -> dict[str, tuple[TranslationContext, str]]:
         """Assemble contexts and run initial generation for a wave's functions,
-        possibly in parallel."""
+        possibly in parallel: each function's context and initial body."""
         def prepare(fn_id: str):
             ctx = assemble_context(fn_id, self.skeleton, self.graph, self.index)
             examples, api_rules, frag_rules = [], [], []
@@ -154,20 +153,19 @@ class TranslationRun:
                 examples, api_rules, frag_rules = self.kb.retrieve(
                     ctx.c_source, k=self.retrieval_depth
                 )
-            prompt = build_prompt(ctx, examples, list(api_rules) + list(frag_rules))
-            tag = f"{fn_id}#1"
-            if self.artifacts is not None:
-                self.artifacts.save_prompt(tag, prompt.render())
-            resp = self.backend.generate(
-                GenerationRequest(system=prompt.system, user=prompt.user, tag=tag)
+            request = build_prompt(
+                ctx, f"{fn_id}#1", examples, list(api_rules) + list(frag_rules)
             )
+            if self.artifacts is not None:
+                self.artifacts.save_prompt(request.tag, request.render())
+            resp = self.backend.generate(request)
             fn_name = fn_id.rsplit("::", 1)[1]
             if resp.finish_reason == "error":
                 logger.warning("initial generation failed for %s: %s", fn_id, resp.backend_id)
                 body = ""  # forces a compile failure; the repair loop takes over
             else:
                 body = extract_body(resp.text, fn_name)
-            return fn_id, (ctx, prompt, body)
+            return fn_id, (ctx, body)
 
         if self.jobs > 1 and len(layer) > 1:
             with ThreadPoolExecutor(max_workers=self.jobs) as pool:

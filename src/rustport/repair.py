@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Callable, Generator, Optional
 
 from . import rustlex
-from .backends import GenerationRequest
 from .cargo import BuildRunner, Diagnostic, render_diagnostics
 from .errors import WorkspaceError
 from .graph import GlobalSymbolIndex
@@ -218,7 +217,6 @@ _MISMATCH_RE = re.compile(r"expected `([^`]+)`, found `([^`]+)`")
 
 
 def rule_based_fix(
-    body: str,
     diagnostics: list[Diagnostic],
     index: Optional[GlobalSymbolIndex] = None,
     file_snapshot: str = "",
@@ -331,12 +329,10 @@ def model_repair(
     if len(diagnostics) > DIAG_PROMPT_LIMIT:
         note = f"diagnostics truncated to first {DIAG_PROMPT_LIMIT} of {len(diagnostics)}"
     rendered = render_diagnostics(diagnostics, limit=DIAG_PROMPT_LIMIT)
-    prompt = build_repair_prompt(ctx, body, rendered)
+    request = build_repair_prompt(ctx, body, rendered, attempt_tag)
     if prompt_sink is not None:
-        prompt_sink(attempt_tag, prompt.render())
-    resp = backend.generate(
-        GenerationRequest(system=prompt.system, user=prompt.user, tag=attempt_tag)
-    )
+        prompt_sink(request.tag, request.render())
+    resp = backend.generate(request)
     if resp.finish_reason == "error":
         return None, (note + "; " if note else "") + f"backend error: {resp.backend_id}"
     return extract_body(resp.text, fn_name), note
@@ -398,7 +394,7 @@ def repair_steps(
 
     while not ok and rounds < budget:
         fixed = rule_based_fix(
-            body, diags, index=index, file_snapshot=snapshot, fn_id=fn_id,
+            diags, index=index, file_snapshot=snapshot, fn_id=fn_id,
             from_module=stub.module,
         )
         if fixed is not None and fixed != body:

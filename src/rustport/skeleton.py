@@ -25,6 +25,7 @@ from .csyms import (
     CGlobalDecl,
     CTypeDef,
     SymbolTable,
+    _INT_LITERAL_RE,
     collect_macro_constants,
     extract_symbols,
 )
@@ -313,7 +314,6 @@ class GlobalUsage:
     defining_module: str = SHARED_MODULE
 
 
-_INT_INIT_RE = re.compile(r"^[+-]?(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]*$")
 _FLOAT_INIT_RE = re.compile(r"^[+-]?\d+\.\d*(?:[eE][+-]?\d+)?[fF]?$")
 _STR_INIT_RE = re.compile(r'^"(?:\\.|[^"\\])*"$')
 
@@ -356,7 +356,7 @@ def lift_global(
     if init and _STR_INIT_RE.match(init) and str_ptr:
         literal = init[1:-1]
         rust_init = f'b"{literal}\\0".as_ptr() as {rust_type}'
-    elif init and _INT_INIT_RE.match(init):
+    elif init and _INT_LITERAL_RE.match(init):
         rust_init = init.rstrip("uUlL")
     elif init and _FLOAT_INIT_RE.match(init):
         rust_init = init.rstrip("fF")
@@ -512,15 +512,15 @@ def plan_skeleton(
         for t in table.types:
             for _, mtype, _ in t.members:
                 if t.kind in ("record", "union"):
-                    referenced_types.update(_base_name(mtype))
+                    referenced_types.update(_base_name_ct(parse_c_type(mtype)))
             if t.kind == "alias":
-                referenced_types.update(_base_name(t.members[0][1]))
+                referenced_types.update(_base_name_ct(parse_c_type(t.members[0][1])))
         for fn in table.functions:
-            referenced_types.update(_base_name(fn.return_type))
+            referenced_types.update(_base_name_ct(parse_c_type(fn.return_type)))
             for _, ptype in fn.params:
-                referenced_types.update(_base_name(ptype))
+                referenced_types.update(_base_name_ct(parse_c_type(ptype)))
         for g in table.globals:
-            referenced_types.update(_base_name(g.c_type_text))
+            referenced_types.update(_base_name_ct(parse_c_type(g.c_type_text)))
     synthesized: list[RustTypeDecl] = []
     for name in sorted(referenced_types):
         if name in type_defs or name in clayout.PRIMITIVES:
@@ -621,17 +621,6 @@ def plan_skeleton(
         holes=holes + [f"type conflict: {n}" for n in type_conflicts],
         config=config,
     )
-
-
-def _base_name(type_text: str) -> set[str]:
-    ct = parse_c_type(type_text)
-    out: set[str] = set()
-    if ct.func is not None:
-        out |= _base_name_ct(ct.func.ret)
-        for p in ct.func.params:
-            out |= _base_name_ct(p)
-        return out
-    return _base_name_ct(ct)
 
 
 def _base_name_ct(ct) -> set[str]:

@@ -15,6 +15,7 @@ from pathlib import Path
 from string import Template
 
 from . import rustlex
+from .backends import GenerationRequest
 from .errors import SkeletonError
 from .graph import GlobalSymbolIndex, SkeletonGraph
 from .knowledge.rules import ApiRule, FragmentRule
@@ -24,7 +25,7 @@ logger = logging.getLogger(__name__)
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
 
-DEFAULT_CONTEXT_BUDGET = 4000  # whitespace tokens
+CONTEXT_BUDGET = 4000  # whitespace tokens of context plus C source in one prompt
 EXAMPLE_CAP = 3  # retrieved examples shown in one prompt
 
 
@@ -60,12 +61,12 @@ def assemble_context(
     skeleton: SkeletonProject,
     graph: SkeletonGraph,
     index: GlobalSymbolIndex,
-    budget: int = DEFAULT_CONTEXT_BUDGET,
 ) -> TranslationContext:
     """Close over every declaration the function's signature and body touch.
 
-    Over budget, callee signatures are dropped first, then globals, then the
-    shared excerpts; type declarations are retained to the last.
+    Over ``CONTEXT_BUDGET``, callee signatures are dropped first, then
+    globals, then the shared excerpts; type declarations are retained to the
+    last.
     """
     stub = skeleton.stub_by_name(fn_id)
     if stub is None:
@@ -175,19 +176,10 @@ def assemble_context(
 
     # deterministic truncation: callees, then globals, then shared; types last
     for bucket in (ctx.callee_signatures, ctx.global_decls, ctx.shared_excerpts):
-        while total() > budget and bucket:
+        while total() > CONTEXT_BUDGET and bucket:
             dropped = bucket.pop()
             logger.info("context for %s over budget; dropped %.40r", fn_id, dropped)
     return ctx
-
-
-@dataclass
-class Prompt:
-    system: str
-    user: str
-
-    def render(self) -> str:
-        return self.system + "\n\n" + self.user
 
 
 def _rule_bullet(rule) -> str:
@@ -201,7 +193,9 @@ def _rule_bullet(rule) -> str:
     raise TypeError(f"unknown rule type {type(rule).__name__}")
 
 
-def build_prompt(ctx: TranslationContext, examples=(), rules=()) -> Prompt:
+def build_prompt(
+    ctx: TranslationContext, tag: str, examples=(), rules=()
+) -> GenerationRequest:
     """Deterministic prompt: system, context, examples, rules, target.
 
     Empty retrieval omits the examples and rules sections entirely.
@@ -228,10 +222,12 @@ def build_prompt(ctx: TranslationContext, examples=(), rules=()) -> Prompt:
         c_source=ctx.c_source,
         signature=ctx.signature,
     )
-    return Prompt(system=system, user=user)
+    return GenerationRequest(system=system, user=user, tag=tag)
 
 
-def build_repair_prompt(ctx: TranslationContext, body: str, diagnostics_text: str) -> Prompt:
+def build_repair_prompt(
+    ctx: TranslationContext, body: str, diagnostics_text: str, tag: str
+) -> GenerationRequest:
     system = (_TEMPLATE_DIR / "translate_system.txt").read_text(encoding="utf-8").strip()
     template = Template((_TEMPLATE_DIR / "repair_user.txt").read_text(encoding="utf-8"))
     user = template.substitute(
@@ -240,7 +236,7 @@ def build_repair_prompt(ctx: TranslationContext, body: str, diagnostics_text: st
         diagnostics=diagnostics_text,
         signature=ctx.signature,
     )
-    return Prompt(system=system, user=user)
+    return GenerationRequest(system=system, user=user, tag=tag)
 
 
 _FENCE_RE = re.compile(r"```(?:rust|rs)?\s*\n(.*?)```", re.S)

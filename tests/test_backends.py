@@ -168,7 +168,3 @@ def test_remote_backend_bounded_attempts_then_error(http_backend_server):
     assert resp.text == ""
     assert len(_Handler.hits) == 3
 
-
-def test_max_tokens_clamped_to_cap():
-    r = GenerationRequest(system="s", user="u", max_tokens=99999)
-    assert r.max_tokens == 8192

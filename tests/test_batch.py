@@ -127,7 +127,7 @@ def serial_execute(run):
     for layer in run.layers.layers:
         prepared = run._prepare_layer(layer)
         for fn_id in layer:
-            ctx, _prompt, body = prepared[fn_id]
+            ctx, body = prepared[fn_id]
             outcome = repair_loop(
                 run.workspace, run.skeleton.stub_by_name(fn_id), ctx, body, run.backend,
                 run.runner, index=run.index, budget=run.repair_budget,

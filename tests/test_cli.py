@@ -104,6 +104,25 @@ def test_removed_settings_are_unknown_config_keys(tmp_path, capsys, key):
     assert f"unknown config key: {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values, key, expected",
+    [
+        ({"jobs": "3"}, "jobs", "int"),
+        ({"repair_budget": True}, "repair_budget", "int"),
+        ({"retrieval_depth": 2.5}, "retrieval_depth", "int"),
+        ({"preprocessor": ["gcc", 1]}, "preprocessor", "list[str]"),
+    ],
+)
+def test_config_values_of_the_wrong_type_are_errors(tmp_path, capsys, values, key, expected):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    rc = run_cli("translate", "--workspace", tmp_path / "ws", "--config", config)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert f"config key {key!r} must be {expected}" in err
+
+
 def test_flags_override_config_file_values(tmp_path):
     """Each flag whose name differs from its config key still overrides that
     key, a zero included, and leaves the other keys as the file set them."""

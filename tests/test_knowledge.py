@@ -122,15 +122,6 @@ def test_rerank_ties_keep_input_order():
     assert [p.c_path for p in ranked] == ["t1", "t2"]
 
 
-def test_rerank_backend_failure_falls_back_to_input_order():
-    def broken(pair):
-        raise RuntimeError("remote reranker down")
-
-    pairs = [jaccard_pair(1, 0, 0, "p"), jaccard_pair(0, 1, 1, "q")]
-    ranked = rerank_top_n(pairs, n=1, reranker=broken)
-    assert ranked[0].c_path == "p"
-
-
 # --- function alignment -----------------------------------------------------------
 
 
@@ -226,14 +217,6 @@ def test_mine_fragment_rule_offset_idiom():
 def test_mine_no_shared_structure_gives_empty():
     pair = make_pair("int pure(int v) { return v; }", "pub fn pure(v: i32) -> i32 { v }")
     assert mine_rules(pair) == []
-
-
-def test_mine_extractor_failure_is_empty_and_logged():
-    def exploding(pair):
-        raise RuntimeError("model unavailable")
-
-    pair = make_pair("int a(void) { f(); }", "pub fn a() { g(); }")
-    assert mine_rules(pair, extractor=exploding) == []
 
 
 # --- knowledge base store ------------------------------------------------------------
@@ -440,40 +423,6 @@ def test_cascade_cardinality(tmp_path):
     # file stage keeps at most 5 pairs, each aligned to at most 5 function pairs
     assert stats["pairs"] <= 25
     assert len(kb.pairs) == stats["pairs"]
-
-
-def test_model_rule_extractor_via_replay(tmp_path):
-    from rustport.backends import GenerationRequest, ReplayBackend
-    from rustport.knowledge.rules import ModelRuleExtractor
-
-    pair = make_pair(
-        "void zero(char *p, int n) { memset(p, 0, n); }",
-        "pub fn zero(p: &mut [u8]) { p.fill(0); }",
-    )
-    backend = ReplayBackend(tmp_path / "fixtures")
-    extractor = ModelRuleExtractor(backend)
-    canned = json.dumps(
-        [
-            {"type": "api", "c": "memset", "rust": "fill"},
-            {"type": "fragment", "c": "memset(p, 0, n);", "rust": "p.fill(0);", "hint": "use slice fill"},
-        ]
-    )
-    probe = GenerationRequest(
-        system=(
-            "Extract reusable C-to-Rust mapping rules from the aligned pair. "
-            'Reply with a JSON array; each item is {"type": "api"|"fragment", '
-            '"c": ..., "rust": ..., "hint": ...}.'
-        ),
-        user=f"C:\n{pair.c_source}\n\nRust:\n{pair.rust_source}\n",
-        tag=f"mine:{pair.pair_id}",
-    )
-    backend.record(probe, canned)
-    rules = mine_rules(pair, extractor=extractor)
-    api = [r for r in rules if isinstance(r, ApiRule)]
-    frags = [r for r in rules if isinstance(r, FragmentRule)]
-    assert api and api[0].c_interface == "memset" and api[0].rust_interface == "fill"
-    assert frags and frags[0].hint == "use slice fill"
-    assert frags[0].provenance == [pair.pair_id]
 
 
 # --- incremental index ------------------------------------------------------------------

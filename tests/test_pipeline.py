@@ -72,6 +72,42 @@ def test_prompt_files_of_different_tags_never_collide(tmp_path):
     }
 
 
+class RecordingBackend:
+    """Passes each request on and keeps it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = []
+
+    def generate(self, req):
+        self.requests.append(req)
+        return self.inner.generate(req)
+
+
+def test_saved_prompt_is_the_request_sent(tmp_path):
+    """Each prompt file holds exactly what the backend was sent: initial and
+    repair prompts, with retrieved examples and rules."""
+    kb_c = (FIXTURES / "mini_kb" / "kb.c").read_text()
+    bodies = json.loads((FIXTURES / "mini_kb" / "oracle_bodies.json").read_text())
+    kb = KnowledgeBase()
+    for name, source in split_c_functions(kb_c):
+        kb.accumulate(name, source, name, f"pub fn {name}() {{\n{bodies['crate::kb::' + name]}\n}}")
+    pipe = build_pipeline(tmp_path / "ws", {"kb.c": kb_c}, crate="mini_kb")
+    backend = RecordingBackend(
+        ScriptedFailureBackend(failures={"crate::kb::step_up": 1}, bodies=bodies)
+    )
+    outcomes = make_run(pipe, backend, tmp_path, kb=kb, retrieval_depth=3).execute()
+    assert all(o.final_state == "translated" for o in outcomes.values())
+    tags = [req.tag for req in backend.requests]
+    assert len(set(tags)) == len(tags) == 4  # three initial prompts, one repair
+    assert "crate::kb::step_up#2" in tags
+    assert any("## Examples" in req.user and "## Reuse rules" in req.user for req in backend.requests)
+    prompts = tmp_path / "run" / "prompts"
+    assert len(list(prompts.iterdir())) == len(tags)
+    for req in backend.requests:
+        assert (prompts / f"{req.tag.replace('::', '.')}.txt").read_text() == req.render()
+
+
 def test_scripted_run_reaches_fallback(list_pipe, tmp_path):
     backend = ScriptedFailureBackend(
         failures={"crate::list::record_push": None}, bodies=LIST_BODIES

@@ -87,7 +87,7 @@ def test_rule_fix_integer_width_cast(pipe):
     ok, diags, snapshot = compile_and_install(workspace, fn, body, runner)
     assert not ok
     fixed = rule_based_fix(
-        body, diags, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
+        diags, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
     )
     assert fixed is not None
     ok2, diags2, _ = compile_and_install(workspace, fn, fixed, runner)
@@ -102,7 +102,7 @@ def test_rule_fix_unique_path_qualification(pipe):
     assert not ok
     assert any(d.code == "E0425" for d in diags)
     fixed = rule_based_fix(
-        body, diags, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
+        diags, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
     )
     assert fixed is not None and "crate::aux_fns::aux_scale" in fixed
     ok2, diags2, _ = compile_and_install(workspace, fn, fixed, runner)
@@ -116,7 +116,7 @@ def test_rule_fix_mutability_annotation(pipe):
     ok, diags, snapshot = compile_and_install(workspace, fn, body, runner)
     assert not ok
     fixed = rule_based_fix(
-        body, diags, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
+        diags, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
     )
     assert fixed is not None and "let mut total" in fixed
     ok2, _, _ = compile_and_install(workspace, fn, fixed, runner)
@@ -149,7 +149,7 @@ def test_rule_fix_ignores_spans_outside_own_segment(pipe, move):
     moved = [move(d) for d in diags]
     assert any(s.applicability == "MachineApplicable" for d in moved for s in d.suggestions)
     fixed = rule_based_fix(
-        body, moved, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
+        moved, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
     )
     assert fixed is None
 
@@ -161,7 +161,7 @@ def test_rule_fix_declines_outside_closed_set(pipe):
     ok, diags, snapshot = compile_and_install(workspace, fn, body, runner)
     assert not ok
     fixed = rule_based_fix(
-        body, diags, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
+        diags, index=index, file_snapshot=snapshot, fn_id=fn, from_module="crate::two"
     )
     assert fixed is None
 

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import build_pipeline
 
+from rustport import translate
 from rustport.errors import WorkspaceError
 from rustport.knowledge.rules import AlignedFunctionPair, ApiRule, FragmentRule
 from rustport.translate import assemble_context, build_prompt, extract_body
@@ -75,10 +76,11 @@ def test_context_closure_over_signature_identifiers(pipe):
     assert "pub struct item" in rendered
 
 
-def test_context_budget_truncates_callees_first(pipe):
+def test_context_budget_truncates_callees_first(pipe, monkeypatch):
     project, _, graph, index, _, _ = pipe
     full = assemble_context("crate::items::both", project, graph, index)
-    tight = assemble_context("crate::items::both", project, graph, index, budget=40)
+    monkeypatch.setattr(translate, "CONTEXT_BUDGET", 40)
+    tight = assemble_context("crate::items::both", project, graph, index)
     assert len(tight.callee_signatures) < len(full.callee_signatures)
     assert tight.type_decls == full.type_decls  # types retained to the last
 
@@ -89,7 +91,7 @@ def test_context_budget_truncates_callees_first(pipe):
 def test_prompt_without_retrieval_omits_sections(pipe):
     project, _, graph, index, _, _ = pipe
     ctx = assemble_context("crate::items::bump_seen", project, graph, index)
-    prompt = build_prompt(ctx, examples=[], rules=[])
+    prompt = build_prompt(ctx, tag=f"{ctx.fn_id}#1", examples=[], rules=[])
     assert "## Examples" not in prompt.user
     assert "## Reuse rules" not in prompt.user
 
@@ -102,7 +104,7 @@ def test_prompt_fragment_rule_bullet(pipe):
         rust_idiom="core::mem::offset_of!(S, f)",
         hint="use the offset_of! idiom",
     )
-    prompt = build_prompt(ctx, examples=[], rules=[rule])
+    prompt = build_prompt(ctx, tag=f"{ctx.fn_id}#1", examples=[], rules=[rule])
     rules_section = prompt.user.split("## Reuse rules\n", 1)[1].split("## Target", 1)[0]
     assert "offset_of!" in rules_section
 
@@ -115,7 +117,7 @@ def test_prompt_examples_capped_at_three(pipe):
                             rust_source=f"pub fn r{i}() {{}}")
         for i in range(5)
     ]
-    prompt = build_prompt(ctx, examples=pairs, rules=[])
+    prompt = build_prompt(ctx, tag=f"{ctx.fn_id}#1", examples=pairs, rules=[])
     examples_section = prompt.user.split("## Examples\n", 1)[1].split("## Target", 1)[0]
     assert examples_section.count("Example ") == 3
     assert "r0" in examples_section and "r2" in examples_section
@@ -126,8 +128,8 @@ def test_prompt_deterministic(pipe):
     project, _, graph, index, _, _ = pipe
     ctx = assemble_context("crate::items::both", project, graph, index)
     rules = [ApiRule(c_interface="memcpy", rust_interface="copy_from_slice")]
-    one = build_prompt(ctx, examples=[], rules=rules).render()
-    two = build_prompt(ctx, examples=[], rules=rules).render()
+    one = build_prompt(ctx, tag=f"{ctx.fn_id}#1", examples=[], rules=rules).render()
+    two = build_prompt(ctx, tag=f"{ctx.fn_id}#1", examples=[], rules=rules).render()
     assert one == two
 
 
