@@ -24,7 +24,7 @@ from .buildctx import (
     preprocess_unit,
 )
 from .cargo import BuildRunner
-from .config import RunConfig, apply_flag_overrides, load_config
+from .config import RunConfig, apply_flag_overrides, load_config, read_json_object
 from .errors import RustportError
 from .graph import build_graph, build_symbol_index, export_graph, schedule
 from .knowledge import KnowledgeBase, build_knowledge_base
@@ -68,15 +68,17 @@ def _make_backend(config: RunConfig):
     if kind == "oracle":
         if not config.oracle_bodies:
             raise RustportError("oracle backend needs --oracle-bodies <file.json>")
-        return OracleBackend.from_file(config.oracle_bodies)
+        return OracleBackend(read_json_object(config.oracle_bodies, "--oracle-bodies file"))
     if kind == "replay":
         if not config.replay_dir:
             raise RustportError("replay backend needs --replay-dir <dir>")
+        if not Path(config.replay_dir).is_dir():
+            raise RustportError(f"--replay-dir is not a directory: {config.replay_dir}")
         return ReplayBackend(config.replay_dir)
     if kind == "script":
         if not config.script_file:
             raise RustportError("script backend needs --script <file.json>")
-        spec = json.loads(Path(config.script_file).read_text(encoding="utf-8"))
+        spec = read_json_object(config.script_file, "--script file")
         return ScriptedFailureBackend(
             failures=spec.get("failures", {}),
             bodies=spec.get("bodies", {}),
@@ -178,12 +180,18 @@ def cmd_translate(args) -> int:
     workspace_dir = Path(args.workspace)
     project = load_project(workspace_dir)
     graph, index, layers = _load_pipeline(project)
-    run_dir = _claim_run_dir(workspace_dir, config.run_id, args.force)
-
+    # every input is read before the run directory is claimed, so a bad one
+    # leaves nothing behind and the retry needs no --force
     backend = _make_backend(config)
     kb = None
     if config.kb_path:
+        if not Path(config.kb_path).is_dir():
+            raise RustportError(
+                f"knowledge base directory not found: {config.kb_path} "
+                "(an existing empty directory starts a new one)"
+            )
         kb = KnowledgeBase.load(config.kb_path)
+    run_dir = _claim_run_dir(workspace_dir, config.run_id, args.force)
     # one progress line per wave of the schedule on stderr
     layer_log = logging.getLogger("rustport.pipeline")
     if layer_log.getEffectiveLevel() > logging.INFO:

@@ -41,17 +41,25 @@ class RunConfig:
             raise RustportError("jobs must be >= 1")
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``. A missing, unreadable or
+    malformed file is a domain error naming it as ``what``."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise RustportError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise RustportError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise RustportError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 def load_config(path: Optional[str]) -> RunConfig:
     config = RunConfig()
     if path is None:
         return config
-    p = Path(path)
-    if not p.is_file():
-        raise RustportError(f"config file not found: {p}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise RustportError(f"config file is not valid JSON: {exc}") from exc
+    data = read_json_object(path, "config file")
     hints = get_type_hints(RunConfig)
     declared = {f.name: f.type for f in fields(RunConfig)}
     for key, value in data.items():

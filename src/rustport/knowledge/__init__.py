@@ -1,9 +1,14 @@
 """The self-evolving knowledge base.
 
-Persistence is line-delimited: ``pairs.jsonl`` is the append-only accumulation
-journal (duplicate content is journaled twice; the in-memory retrieval index
-deduplicates), while the two rule files are derived state rewritten atomically
-on change. Every file starts with a format-version header line.
+Persistence is line-delimited, and every file starts with a format-version
+header line. All three files are append-only journals: ``pairs.jsonl`` takes
+each inserted pair (duplicate content is journaled twice; the in-memory
+retrieval index deduplicates), and ``api_rules.jsonl`` and
+``fragment_rules.jsonl`` take each inserted rule as it arrived. Loading folds
+rules that share a key, so a journal loads to the base that wrote it, and
+``save`` rewrites all three compacted. A record is whole once its newline is
+written: a crash mid-append leaves an unfinished last line, which loading
+drops and the next append cuts off.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import os
 import threading
 from pathlib import Path
 from typing import Optional
@@ -44,16 +50,54 @@ logger = logging.getLogger(__name__)
 FORMAT_HEADER = {"format": "rustport-kb", "version": 1}
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+RULE_FILES = {ApiRule: "api_rules.jsonl", FragmentRule: "fragment_rules.jsonl"}
+
+
+def _dumps(record: dict) -> str:
+    return json.dumps(record, sort_keys=True)
+
+
+def _read_jsonl(path: Path, make) -> list:
+    """The records of a KB file, each built by ``make(**record)``.
+
+    A last line without its newline is what a crash mid-append leaves: it is
+    dropped with a warning. Any other malformed line is an error naming it.
+    """
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        logger.warning("%s: dropping an unfinished last line (%d bytes)", path, len(data) - end)
+    try:
+        lines = data[:end].decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        raise KnowledgeBaseError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
-        raise KnowledgeBaseError(f"{path}: missing format header")
-    header = json.loads(lines[0])
+        return []  # a crash while the journal's header was being written
+    header = _parse_line(path, 1, lines[0])
     if header.get("format") != FORMAT_HEADER["format"]:
         raise KnowledgeBaseError(f"{path}: not a knowledge-base file")
     if header.get("version") != FORMAT_HEADER["version"]:
         raise KnowledgeBaseError(f"{path}: unsupported version {header.get('version')}")
-    return [json.loads(line) for line in lines[1:] if line.strip()]
+    records = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        record = _parse_line(path, lineno, line)
+        try:
+            records.append(make(**record))
+        except TypeError as exc:
+            raise KnowledgeBaseError(f"{path}:{lineno}: malformed record ({exc})") from None
+    return records
+
+
+def _parse_line(path: Path, lineno: int, line: str) -> dict:
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise KnowledgeBaseError(f"{path}:{lineno}: malformed line ({exc})") from None
+    if not isinstance(record, dict):
+        raise KnowledgeBaseError(f"{path}:{lineno}: not a JSON object")
+    return record
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
@@ -61,8 +105,25 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
     with tmp.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(FORMAT_HEADER) + "\n")
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(_dumps(rec) + "\n")
     tmp.replace(path)
+
+
+def _start_journal(path: Path) -> None:
+    """Ready ``path`` for appends: write the header if the file is new or
+    empty, and cut off an unfinished last line a crash left."""
+    size = path.stat().st_size if path.is_file() else 0
+    if size:
+        with path.open("rb") as fh:
+            fh.seek(size - 1)
+            if fh.read(1) == b"\n":
+                return
+            fh.seek(0)
+            size = fh.read().rfind(b"\n") + 1
+        logger.warning("%s: cutting off an unfinished last line", path)
+        os.truncate(path, size)
+    if not size:
+        path.write_text(json.dumps(FORMAT_HEADER) + "\n", encoding="utf-8")
 
 
 class KnowledgeBase:
@@ -84,6 +145,7 @@ class KnowledgeBase:
         self._distinct: dict[str, AlignedFunctionPair] = {}
         self._index: Optional[Bm25Index] = None
         self._citing: dict[str, list[tuple[int, object]]] = {}  # pair id -> (seq, rule)
+        self._started: set[Path] = set()  # journals checked by _start_journal
         self._lock = threading.Lock()
 
     @property
@@ -102,63 +164,60 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, directory) -> "KnowledgeBase":
-        """Read the journal and the rule files; rules sharing a key merge."""
+        """Read the pair journal and the rule journals; rules sharing a key merge."""
         directory = Path(directory)
         kb = cls(directory)
         pairs_file = directory / "pairs.jsonl"
         if pairs_file.is_file():
-            kb.pairs = [AlignedFunctionPair(**rec) for rec in _read_jsonl(pairs_file)]
-        for kind, name in ((ApiRule, "api_rules.jsonl"), (FragmentRule, "fragment_rules.jsonl")):
+            kb.pairs = _read_jsonl(pairs_file, AlignedFunctionPair)
+        for kind, name in RULE_FILES.items():
             path = directory / name
             if path.is_file():
-                for rec in _read_jsonl(path):
-                    kb._merge_rule(kind(**rec))
+                for rule in _read_jsonl(path, kind):
+                    kb._merge_rule(rule)
         return kb
 
     def save(self, directory=None) -> None:
+        """Write all three files compacted: one record per pair inserted and
+        one per rule key."""
         directory = Path(directory) if directory else self.directory
         if directory is None:
             raise KnowledgeBaseError("knowledge base has no directory to save into")
         self.directory = directory
         directory.mkdir(parents=True, exist_ok=True)
         _write_jsonl(directory / "pairs.jsonl", [vars(p) for p in self.pairs])
-        self._save_rules()
+        for kind, name in RULE_FILES.items():
+            _write_jsonl(directory / name, [vars(r) for r in self._rules_of(kind)])
 
-    def _save_rules(self) -> None:
-        if self.directory is None:
+    def _append(self, name: str, lines: list[str]) -> None:
+        """Append serialized records to one journal; the caller holds the lock."""
+        if self.directory is None or not lines:
             return
-        _write_jsonl(self.directory / "api_rules.jsonl", [vars(r) for r in self.api_rules])
-        _write_jsonl(
-            self.directory / "fragment_rules.jsonl", [vars(r) for r in self.fragment_rules]
-        )
-
-    def _append_journal(self, pair: AlignedFunctionPair) -> None:
-        if self.directory is None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        journal = self.directory / "pairs.jsonl"
-        if not journal.is_file():
-            journal.write_text(json.dumps(FORMAT_HEADER) + "\n", encoding="utf-8")
-        with journal.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(vars(pair), sort_keys=True) + "\n")
+        path = self.directory / name
+        if path not in self._started:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            _start_journal(path)
+            self._started.add(path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
 
     # --- mutation --------------------------------------------------------
 
     def _merge_rule(self, rule) -> None:
         """Add a rule, or fold it into the one with the same key: support
-        adds up and new provenance is appended."""
+        adds up and new provenance is appended. The caller holds the lock,
+        or is ``load`` and owns the base."""
         slot = (type(rule), rule.key())
-        with self._lock:
-            if slot in self._rules:
-                seq, kept = self._rules[slot]
-                kept.support += rule.support
-                cited = [p for p in dict.fromkeys(rule.provenance) if p not in kept.provenance]
-                kept.provenance.extend(cited)
-            else:
-                seq, kept, cited = len(self._rules), rule, rule.provenance
-                self._rules[slot] = (seq, rule)
-            if self._index is not None:
-                self._cite(seq, kept, cited)
+        if slot in self._rules:
+            seq, kept = self._rules[slot]
+            kept.support += rule.support
+            cited = [p for p in dict.fromkeys(rule.provenance) if p not in kept.provenance]
+            kept.provenance.extend(cited)
+        else:
+            seq, kept, cited = len(self._rules), rule, rule.provenance
+            self._rules[slot] = (seq, rule)
+        if self._index is not None:
+            self._cite(seq, kept, cited)
 
     def _cite(self, seq: int, rule, pair_ids) -> None:
         for pair_id in dict.fromkeys(pair_ids):
@@ -171,14 +230,21 @@ class KnowledgeBase:
             if self._index is not None and pair_id not in self._distinct:
                 self._distinct[pair_id] = pair
                 self._index.add(pair_id, pair.c_source)
-        self._append_journal(pair)
+            self._append("pairs.jsonl", [_dumps(vars(pair))])
 
     def insert_rules(self, rules: list) -> None:
-        """Merge rules; duplicates increment support instead of new records."""
+        """Merge rules, duplicates adding support instead of new entries, and
+        journal each rule as it arrived."""
+        # serialized before merging: a new rule becomes the stored one, and a
+        # later rule of the batch with its key would change it before the write
+        journaled: dict[str, list[str]] = {name: [] for name in RULE_FILES.values()}
         for rule in rules:
-            self._merge_rule(rule)
-        if rules:
-            self._save_rules()
+            journaled[RULE_FILES[type(rule)]].append(_dumps(vars(rule)))
+        with self._lock:
+            for rule in rules:
+                self._merge_rule(rule)
+            for name, lines in journaled.items():
+                self._append(name, lines)
 
     # --- retrieval ---------------------------------------------------------
 

@@ -10,6 +10,7 @@ texts of its own record shape.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 import re
@@ -21,6 +22,7 @@ _STRING_RE = re.compile(r'"((?:\\.|[^"\\])*)"')
 _NUM_RE = re.compile(r"\b\d[\w]*\b")
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z0-9])|[A-Z]?[a-z0-9]+|[A-Z]+")
 LITERAL_MIN_LEN = 6  # literals longer than 5 characters count as "long"
+_UNIT_ROUNDOFF = 2.0 ** -53  # of an IEEE double
 
 
 def split_identifier(ident: str) -> list[str]:
@@ -32,16 +34,22 @@ def split_identifier(ident: str) -> list[str]:
     return parts or [ident.lower()]
 
 
+@functools.lru_cache(maxsize=1 << 15)
+def _split_cached(ident: str) -> tuple[str, ...]:
+    """``split_identifier`` once per distinct identifier; a tuple, so no
+    caller can change what the cache hands to the next one."""
+    return tuple(split_identifier(ident))
+
+
 def tokenize_code(text: str) -> list[str]:
     tokens: list[str] = []
     no_strings = _STRING_RE.sub(" ", text)
-    for m in _IDENT_RE.finditer(no_strings):
-        tokens.extend(split_identifier(m.group(0)))
-    for m in _STRING_RE.finditer(text):
-        for w in _IDENT_RE.finditer(m.group(1)):
-            tokens.extend(split_identifier(w.group(0)))
-    for m in _NUM_RE.finditer(no_strings):
-        tokens.append(m.group(0).lower())
+    for ident in _IDENT_RE.findall(no_strings):
+        tokens.extend(_split_cached(ident))
+    for literal in _STRING_RE.findall(text):
+        for word in _IDENT_RE.findall(literal):
+            tokens.extend(_split_cached(word))
+    tokens.extend(number.lower() for number in _NUM_RE.findall(no_strings))
     return tokens
 
 
@@ -125,15 +133,49 @@ class Bm25Index:
     def top_n(self, query_text: str, n: int) -> list[str]:
         """The n best doc ids by score; ties break by id lexicographic order.
 
+        The ranking is the one of ``scores``, bit for bit, found in two
+        phases. Phase 1 scores each distinct query term once, weighted by its
+        count: the same positive terms as ``scores`` sums, in another order.
+        Over a query of m tokens, a phase-1 score and the exact score each
+        lie within a relative ``g = gamma(m + 1)`` of the real sum of their
+        terms (``gamma(k) = k*u / (1 - k*u)``, ``u = 2**-53``), so they lie
+        within ``r = 2g / (1 - g)`` of each other. The n docs of the best
+        phase-1 scores all score at least ``(1 - r)`` times the n-th of them
+        exactly, so a doc can reach the exact top n only if its phase-1
+        score is at least ``(1 - r)**2`` times the n-th phase-1 score. The
+        cut below, ``1 - 8g``, is lower still, which also covers its own
+        rounding. Phase 2 recomputes the scores of the docs above the cut
+        exactly, in query-token order, and ranks them.
+
         Docs that share no query term all score 0 and follow the scored ones
         in id order, exactly where a full ranking of every doc puts them.
         """
-        scores = self.scores(query_text)
-        ranked = heapq.nsmallest(n, scores, key=lambda doc_id: (-scores[doc_id], doc_id))
+        tokens = tokenize_code(query_text)
+        approx: dict[str, float] = {}
+        get = approx.get
+        for term, count in Counter(tokens).items():
+            for doc_id, weight in self._term_weights(term).items():
+                approx[doc_id] = get(doc_id, 0.0) + count * weight
+        candidates = approx.keys()
+        if len(approx) > n > 0:
+            m = len(tokens) + 1
+            gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+            cut = heapq.nlargest(n, approx.values())[-1] * (1.0 - 8.0 * gamma)
+            candidates = [doc_id for doc_id, score in approx.items() if score >= cut]
+        columns = [self._term_weights(term) for term in tokens]
+        exact: dict[str, float] = {}
+        for doc_id in candidates:
+            score = 0.0
+            for weights in columns:
+                weight = weights.get(doc_id)
+                if weight is not None:
+                    score += weight
+            exact[doc_id] = score
+        ranked = heapq.nsmallest(n, exact, key=lambda doc_id: (-exact[doc_id], doc_id))
         for doc_id in self._sorted_ids:
             if len(ranked) >= n:
                 break
-            if doc_id not in scores:
+            if doc_id not in approx:
                 ranked.append(doc_id)
         return ranked
 

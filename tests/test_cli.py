@@ -123,6 +123,15 @@ def test_config_values_of_the_wrong_type_are_errors(tmp_path, capsys, values, ke
     assert f"config key {key!r} must be {expected}" in err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '{"jobs": '], ids=["array", "cut-short"])
+def test_a_config_file_that_is_no_json_object_is_an_error(tmp_path, capsys, text):
+    config = tmp_path / "run.json"
+    config.write_text(text)
+    assert run_cli("translate", "--workspace", tmp_path / "ws", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and str(config) in err
+
+
 def test_flags_override_config_file_values(tmp_path):
     """Each flag whose name differs from its config key still overrides that
     key, a zero included, and leaves the other keys as the file set them."""
@@ -206,6 +215,62 @@ def test_translate_existing_run_requires_force(tmp_path):
     ]
     assert run_cli(*args) == 0
     assert run_cli(*args) == 1
+
+
+def assert_refused_before_the_run(capsys, ws, run_id, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    for name in names:
+        assert str(name) in err
+    assert not (ws / "runs" / run_id).exists()
+
+
+@pytest.mark.parametrize("bad", ["missing", "malformed"])
+def test_translate_reads_backend_inputs_before_claiming_the_run(tmp_path, capsys, bad):
+    proj, trace = setup_mini_list(tmp_path)
+    ws = tmp_path / "ws"
+    run_cli("skeleton", "--project", proj, "--trace", trace, "--out", ws)
+    bodies = json.loads((proj / "oracle_bodies.json").read_text())
+    script = tmp_path / "script.json"
+    if bad == "malformed":
+        script.write_text('{"bodies": {')
+    args = ["translate", "--workspace", ws, "--backend", "script", "--script", script,
+            "--run-id", "r1"]
+    assert run_cli(*args) == 1
+    assert_refused_before_the_run(capsys, ws, "r1", script)
+    oracle = ["translate", "--workspace", ws, "--backend", "oracle", "--run-id", "r1",
+              "--oracle-bodies", tmp_path / "bodies.json"]
+    if bad == "malformed":
+        (tmp_path / "bodies.json").write_text("[1, 2]")  # JSON, but not an object
+    assert run_cli(*oracle) == 1
+    assert_refused_before_the_run(capsys, ws, "r1", tmp_path / "bodies.json")
+    replay = ["translate", "--workspace", ws, "--backend", "replay", "--run-id", "r1",
+              "--replay-dir", tmp_path / "replays"]
+    if bad == "malformed":
+        (tmp_path / "replays").write_text("a file, not a directory")
+    assert run_cli(*replay) == 1
+    assert_refused_before_the_run(capsys, ws, "r1", tmp_path / "replays")
+
+    script.write_text(json.dumps({"bodies": bodies}))
+    assert run_cli(*args) == 0  # the retry needs no --force
+    assert json.loads((ws / "runs" / "r1" / "summary.json").read_text())["translated"] == 3
+
+
+def test_translate_refuses_a_missing_kb_directory(tmp_path, capsys):
+    proj, trace = setup_mini_list(tmp_path)
+    ws = tmp_path / "ws"
+    run_cli("skeleton", "--project", proj, "--trace", trace, "--out", ws)
+    kb_dir = tmp_path / "kb"
+    args = ["translate", "--workspace", ws, "--backend", "oracle", "--run-id", "r1",
+            "--oracle-bodies", proj / "oracle_bodies.json", "--kb", kb_dir]
+    assert run_cli(*args) == 1
+    assert_refused_before_the_run(capsys, ws, "r1", kb_dir)
+    assert not kb_dir.exists()  # a mistyped --kb creates nothing
+
+    kb_dir.mkdir()  # an existing empty directory starts a new knowledge base
+    assert run_cli(*args) == 0
+    journal = (kb_dir / "pairs.jsonl").read_text().splitlines()
+    assert len(journal) == 1 + 3  # the header, then the three translated functions
 
 
 def test_translate_one_shot_shape(tmp_path):

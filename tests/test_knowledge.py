@@ -1,7 +1,9 @@
 import functools
 import json
+import logging
 import math
 import random
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -9,6 +11,7 @@ from dataclasses import asdict
 import pytest
 from conftest import build_planted_repo
 
+from rustport.errors import KnowledgeBaseError
 from rustport.knowledge import (
     AlignedFunctionPair,
     ApiRule,
@@ -612,6 +615,11 @@ def test_rule_files_equal_the_asdict_rendering(tmp_path):
     kb = KnowledgeBase(tmp_path / "kb")
     kb_history(rng, kb, 40)
     assert kb.api_rules and kb.fragment_rules
+    # the journals, never compacted, load to the in-memory rules
+    loaded = KnowledgeBase.load(tmp_path / "kb")
+    assert [asdict(r) for r in loaded.api_rules] == [asdict(r) for r in kb.api_rules]
+    assert [asdict(r) for r in loaded.fragment_rules] == [asdict(r) for r in kb.fragment_rules]
+    kb.save()
     for name, rules in (("api_rules.jsonl", kb.api_rules), ("fragment_rules.jsonl", kb.fragment_rules)):
         lines = [json.dumps({"format": "rustport-kb", "version": 1})]
         lines += [json.dumps(asdict(r), sort_keys=True) for r in rules]
@@ -632,3 +640,125 @@ def test_rule_store_merges_by_key_in_first_insert_order():
         (("abs", "wrapping_abs"), 1, ["p3"]),
     ]
     assert [r.key() for r in kb.fragment_rules] == [("assert(x);", "debug_assert!(x);")]
+
+
+# --- journals and crashes ----------------------------------------------------------
+
+JOURNALS = ("pairs.jsonl", "api_rules.jsonl", "fragment_rules.jsonl")
+
+
+def kb_state(kb):
+    """Pairs in journal order, then each kind's rules in first-insert order."""
+    return (
+        [vars(p) for p in kb.pairs],
+        [asdict(r) for r in kb.api_rules],
+        [asdict(r) for r in kb.fragment_rules],
+    )
+
+
+def test_a_crash_mid_append_loads_the_base_of_the_last_whole_record(tmp_path, caplog):
+    rng = random.Random(15)
+    kb_dir = tmp_path / "kb"
+    kb = KnowledgeBase(kb_dir)
+    queries = [history_pair(rng, 700 + i).c_source for i in range(3)]
+    points = []  # after each insert: journal sizes, then the live base and its retrievals
+
+    def mark():
+        sizes = {n: (kb_dir / n).stat().st_size if (kb_dir / n).is_file() else None for n in JOURNALS}
+        points.append((sizes, kb_state(kb), [retrieval_record(kb.retrieve(q, k=5)) for q in queries]))
+
+    mark()
+    for n in range(10):
+        pair = AlignedFunctionPair(**vars(rng.choice(kb.pairs) if n % 4 == 3 else history_pair(rng, n)))
+        kb.insert_pair(pair)
+        mark()
+        rules = mine_rules(pair)
+        if n == 5:  # a new key twice in one batch: each record is journaled as it arrived
+            rules += [ApiRule("lib_crash", "crash", provenance=[pair.pair_id]),
+                      ApiRule("lib_crash", "crash", support=2, provenance=["p0", pair.pair_id])]
+        kb.insert_rules(rules)
+        mark()
+    assert [r.support for r in kb.api_rules if r.c_interface == "lib_crash"] == [3]
+    final = {n: (kb_dir / n).read_bytes() for n in JOURNALS}
+    crash_dir = tmp_path / "crash"
+    cases = 0
+    for sizes, state, retrieved in points:
+        # cut every journal after its last whole record, or one journal inside
+        # its next record: halfway, or just before the record's newline
+        for torn, where in [(None, None)] + [(n, w) for n in JOURNALS for w in ("half", "last")]:
+            if torn is not None and sizes[torn] == len(final[torn]):
+                continue  # no record follows
+            shutil.rmtree(crash_dir, ignore_errors=True)
+            crash_dir.mkdir()
+            for name, data in final.items():
+                size = sizes[name]
+                if name == torn:
+                    start = size or 0
+                    stop = data.index(b"\n", start)
+                    size = (start + stop) // 2 if where == "half" else stop
+                if size is not None:
+                    (crash_dir / name).write_bytes(data[:size])
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                loaded = KnowledgeBase.load(crash_dir)
+            assert ("unfinished last line" in caplog.text) == (torn is not None)
+            assert kb_state(loaded) == state, (sizes, torn, where)
+            assert [retrieval_record(loaded.retrieve(q, k=5)) for q in queries] == retrieved
+            # the next run's appends start on a whole line, so its base reloads
+            extra = history_pair(rng, 800 + cases)
+            loaded.accumulate(extra.c_name, extra.c_source, extra.rust_name, extra.rust_source)
+            assert kb_state(KnowledgeBase.load(crash_dir)) == kb_state(loaded)
+            cases += 1
+    assert cases > 3 * len(points)
+
+
+def test_a_malformed_line_names_its_file_and_line(tmp_path):
+    kb_dir = tmp_path / "kb"
+    kb_history(random.Random(16), KnowledgeBase(kb_dir), 3)
+    journal = kb_dir / "pairs.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    for broken, message in (
+        (lines[1][:30] + "\n", "malformed line"),  # cut short, then a later record
+        ("[1, 2]\n", "not a JSON object"),
+        (json.dumps({"c_name": "f", "colour": "red"}) + "\n", "malformed record"),
+    ):
+        journal.write_text(lines[0] + broken + "".join(lines[2:]))
+        with pytest.raises(KnowledgeBaseError, match=rf"pairs\.jsonl:2: {message}"):
+            KnowledgeBase.load(kb_dir)
+
+
+# --- two-phase ranking ----------------------------------------------------------------
+
+
+def one_pass_top_n(index, query, n):
+    """The reference ranking: every scored doc by (-score, id), then the
+    unscored docs by id."""
+    scores = index.scores(query)
+    ranked = sorted(scores, key=lambda d: (-scores[d], d))[:n]
+    unscored = [d for d in sorted(index.doc_len) if d not in scores]
+    return ranked + unscored[: max(0, n - len(ranked))]
+
+
+def test_two_phase_top_n_equals_the_one_pass_ranking():
+    rng = random.Random(17)
+    kb = KnowledgeBase()
+    kb_history(rng, kb, 300)
+    index = Bm25Index((pid, pair.c_source) for pid, pair in distinct_docs(kb))
+    queries = [history_pair(rng, 3000 + i).c_source for i in range(20)]
+    queries += [pair.c_source for pair in rng.sample(kb.pairs, 10)]
+    # near-ties: the same content under many ids, and queries repeating tokens,
+    # whose count-weighted sums round differently from the in-order ones
+    vocab = [f"w{i}" for i in range(8)]
+    texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 12))) for _ in range(30)]
+    tied = Bm25Index((f"t{i:03d}", rng.choice(texts)) for i in range(200))
+    tied_queries = [" ".join(rng.choice(vocab[:4]) for _ in range(rng.randint(1, 40))) for _ in range(40)]
+    # "a b c" and "d a b" score the same weights summed in other orders: their
+    # exact scores tie bit for bit, their count-weighted phase-1 sums do not
+    crafted = Bm25Index([("x1", "a b c"), ("x0", "d a b"), ("f0", "e f"), ("f1", "f b e b")])
+    assert one_pass_top_n(crafted, "b b c a d c d", 1) == ["x0"]
+    for index, queries in (
+        (index, queries), (tied, tied_queries + texts), (crafted, ["b b c a d c d"]),
+    ):
+        for query in queries:
+            for n in (0, 1, 5, 20, 60, len(index.doc_len) + 5):
+                assert index.top_n(query, n) == one_pass_top_n(index, query, n), (query, n)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -86,6 +87,21 @@ def test_icomp_rerun_identical(ten_pipe):
     rate1, _ = incremental_comp_rate(project.workspace_dir, bodies, layers.flatten(), runner)
     rate2, _ = incremental_comp_rate(project.workspace_dir, bodies, layers.flatten(), runner)
     assert rate1 == rate2 == 90.0
+
+
+
+@pytest.mark.parametrize("bodies", [VALID_BODIES, {}], ids=["bodies", "no-bodies"])
+def test_icomp_refuses_a_skeleton_that_does_not_build(ten_pipe, tmp_path, bodies):
+    project, workspace, graph, index, layers, runner = ten_pipe
+    broken = tmp_path / "skeleton"
+    shutil.copytree(project.workspace_dir, broken, ignore=shutil.ignore_patterns("target"))
+    [module] = [f for f in (broken / "src").rglob("*.rs") if "tenfn_0" in f.read_text()]
+    # a type error outside every body segment: the skeleton itself is broken
+    module.write_text(module.read_text() + '\npub fn not_a_body() -> i32 { "text" }\n')
+    before = {f: f.read_bytes() for f in (broken / "src").rglob("*.rs")}
+    with pytest.raises(MetricsError, match="skeleton workspace does not build"):
+        incremental_comp_rate(broken, bodies, layers.flatten(), runner)
+    assert {f: f.read_bytes() for f in (broken / "src").rglob("*.rs")} == before
 
 
 # --- unsafe ratio ------------------------------------------------------------------
