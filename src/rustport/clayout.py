@@ -1,91 +1,17 @@
-"""C type texts: parsing, LP64 layout computation, and Rust lowering.
+"""C types: LP64 layout computation and Rust lowering.
 
-Canonical type texts produced by symbol extraction ("unsigned int *",
-"char [16]", "int (*)(int, char *)") are parsed back into a small structural
-model here. Record sizes and alignments follow the System V x86-64 rules,
-including the bit-field allocation algorithm; the test suite checks them
-against sizes reported by the host C compiler.
+Symbol extraction parses every declarator into a ``CType``; this module sizes
+and lowers those structures. Record sizes and alignments follow the System V
+x86-64 rules, including the bit-field allocation algorithm; the test suite
+checks them against sizes reported by the host C compiler.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .csyms import CTypeDef
+from .csyms import CType, CTypeDef
 from .errors import SkeletonError
-
-
-@dataclass
-class CType:
-    base: str                      # "int", "struct Foo", "Foo", "void", ...
-    pointer_depth: int = 0
-    array_dims: list[int] = field(default_factory=list)
-    const: bool = False
-    func: Optional["CFuncSig"] = None  # set for function-pointer types
-
-
-@dataclass
-class CFuncSig:
-    params: list[CType]
-    ret: CType
-    variadic: bool = False
-
-
-_FNPTR_RE = re.compile(r"^(?P<ret>.+?)\s*\(\s*\*\s*\)\s*\((?P<params>.*)\)(?P<dims>(\s*\[\d+\])*)$")
-_DIM_RE = re.compile(r"\[(\d+)\]")
-
-
-def parse_c_type(text: str) -> CType:
-    text = text.strip()
-    m = _FNPTR_RE.match(text)
-    if m:
-        params_text = m.group("params").strip()
-        params: list[CType] = []
-        if params_text and params_text != "void":
-            params = [parse_c_type(p) for p in _split_params(params_text)]
-        dims = [int(d) for d in _DIM_RE.findall(m.group("dims") or "")]
-        return CType(
-            base="<fn>",
-            pointer_depth=1,
-            array_dims=dims,
-            func=CFuncSig(params=params, ret=parse_c_type(m.group("ret"))),
-        )
-
-    dims = [int(d) for d in _DIM_RE.findall(text)]
-    text = _DIM_RE.sub("", text).strip()
-    depth = 0
-    while text.endswith("*"):
-        depth += 1
-        text = text[:-1].strip()
-    const = False
-    if text.startswith("const "):
-        const = True
-        text = text[len("const ") :].strip()
-    if text.endswith(" const"):
-        const = True
-        text = text[: -len(" const")].strip()
-    return CType(base=text or "int", pointer_depth=depth, array_dims=dims, const=const)
-
-
-def _split_params(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-            continue
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        cur.append(ch)
-    if cur:
-        parts.append("".join(cur).strip())
-    return [p for p in parts if p]
 
 
 # base name -> (rust type, size, align) on LP64
@@ -141,28 +67,21 @@ class TypeResolver:
         self.rust_path = rust_path
 
 
-def lower_type_text(text: str, resolver: TypeResolver, position: str = "value") -> str:
-    """Lower a canonical C type text to Rust source text.
+def lower(ct: CType, resolver: TypeResolver, position: str = "value") -> str:
+    """Lower a C type to Rust source text.
 
     ``position`` is "value" for members/params/locals and "return" for
     function returns (where void becomes the unit type).
     """
-    return _lower(parse_c_type(text), resolver, position)
-
-
-def _lower(ct: CType, resolver: TypeResolver, position: str = "value") -> str:
+    base = ct.name
     if ct.func is not None:
-        sig = ct.func
-        params = ", ".join(_lower(p, resolver) for p in sig.params)
-        ret = _lower(sig.ret, resolver, "return")
-        fn = f'unsafe extern "C" fn({params})' + (f" -> {ret}" if ret != "()" else "")
+        params = [lower(p, resolver) for p in ct.func.params]
+        if ct.func.variadic:
+            params.append("...")
+        ret = lower(ct.func.ret, resolver, "return")
+        fn = f'unsafe extern "C" fn({", ".join(params)})' + (f" -> {ret}" if ret != "()" else "")
         lowered = f"Option<{fn}>"
-        for d in reversed(ct.array_dims):
-            lowered = f"[{lowered}; {d}]"
-        return lowered
-
-    base = _strip_tag(ct.base)
-    if ct.pointer_depth:
+    elif ct.pointer_depth:
         if base == "void":
             inner = "core::ffi::c_void"
         elif base in PRIMITIVES:
@@ -176,30 +95,21 @@ def _lower(ct: CType, resolver: TypeResolver, position: str = "value") -> str:
         lowered = f"{sigil} {inner}"
         for _ in range(ct.pointer_depth - 1):
             lowered = f"{sigil} {lowered}"
+    elif base == "void":
+        if position != "return":
+            raise SkeletonError("void in value position")
+        lowered = "()"
+    elif base in PRIMITIVES:
+        lowered = PRIMITIVES[base][0]
     else:
-        if base == "void":
-            if position == "return":
-                lowered = "()"
-            else:
-                raise SkeletonError("void in value position")
-        elif base in PRIMITIVES:
-            lowered = PRIMITIVES[base][0]
-        else:
-            path = resolver.rust_path(base)
-            if path is None:
-                raise SkeletonError(f"unresolvable member type '{ct.base}'")
-            lowered = path
+        path = resolver.rust_path(base)
+        if path is None:
+            raise SkeletonError(f"unresolvable member type '{ct.base}'")
+        lowered = path
 
     for d in reversed(ct.array_dims):
         lowered = f"[{lowered}; {d}]"
     return lowered
-
-
-def _strip_tag(base: str) -> str:
-    for kw in ("struct ", "union ", "enum "):
-        if base.startswith(kw):
-            return base[len(kw) :]
-    return base
 
 
 # --- layout ----------------------------------------------------------------
@@ -213,7 +123,7 @@ def size_align_of(ct: CType, resolver: TypeResolver) -> tuple[int, int]:
     if ct.pointer_depth or ct.func is not None:
         size, align = POINTER_SIZE, POINTER_ALIGN
     else:
-        base = _strip_tag(ct.base)
+        base = ct.name
         if base in PRIMITIVES:
             _, size, align = PRIMITIVES[base]
         else:
@@ -231,7 +141,7 @@ def record_size_align(td: CTypeDef, resolver: TypeResolver) -> tuple[int, int]:
     if td.kind == "enumeration":
         return 4, 4
     if td.kind == "alias":
-        return size_align_of(parse_c_type(td.members[0][1]), resolver)
+        return size_align_of(td.members[0][1], resolver)
     if td.opaque or not td.members:
         return 0, 1
 
@@ -239,7 +149,7 @@ def record_size_align(td: CTypeDef, resolver: TypeResolver) -> tuple[int, int]:
         size = 0
         align = 1
         for _, mtype, _width in td.members:
-            msize, malign = size_align_of(parse_c_type(mtype), resolver)
+            msize, malign = size_align_of(mtype, resolver)
             size = max(size, msize)
             align = max(align, malign)
         return _round_up(size, align), align
@@ -248,7 +158,7 @@ def record_size_align(td: CTypeDef, resolver: TypeResolver) -> tuple[int, int]:
     bit_offset = 0
     align = 1
     for _, mtype, width in td.members:
-        msize, malign = size_align_of(parse_c_type(mtype), resolver)
+        msize, malign = size_align_of(mtype, resolver)
         if width is not None:
             unit_bits = msize * 8
             if width == 0:

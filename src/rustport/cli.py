@@ -112,7 +112,7 @@ def cmd_mine(args) -> int:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise RustportError(f"knowledge base directory not empty: {out} (use --force)")
-    kb, stats = build_knowledge_base(args.repo, regime=args.regime, out_dir=out)
+    _, stats = build_knowledge_base(args.repo, regime=args.regime, out_dir=out)
     print(f"mined {stats['repos']} repositories: {stats['candidates']} file-pair candidates")
     for heuristic, count in sorted(stats["heuristics"].items()):
         print(f"  {heuristic}: {count}")

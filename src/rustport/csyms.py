@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .buildctx import PreprocessedUnit
 
@@ -46,28 +46,68 @@ KNOWN_ENV_TYPEDEFS = {
 }
 
 
+_TAGS = ("struct", "union", "enum")
+
+
+@dataclass
+class CType:
+    """A parsed C type. A function pointer has the base ``<fn>``, one level
+    of pointer, and its signature in ``func``; ``const`` qualifies the base."""
+
+    base: str  # "int", "unsigned long", "struct Foo", "Foo", "void", "<fn>"
+    pointer_depth: int = 0
+    array_dims: list[int] = field(default_factory=list)
+    const: bool = False
+    func: Optional["CFuncSig"] = None
+
+    @property
+    def name(self) -> str:
+        """The base without its struct/union/enum tag."""
+        tag, _, rest = self.base.partition(" ")
+        return rest if tag in _TAGS else self.base
+
+
+@dataclass
+class CFuncSig:
+    params: list[CType]
+    ret: CType
+    variadic: bool = False
+
+
+def base_names(ct: CType) -> Iterator[str]:
+    """The tag-stripped base names a type refers to, in declaration order: a
+    function pointer's return type first, then its parameters."""
+    if ct.func is None:
+        yield ct.name
+        return
+    yield from base_names(ct.func.ret)
+    for p in ct.func.params:
+        yield from base_names(p)
+
+
 @dataclass
 class CTypeDef:
     """One C type definition in declaration order.
 
-    For records/unions, members are (name, c_type_text, bit_width). For
-    enumerations, members are (constant name, resolved value text, None).
-    For aliases, a single ("", target type text, None) entry.
+    Records and unions list their members as (name, type, bit width); an
+    alias has the single member ("", target type, None); an enumeration
+    lists its enumerators as (name, value) instead.
     """
 
     name: str
     kind: str  # record | union | enumeration | alias
-    members: list[tuple[str, str, Optional[int]]]
+    members: list[tuple[str, CType, Optional[int]]]
     source_loc: str
     layout_sensitive: bool = False
     opaque: bool = False
+    enumerators: list[tuple[str, int]] = field(default_factory=list)
 
 
 @dataclass
 class CFunctionDecl:
     name: str
-    return_type: str
-    params: list[tuple[Optional[str], str]]
+    return_type: CType
+    params: list[tuple[Optional[str], CType]]
     variadic: bool
     storage: str  # external | internal
     defined_here: bool
@@ -81,7 +121,7 @@ class CFunctionDecl:
 @dataclass
 class CGlobalDecl:
     name: str
-    c_type_text: str
+    c_type: CType
     initializer_text: Optional[str]
     storage: str  # external | internal
     mutable: bool
@@ -316,7 +356,8 @@ class _Parser:
     # --- specifiers -----------------------------------------------------
 
     def parse_base_type(self) -> tuple[bool, str]:
-        """Return (const, canonical base type text)."""
+        """Return (const, base name): a canonical primitive, a tagged name or a
+        typedef name."""
         is_const = False
         words: list[str] = []
         while True:
@@ -382,9 +423,9 @@ class _Parser:
             raise _Unsupported(f"anonymous {keyword} without body", kw_tok)
         return f"{keyword} {tag}"
 
-    def parse_member_list(self) -> tuple[list[tuple[str, str, Optional[int]]], bool]:
+    def parse_member_list(self) -> tuple[list[tuple[str, CType, Optional[int]]], bool]:
         self.expect("{")
-        members: list[tuple[str, str, Optional[int]]] = []
+        members: list[tuple[str, CType, Optional[int]]] = []
         has_bits = False
         while not self.at("}"):
             self.skip_attributes()
@@ -394,7 +435,7 @@ class _Parser:
             is_const, base = self.parse_base_type()
             if self.at(";"):
                 # anonymous member (C11 anonymous struct/union)
-                members.append((f"anon{len(members)}", base, None))
+                members.append((f"anon{len(members)}", CType(base), None))
                 self.next()
                 continue
             while True:
@@ -409,7 +450,7 @@ class _Parser:
                     has_bits = True
                 if decl.is_function:
                     raise _Unsupported("function member", None)
-                members.append((decl.name or f"anon{len(members)}", decl.type_text, width))
+                members.append((decl.name or f"anon{len(members)}", decl.ctype, width))
                 self.skip_attributes()
                 if self.at(","):
                     self.next()
@@ -432,7 +473,7 @@ class _Parser:
         if self.at("{"):
             name = tag or self.synth_anon_name(kw_tok)
             self.expect("{")
-            members: list[tuple[str, str, Optional[int]]] = []
+            enumerators: list[tuple[str, int]] = []
             next_value = 0
             while not self.at("}"):
                 et = self.next()
@@ -442,7 +483,7 @@ class _Parser:
                 if self.at("="):
                     self.next()
                     value = self.parse_enum_value()
-                members.append((et.text, str(value), None))
+                enumerators.append((et.text, value))
                 self.enum_constants.add(et.text)
                 next_value = value + 1
                 if self.at(","):
@@ -450,7 +491,11 @@ class _Parser:
             self.expect("}")
             self.table.types.append(
                 CTypeDef(
-                    name=name, kind="enumeration", members=members, source_loc=self.loc(kw_tok)
+                    name=name,
+                    kind="enumeration",
+                    members=[],
+                    source_loc=self.loc(kw_tok),
+                    enumerators=enumerators,
                 )
             )
             return f"enum {name}"
@@ -510,15 +555,11 @@ class _Parser:
                 self.next()
             self.expect(")")
             params, variadic = self.parse_params()
-            ret = _render_type(base, base_const, ptr, [])
             if inner_ptr != 1:
                 raise _Unsupported("multi-level function pointer", t)
-            param_text = ", ".join(p[1] for p in params) if params else "void"
-            type_text = f"{ret} (*)({param_text})"
-            dims = self.parse_array_dims()
-            for d in reversed(dims):
-                type_text = f"{type_text} [{d}]"
-            return _Declarator(name=name, type_text=type_text, is_function=False)
+            ret = CType(base, ptr, const=base_const)
+            sig = CFuncSig([p for _, p in params], ret, variadic)
+            return _Declarator(name, CType("<fn>", 1, self.parse_array_dims(), func=sig))
         if t is not None and t.kind == "ident" and t.text not in C_KEYWORDS:
             name = t.text
             self.next()
@@ -528,13 +569,12 @@ class _Parser:
             params, variadic = self.parse_params()
             return _Declarator(
                 name=name,
-                type_text=_render_type(base, base_const, ptr, []),
+                ctype=CType(base, ptr, const=base_const),
                 is_function=True,
                 params=params,
                 variadic=variadic,
             )
-        dims = self.parse_array_dims()
-        return _Declarator(name=name, type_text=_render_type(base, base_const, ptr, dims))
+        return _Declarator(name, CType(base, ptr, self.parse_array_dims(), base_const))
 
     def _looks_like_fnptr(self) -> bool:
         return self.at("(") and (self.at("*", 1) or self.at("*", 2))
@@ -554,9 +594,9 @@ class _Parser:
             self.expect("]")
         return dims
 
-    def parse_params(self) -> tuple[list[tuple[Optional[str], str]], bool]:
+    def parse_params(self) -> tuple[list[tuple[Optional[str], CType]], bool]:
         self.expect("(")
-        params: list[tuple[Optional[str], str]] = []
+        params: list[tuple[Optional[str], CType]] = []
         variadic = False
         if self.at(")"):
             self.next()
@@ -568,14 +608,13 @@ class _Parser:
                 break
             is_const, base = self.parse_base_type()
             decl = self.parse_declarator(base, is_const)
+            ctype = decl.ctype
             if decl.is_function:
                 # function-typed parameter decays to a function pointer
-                ptext = ", ".join(p[1] for p in decl.params) if decl.params else "void"
-                decl = _Declarator(
-                    name=decl.name, type_text=f"{decl.type_text} (*)({ptext})", is_function=False
-                )
-            if decl.type_text != "void" or decl.name is not None:
-                params.append((decl.name, decl.type_text))
+                sig = CFuncSig([p for _, p in decl.params], ctype, decl.variadic)
+                ctype = CType("<fn>", 1, func=sig)
+            if ctype != CType("void") or decl.name is not None:
+                params.append((decl.name, ctype))
             if self.at(","):
                 self.next()
                 continue
@@ -614,7 +653,7 @@ class _Parser:
         tok = self._decl_start or self.peek(-1)
         fn = CFunctionDecl(
             name=decl.name,
-            return_type=decl.type_text,
+            return_type=decl.ctype,
             params=decl.params,
             variadic=decl.variadic,
             storage=storage,
@@ -651,18 +690,18 @@ class _Parser:
                 CTypeDef(
                     name=decl.name,
                     kind="alias",
-                    members=[("", decl.type_text, None)],
+                    members=[("", decl.ctype, None)],
                     source_loc=self.loc(tok),
                 )
             )
             return
         # only a top-level const (no pointer declarator) makes the object itself
         # immutable; `const char *` is a mutable pointer to const data
-        mutable = not (decl.type_text.startswith("const ") and "*" not in decl.type_text)
+        mutable = not (decl.ctype.const and not decl.ctype.pointer_depth)
         self.table.globals.append(
             CGlobalDecl(
                 name=decl.name,
-                c_type_text=decl.type_text,
+                c_type=decl.ctype,
                 initializer_text=init,
                 storage="internal" if storage == "internal" else "external",
                 mutable=mutable,
@@ -674,10 +713,13 @@ class _Parser:
 
 @dataclass
 class _Declarator:
+    """A declared name and its type; a function declarator's type is its
+    return type."""
+
     name: Optional[str]
-    type_text: str
+    ctype: CType
     is_function: bool = False
-    params: list[tuple[Optional[str], str]] = field(default_factory=list)
+    params: list[tuple[Optional[str], CType]] = field(default_factory=list)
     variadic: bool = False
 
 
@@ -722,17 +764,6 @@ def _char_value(text: str) -> int:
     if inner.startswith("\\x"):
         return int(inner[2:], 16)
     return ord(inner[0])
-
-
-def _render_type(base: str, is_const: bool, ptr: int, dims: list[int]) -> str:
-    text = base
-    if is_const:
-        text = f"const {text}"
-    if ptr:
-        text = f"{text} " + "*" * ptr
-    for d in dims:
-        text = f"{text} [{d}]"
-    return text
 
 
 _STATEMENT_TERMINATORS = {";", "{", "}"}
@@ -971,45 +1002,31 @@ def _compute_external_refs(table: SymbolTable, parser: _Parser) -> None:
     referenced: set[str] = set()
     for fn in table.functions:
         referenced |= fn.calls | fn.value_refs
-        for _, ptype in fn.params:
-            referenced.update(_type_base_idents(ptype))
-        referenced.update(_type_base_idents(fn.return_type))
-    for t in table.types:
-        if t.kind in ("record", "union"):
-            for _, mtype, _ in t.members:
-                referenced.update(_type_base_idents(mtype))
-        elif t.kind == "alias":
-            referenced.update(_type_base_idents(t.members[0][1]))
-    for g in table.globals:
-        referenced.update(_type_base_idents(g.c_type_text))
-
+    referenced.update(
+        name
+        for ct in declared_types(table)
+        for name in base_names(ct)
+        if not PRIMITIVE_WORDS.issuperset(name.split())
+    )
     table.external_refs = {
         r for r in referenced - defined - C_KEYWORDS - KNOWN_ENV_TYPEDEFS if r
     }
 
 
-_PRIMITIVE_TEXTS = {
-    "void", "char", "signed char", "unsigned char", "short", "unsigned short",
-    "int", "unsigned int", "long", "unsigned long", "long long",
-    "unsigned long long", "float", "double", "_Bool",
-}
-
-
-def _type_base_idents(type_text: str) -> set[str]:
-    """Identifiers named by a canonical type text (tags, typedef names)."""
-    out: set[str] = set()
-    for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*", type_text):
-        w = m.group(0)
-        if w in ("const", "struct", "union", "enum", "volatile"):
-            continue
-        if w in PRIMITIVE_WORDS or w in _PRIMITIVE_TEXTS:
-            continue
-        out.add(w)
-    return out
+def declared_types(table: SymbolTable) -> Iterator[CType]:
+    """Every type the table's declarations name: signatures, members, alias
+    targets and globals."""
+    for fn in table.functions:
+        yield from (ptype for _, ptype in fn.params)
+        yield fn.return_type
+    for t in table.types:
+        yield from (mtype for _, mtype, _ in t.members)
+    for g in table.globals:
+        yield g.c_type
 
 
 _DEFINE_RE = re.compile(r"^[ \t]*#[ \t]*define[ \t]+(\w+)([ \t(].*)?$")
-_INT_LITERAL_RE = re.compile(r"^[+-]?(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]*$")
+INT_LITERAL_RE = re.compile(r"^[+-]?(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]*$")
 _STR_LITERAL_RE = re.compile(r'^"((?:\\.|[^"\\])*)"$')
 _CHAR_LITERAL_RE = re.compile(r"^'(?:\\.|[^'\\])+'$")
 
@@ -1037,7 +1054,7 @@ def collect_macro_constants(original_source: str) -> list[tuple[str, object]]:
         body = rest.strip()
         while body.startswith("(") and body.endswith(")"):
             body = body[1:-1].strip()
-        if _INT_LITERAL_RE.match(body):
+        if INT_LITERAL_RE.match(body):
             sign = -1 if body.startswith("-") else 1
             out.append((name, sign * int(body.lstrip("+-").rstrip("uUlL"), 0)))
         elif _STR_LITERAL_RE.match(body):

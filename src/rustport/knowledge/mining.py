@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bm25 import long_string_literals
-from .rules import _CALL_RE, split_c_functions, split_rust_functions
+from .rules import CALL_RE, split_c_functions, split_rust_functions
 
 logger = logging.getLogger(__name__)
 
@@ -270,9 +270,9 @@ def _mine_synchronous(commits: list[Commit], cands: _CandidateSet, repo: GitRepo
             added_calls: set[str] = set()
             for line in diff.splitlines():
                 if line.startswith("-") and not line.startswith("---"):
-                    removed_calls.update(m.group(1) for m in _CALL_RE.finditer(line))
+                    removed_calls.update(m.group(1) for m in CALL_RE.finditer(line))
                 elif line.startswith("+") and not line.startswith("+++"):
-                    added_calls.update(m.group(1) for m in _CALL_RE.finditer(line))
+                    added_calls.update(m.group(1) for m in CALL_RE.finditer(line))
             for old_call in sorted(removed_calls - added_calls):
                 c_home = c_def_files.get(old_call)
                 if c_home is None:

@@ -140,14 +140,14 @@ def align_functions(file_pair) -> list[AlignedFunctionPair]:
 
 # --- deterministic rule extraction ---------------------------------------------
 
-_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 _METHOD_RE = re.compile(r"\.\s*([A-Za-z_]\w*)\s*\(")
 _MACRO_RE = re.compile(r"\b([A-Za-z_]\w*)!\s*[\(\[\{]")
 
 
 def _c_callees(text: str) -> list[str]:
     seen: list[str] = []
-    for m in _CALL_RE.finditer(text):
+    for m in CALL_RE.finditer(text):
         name = m.group(1)
         if name in C_KEYWORDS or name in seen:
             continue
@@ -161,7 +161,7 @@ def _rust_callees(text: str) -> list[str]:
         name = m.group(1)
         if name not in seen:
             seen.append(name)
-    for m in _CALL_RE.finditer(text):
+    for m in CALL_RE.finditer(text):
         name = m.group(1)
         if name in RUST_KEYWORDS or name in seen:
             continue

@@ -19,14 +19,16 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 from . import clayout
 from .buildctx import PreprocessedUnit
 from .cargo import BuildRunner, render_diagnostics
-from .clayout import TypeResolver, parse_c_type
+from .clayout import TypeResolver
 from .csyms import (
+    INT_LITERAL_RE,
     CFunctionDecl,
     CGlobalDecl,
     CTypeDef,
     SymbolTable,
-    _INT_LITERAL_RE,
+    base_names,
     collect_macro_constants,
+    declared_types,
     extract_symbols,
 )
 from .errors import SkeletonBuildError, SkeletonError
@@ -184,12 +186,12 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
     """Lower one C type definition to layout-preserving Rust source."""
     name = sanitize_ident(t.name)
     if t.kind == "alias":
-        target = clayout.lower_type_text(t.members[0][1], policy.resolver)
+        target = clayout.lower(t.members[0][1], policy.resolver)
         text = f"pub type {name} = {target};"
         return RustTypeDecl(name=name, emitted_text=text, origin=t, module=module)
 
     if t.kind == "enumeration":
-        values = [(sanitize_ident(m[0]), int(m[1])) for m in t.members]
+        values = [(sanitize_ident(n), v) for n, v in t.enumerators]
         if len({v for _, v in values}) != len(values):
             # duplicate discriminants cannot become a Rust enum
             lines = [f"pub type {name} = i32;"]
@@ -232,7 +234,7 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
             if width is None:
                 continue
             acc = sanitize_ident(mname)
-            mt = clayout.lower_type_text(mtype, policy.resolver)
+            mt = clayout.lower(mtype, policy.resolver)
             lines.append(f"    pub fn {acc}(&self) -> {mt} {{ unimplemented!() }}")
             lines.append(
                 f"    pub fn set_{acc}(&mut self, value: {mt}) {{ let _ = value; unimplemented!() }}"
@@ -247,7 +249,7 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
 
     lines = ["#[repr(C)]", "#[derive(Clone, Copy)]", f"pub {keyword} {name} {{"]
     for mname, mtype, _width in t.members:
-        lowered = clayout.lower_type_text(mtype, policy.resolver)
+        lowered = clayout.lower(mtype, policy.resolver)
         lines.append(f"    pub {sanitize_ident(mname)}: {lowered},")
     lines.append("}")
     try:
@@ -286,8 +288,8 @@ def emit_stub(
     for i, (pname, ptype) in enumerate(f.params):
         rust_name = sanitize_ident(pname) if pname else f"p{i}"
         param_names.append(rust_name)
-        params.append(f"{rust_name}: {clayout.lower_type_text(ptype, policy.resolver)}")
-    ret = clayout.lower_type_text(f.return_type, policy.resolver, position="return")
+        params.append(f"{rust_name}: {clayout.lower(ptype, policy.resolver)}")
+    ret = clayout.lower(f.return_type, policy.resolver, position="return")
 
     vis_prefix = {"public": "pub ", "crate": "pub(crate) ", "private": ""}[visibility]
     abi = 'extern "C" ' if f.storage == "external" or address_taken else ""
@@ -345,18 +347,17 @@ def lift_global(
     zeroed default plus a logged TODO marker in the emitted text.
     """
     name = sanitize_ident(g.name)
-    ct = parse_c_type(g.c_type_text)
-    rust_type = clayout.lower_type_text(g.c_type_text, policy.resolver)
+    rust_type = clayout.lower(g.c_type, policy.resolver)
     cross_module = len(usage.using_modules - {usage.defining_module}) >= 1
     module = SHARED_MODULE if cross_module else usage.defining_module
 
     todo_comment = ""
     init = (g.initializer_text or "").strip()
-    str_ptr = ct.pointer_depth == 1 and clayout._strip_tag(ct.base) == "char"
+    str_ptr = g.c_type.pointer_depth == 1 and g.c_type.base == "char"
     if init and _STR_INIT_RE.match(init) and str_ptr:
         literal = init[1:-1]
         rust_init = f'b"{literal}\\0".as_ptr() as {rust_type}'
-    elif init and _INT_LITERAL_RE.match(init):
+    elif init and INT_LITERAL_RE.match(init):
         rust_init = init.rstrip("uUlL")
     elif init and _FLOAT_INIT_RE.match(init):
         rust_init = init.rstrip("fF")
@@ -453,21 +454,12 @@ def plan_skeleton(
 
     # usage analysis: which modules reference which names
     uses: dict[str, set[str]] = {}
-    def_modules: dict[str, list[str]] = {}
     for module, table in symtabs.items():
         names: set[str] = set(table.external_refs)
         for fn in table.functions:
             names |= fn.calls | fn.value_refs
         for name in names:
             uses.setdefault(name, set()).add(module)
-        for t in table.types:
-            def_modules.setdefault(t.name, []).append(module)
-        for fn in table.functions:
-            if fn.defined_here:
-                def_modules.setdefault(fn.name, []).append(module)
-        for g in table.globals:
-            if g.is_definition:
-                def_modules.setdefault(g.name, []).append(module)
 
     # type placement: structurally identical same-name definitions unify;
     # shared when seen or referenced from more than one module
@@ -481,7 +473,9 @@ def plan_skeleton(
                 type_defs[t.name] = t
                 placed_types[t.name] = module
                 continue
-            if (prior.kind, prior.members) == (t.kind, t.members):
+            if (prior.kind, prior.members, prior.enumerators) == (
+                t.kind, t.members, t.enumerators
+            ):
                 placed_types[t.name] = SHARED_MODULE
             else:
                 type_conflicts.append(t.name)
@@ -507,23 +501,15 @@ def plan_skeleton(
     policy = TypePolicy(resolver=resolver, strict=config.strict_holes)
 
     # synthesize opaque types for referenced-but-undefined type names
-    referenced_types: set[str] = set()
-    for table in symtabs.values():
-        for t in table.types:
-            for _, mtype, _ in t.members:
-                if t.kind in ("record", "union"):
-                    referenced_types.update(_base_name_ct(parse_c_type(mtype)))
-            if t.kind == "alias":
-                referenced_types.update(_base_name_ct(parse_c_type(t.members[0][1])))
-        for fn in table.functions:
-            referenced_types.update(_base_name_ct(parse_c_type(fn.return_type)))
-            for _, ptype in fn.params:
-                referenced_types.update(_base_name_ct(parse_c_type(ptype)))
-        for g in table.globals:
-            referenced_types.update(_base_name_ct(parse_c_type(g.c_type_text)))
+    referenced_types = {
+        name
+        for table in symtabs.values()
+        for ct in declared_types(table)
+        for name in base_names(ct)
+    }
     synthesized: list[RustTypeDecl] = []
     for name in sorted(referenced_types):
-        if name in type_defs or name in clayout.PRIMITIVES:
+        if name in type_defs or name in clayout.PRIMITIVES or name == "void":
             continue
         hole = f"unresolvable type '{name}'"
         if config.strict_holes:
@@ -621,18 +607,6 @@ def plan_skeleton(
         holes=holes + [f"type conflict: {n}" for n in type_conflicts],
         config=config,
     )
-
-
-def _base_name_ct(ct) -> set[str]:
-    if ct.func is not None:
-        out = _base_name_ct(ct.func.ret)
-        for p in ct.func.params:
-            out |= _base_name_ct(p)
-        return out
-    base = clayout._strip_tag(ct.base)
-    if base in clayout.PRIMITIVES or base == "void":
-        return set()
-    return {base}
 
 
 # --- emission ----------------------------------------------------------------
@@ -770,7 +744,7 @@ def assemble_and_verify(
 # --- persistence across CLI invocations --------------------------------------
 
 
-SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 3}
+SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 4}
 
 _field_types = functools.cache(get_type_hints)  # one entry per record class
 

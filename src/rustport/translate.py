@@ -16,6 +16,7 @@ from string import Template
 
 from . import rustlex
 from .backends import GenerationRequest
+from .csyms import base_names
 from .errors import SkeletonError
 from .graph import GlobalSymbolIndex, SkeletonGraph
 from .knowledge.rules import ApiRule, FragmentRule
@@ -92,8 +93,8 @@ def assemble_context(
         for member_name in re.findall(r"crate::[\w:]+", decl.emitted_text):
             if member_name != qid and member_name in types_by_qid:
                 add_type_closure(member_name)
-        for _mn, mtype, _w in decl.origin.members if decl.origin.members else []:
-            for m in re.findall(r"[A-Za-z_]\w*", mtype):
+        for _mn, mtype, _w in decl.origin.members:
+            for m in base_names(mtype):
                 inner = origins_by_name.get(m)
                 if inner is not None:
                     add_type_closure(f"{inner.module}::{inner.name}")
@@ -103,7 +104,7 @@ def assemble_context(
     for qid in sorted(sig_names):
         add_type_closure(qid)
     for _pname, ptype in stub.origin.params:
-        for name in re.findall(r"[A-Za-z_]\w*", ptype):
+        for name in base_names(ptype):
             decl = origins_by_name.get(name)
             if decl is not None:
                 add_type_closure(f"{decl.module}::{decl.name}")

@@ -1,7 +1,7 @@
 from pathlib import Path
 
 from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
-from rustport.csyms import collect_macro_constants, extract_symbols
+from rustport.csyms import CFuncSig, CType, collect_macro_constants, extract_symbols
 
 CPP = PreprocessorConfig()
 
@@ -21,14 +21,14 @@ def test_struct_members_in_order(tmp_path):
     [t] = table.types
     assert t.kind == "record"
     assert t.name == "P"
-    assert [(m[0], m[1]) for m in t.members] == [("x", "int"), ("y", "int")]
+    assert [(m[0], m[1]) for m in t.members] == [("x", CType("int")), ("y", CType("int"))]
 
 
 def test_function_definition_and_extern_global(tmp_path):
     table, _ = extract(tmp_path, "int add(int a, int b) { return a + b; }\nextern int g;\n")
     [fn] = table.functions
     assert fn.name == "add" and fn.defined_here
-    assert fn.params == [("a", "int"), ("b", "int")]
+    assert fn.params == [("a", CType("int")), ("b", CType("int"))]
     [g] = table.globals
     assert g.name == "g" and g.storage == "external" and not g.is_definition
 
@@ -55,18 +55,19 @@ def test_union_and_enum(tmp_path):
         "union V { int i; float f; };\nenum Mode { M_OFF, M_ON = 5, M_AUTO };\n",
     )
     union = next(t for t in table.types if t.kind == "union")
-    assert [(m[0], m[1]) for m in union.members] == [("i", "int"), ("f", "float")]
+    assert [(m[0], m[1]) for m in union.members] == [("i", CType("int")), ("f", CType("float"))]
     enum = next(t for t in table.types if t.kind == "enumeration")
-    assert [(m[0], m[1]) for m in enum.members] == [("M_OFF", "0"), ("M_ON", "5"), ("M_AUTO", "6")]
+    assert enum.enumerators == [("M_OFF", 0), ("M_ON", 5), ("M_AUTO", 6)]
+    assert enum.members == []
 
 
 def test_typedef_alias(tmp_path):
     table, _ = extract(tmp_path, "typedef unsigned int u32_t;\nu32_t v;\n")
     alias = next(t for t in table.types if t.kind == "alias")
     assert alias.name == "u32_t"
-    assert alias.members[0][1] == "unsigned int"
+    assert alias.members[0][1] == CType("unsigned int")
     [g] = table.globals
-    assert g.c_type_text == "u32_t"
+    assert g.c_type == CType("u32_t")
 
 
 def test_typedef_struct_without_tag(tmp_path):
@@ -74,9 +75,9 @@ def test_typedef_struct_without_tag(tmp_path):
     record = next(t for t in table.types if t.kind == "record")
     alias = next(t for t in table.types if t.kind == "alias")
     assert alias.name == "Box"
-    assert alias.members[0][1] == f"struct {record.name}"
+    assert alias.members[0][1] == CType(f"struct {record.name}")
     [fn] = table.functions
-    assert fn.return_type == "Box"
+    assert fn.return_type == CType("Box")
 
 
 def test_pointers_arrays_and_function_pointers(tmp_path):
@@ -88,28 +89,56 @@ def test_pointers_arrays_and_function_pointers(tmp_path):
     )
     table, _ = extract(tmp_path, src)
     node = next(t for t in table.types if t.name == "Node")
-    assert node.members[1] == ("next", "struct Node *", None)
+    assert node.members[1] == ("next", CType("struct Node", 1), None)
     buf = next(g for g in table.globals if g.name == "buf")
-    assert buf.c_type_text == "char [16]"
+    assert buf.c_type == CType("char", array_dims=[16])
     cb = next(g for g in table.globals if g.name == "callback")
-    assert cb.c_type_text == "int (*)(int, char *)"
+    assert cb.c_type == CType("<fn>", 1, func=CFuncSig([CType("int"), CType("char", 1)], CType("int")))
     fn = next(f for f in table.functions if f.name == "name")
-    assert fn.return_type == "const char *"
+    assert fn.return_type == CType("char", 1, const=True)
+
+
+def test_function_pointer_type_parses_to_a_ctype(tmp_path):
+    table, _ = extract(tmp_path, "int (*cb)(int, char *);\n")
+    [g] = table.globals
+    ct = g.c_type
+    assert ct.func is not None
+    assert (ct.base, ct.pointer_depth, ct.array_dims) == ("<fn>", 1, [])
+    assert ct.func.ret == CType("int")
+    assert ct.func.params == [CType("int"), CType("char", 1)]
+    assert not ct.func.variadic
+
+
+def test_variadic_function_pointers_keep_the_flag(tmp_path):
+    src = (
+        "struct logger { int (*log)(const char *fmt, ...); };\n"
+        "void run(int (*sink)(const char *, ...), void emit(const char *, ...));\n"
+    )
+    table, _ = extract(tmp_path, src)
+    fmt = CType("char", 1, const=True)
+    variadic = CType("<fn>", 1, func=CFuncSig([fmt], CType("int"), variadic=True))
+    [logger] = table.types
+    assert logger.members == [("log", variadic, None)]
+    [run] = table.functions
+    assert run.params == [
+        ("sink", variadic),
+        ("emit", CType("<fn>", 1, func=CFuncSig([fmt], CType("void"), variadic=True))),
+    ]
 
 
 def test_bitfields_flag_layout_sensitive(tmp_path):
     table, _ = extract(tmp_path, "struct Flags { unsigned int a : 3; unsigned int b : 5; };\n")
     [t] = table.types
     assert t.layout_sensitive
-    assert t.members[0] == ("a", "unsigned int", 3)
-    assert t.members[1] == ("b", "unsigned int", 5)
+    assert t.members[0] == ("a", CType("unsigned int"), 3)
+    assert t.members[1] == ("b", CType("unsigned int"), 5)
 
 
 def test_variadic_function(tmp_path):
     table, _ = extract(tmp_path, "int report(const char *fmt, ...);\n")
     [fn] = table.functions
     assert fn.variadic
-    assert fn.params == [("fmt", "const char *")]
+    assert fn.params == [("fmt", CType("char", 1, const=True))]
 
 
 def test_global_initializer_kept_verbatim(tmp_path):
@@ -222,20 +251,21 @@ def test_anonymous_nested_union_member(tmp_path):
     anon = next(t for t in table.types if t.kind == "union")
     assert anon.name.startswith("Anon_")
     assert holder.members[1][0] == "payload"
-    assert holder.members[1][1] == f"union {anon.name}"
+    assert holder.members[1][1] == CType(f"union {anon.name}")
 
 
 def test_enum_char_values(tmp_path):
     table, _ = extract(tmp_path, "enum Keys { K_A = 'a', K_NL = '\\n' };\n")
     [t] = table.types
-    assert [(m[0], m[1]) for m in t.members] == [("K_A", "97"), ("K_NL", "10")]
+    assert t.enumerators == [("K_A", 97), ("K_NL", 10)]
 
 
 def test_function_pointer_parameter(tmp_path):
     src = "int apply(int (*op)(int), int v) { return op(v); }\n"
     table, _ = extract(tmp_path, src)
     [fn] = table.functions
-    assert fn.params == [("op", "int (*)(int)"), ("v", "int")]
+    op = CType("<fn>", 1, func=CFuncSig([CType("int")], CType("int")))
+    assert fn.params == [("op", op), ("v", CType("int"))]
     assert "op" not in fn.calls  # indirect call site, not a symbol reference
     assert table.external_refs == set()
 

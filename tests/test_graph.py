@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rustport.csyms import CFunctionDecl, CGlobalDecl
+from rustport.csyms import CFunctionDecl, CGlobalDecl, CType
 from rustport.errors import DuplicateDefinitionError
 from rustport.graph import (
     FALLBACK,
@@ -26,7 +26,7 @@ from rustport.skeleton import (
 def make_stub(module, name, storage="external", calls=(), value_refs=()):
     origin = CFunctionDecl(
         name=name,
-        return_type="int",
+        return_type=CType("int"),
         params=[],
         variadic=False,
         storage=storage,
@@ -59,7 +59,7 @@ def make_project(stubs, statics=()):
 
 def make_static(module, name):
     origin = CGlobalDecl(
-        name=name, c_type_text="int", initializer_text="0", storage="external",
+        name=name, c_type=CType("int"), initializer_text="0", storage="external",
         mutable=True, source_loc="x:1",
     )
     return LiftedStatic(name=name, emitted_text="", module=module, origin=origin)

@@ -17,8 +17,8 @@ from rustport.buildctx import (
     preprocess_unit,
 )
 from rustport.cargo import BuildRunner
-from rustport.clayout import PRIMITIVES, TypeResolver, parse_c_type, record_size_align
-from rustport.csyms import KNOWN_ENV_TYPEDEFS, CTypeDef, extract_symbols
+from rustport.clayout import PRIMITIVES, TypeResolver, record_size_align
+from rustport.csyms import KNOWN_ENV_TYPEDEFS, CType, CTypeDef, extract_symbols
 from rustport.errors import SkeletonError
 from rustport.repair import compile_and_install
 from rustport.skeleton import (
@@ -173,7 +173,7 @@ def test_lower_enum_duplicate_discriminants_fall_back(tmp_path):
 
 def test_lower_unresolvable_member_strict_errors(tmp_path):
     td = CTypeDef(
-        name="Bad", kind="record", members=[("m", "struct Nowhere", None)], source_loc="x:1"
+        name="Bad", kind="record", members=[("m", CType("struct Nowhere"), None)], source_loc="x:1"
     )
     policy = TypePolicy(resolver=TypeResolver(lookup=lambda n: None, rust_path=lambda n: None))
     with pytest.raises(SkeletonError):
@@ -221,14 +221,6 @@ def test_bitfield_record_emitted_opaque(tmp_path):
     assert "_bits: [u8; 4]" in decl.emitted_text
     assert "pub fn a(&self)" in decl.emitted_text
     assert "pub fn set_b" in decl.emitted_text
-
-
-def test_parse_c_type_function_pointer():
-    ct = parse_c_type("int (*)(int, char *)")
-    assert ct.func is not None
-    assert ct.func.ret.base == "int"
-    assert len(ct.func.params) == 2
-    assert ct.func.params[1].pointer_depth == 1
 
 
 # --- whole-skeleton assembly ---------------------------------------------------
@@ -400,6 +392,20 @@ def test_variadic_stub_flagged_abi_sensitive(tmp_path):
     assert stub.param_names == ["fmt"]
 
 
+def test_variadic_function_pointers_keep_their_ellipsis(tmp_path):
+    src = (
+        "struct logger { int (*log)(const char *fmt, ...); };\n"
+        "int run(struct logger *l, int (*sink)(const char *, ...)) { return l != 0; }\n"
+    )
+    plan, project = build_skeleton(tmp_path, {"log.c": src})
+    fnptr = 'Option<unsafe extern "C" fn(*const i8, ...) -> i32>'
+    [logger] = project.types
+    assert f"pub log: {fnptr}," in logger.emitted_text
+    [stub] = project.stubs
+    assert f"sink: {fnptr})" in stub.signature_text
+    assert stub.signature_text.startswith('pub extern "C" fn run(')
+
+
 def test_function_pointer_parameter_stub_compiles(tmp_path):
     plan, project = build_skeleton(
         tmp_path, {"fp.c": "int apply(int (*op)(int), int v) { return op(v); }\n"}
@@ -458,6 +464,23 @@ def test_shared_header_type_unifies_into_shared_layer(tmp_path):
     # the header macro lands once, as a shared-layer constant
     consts = [c for c in project.constants if c.name == "GEOM_DIMS"]
     assert len(consts) == 1 and consts[0].module == "crate::shared"
+
+
+@pytest.mark.parametrize("b_enum,unified", [("M_A, M_B = 4", True), ("M_A, M_B = 5", False)])
+def test_same_name_enums_unify_only_when_their_values_match(tmp_path, b_enum, unified):
+    files = {
+        "a.c": "enum mode { M_A, M_B = 4 };\nint fa(enum mode m) { return m == M_B; }\n",
+        "b.c": f"enum mode {{ {b_enum} }};\nint fb(enum mode m) {{ return m == M_A; }}\n",
+    }
+    root = make_project(tmp_path, files)
+    plan = plan_skeleton(root, preprocess_all(root, ["a.c", "b.c"]), SkeletonConfig("enum_crate"))
+    [mode] = [t for t in plan.types if t.name == "mode"]
+    if unified:
+        assert mode.module == "crate::shared"
+        assert plan.holes == []
+    else:
+        assert mode.module == "crate::a"
+        assert plan.holes == ["type conflict: mode"]
 
 
 def test_tentative_global_in_two_units_emitted_once(tmp_path):
@@ -536,7 +559,7 @@ def test_saved_project_loads_back_equal(tmp_path, name):
     assert copy.stubs == project.stubs and copy.statics == project.statics
 
 
-SKELETON_HEADER = {"format": "rustport-skeleton", "version": 3}
+SKELETON_HEADER = {"format": "rustport-skeleton", "version": 4}
 
 
 @pytest.mark.parametrize(
@@ -547,12 +570,14 @@ SKELETON_HEADER = {"format": "rustport-skeleton", "version": 3}
         json.dumps({"config": {"crate_name": "old"}, "mapping": {}, "types": []}),
         json.dumps({**SKELETON_HEADER, "version": 1, "project": {}}),
         json.dumps({**SKELETON_HEADER, "version": 2, "project": {}}),
-        json.dumps({**SKELETON_HEADER, "version": 4, "project": {}}),
+        json.dumps({**SKELETON_HEADER, "version": 3, "project": {}}),
+        json.dumps({**SKELETON_HEADER, "version": 5, "project": {}}),
         json.dumps({**SKELETON_HEADER, "project": None}),
         json.dumps({**SKELETON_HEADER, "project": {"tree": [], "types": []}}),
         json.dumps({**SKELETON_HEADER, "project": {"no_such_field": 1}}),
     ],
-    ids=["not-json", "not-an-object", "headerless", "version-1", "version-2", "future-version",
+    ids=["not-json", "not-an-object", "headerless", "version-1", "version-2", "version-3",
+         "future-version",
          "null-project", "wrong-shape", "unknown-field"],
 )
 def test_unreadable_skeleton_metadata_is_a_skeleton_error(tmp_path, text):
