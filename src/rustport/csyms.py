@@ -138,6 +138,8 @@ class SymbolTable:
     partial: bool = False
     issues: list[str] = field(default_factory=list)
     env_types: set[str] = field(default_factory=set)
+    # object-like literal macros of the unit's main file
+    macro_constants: list[tuple[str, object]] = field(default_factory=list)
 
 
 @dataclass
@@ -146,6 +148,7 @@ class _Tok:
     kind: str  # ident | num | str | char | punct
     file: str
     line: int
+    row: int  # line in the preprocessed text, 1-based
 
 
 _TOKEN_RE = re.compile(
@@ -195,6 +198,8 @@ class _Parser:
         self.enum_constants: set[str] = set()
         self.anon_counter = 0
         self._decl_start: Optional[_Tok] = None
+        # defined function -> (its first token, its body's closing brace)
+        self.extents: dict[str, tuple[_Tok, _Tok]] = {}
 
     # --- token helpers -------------------------------------------------
 
@@ -553,13 +558,14 @@ class _Parser:
             if nt is not None and nt.kind == "ident" and nt.text not in C_KEYWORDS:
                 name = nt.text
                 self.next()
+            dims = self.parse_array_dims()  # an array of callbacks: (*name[N])
             self.expect(")")
             params, variadic = self.parse_params()
             if inner_ptr != 1:
                 raise _Unsupported("multi-level function pointer", t)
             ret = CType(base, ptr, const=base_const)
             sig = CFuncSig([p for _, p in params], ret, variadic)
-            return _Declarator(name, CType("<fn>", 1, self.parse_array_dims(), func=sig))
+            return _Declarator(name, CType("<fn>", 1, dims + self.parse_array_dims(), func=sig))
         if t is not None and t.kind == "ident" and t.text not in C_KEYWORDS:
             name = t.text
             self.next()
@@ -666,6 +672,7 @@ class _Parser:
             # calls through function-pointer parameters are indirect call sites
             fn.calls = calls - {decl.name} - param_names
             fn.value_refs = values - param_names - {decl.name}
+            self.extents[fn.name] = (tok, body[-1])
         # a definition supersedes any earlier prototype of the same name
         if defined:
             self.table.functions = [f for f in self.table.functions if f.name != fn.name]
@@ -878,18 +885,22 @@ def _consume_local_declaration(
     return i
 
 
-def extract_symbols(unit: PreprocessedUnit, project_root=None) -> SymbolTable:
+def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
     """Categorize every project-owned top-level declaration in the unit.
 
     Declarations whose origin file lies outside ``project_root`` (system
     headers) only contribute type names, never emitted symbols. External
-    references are computed as referenced-minus-defined.
+    references are computed as referenced-minus-defined. A defined function's
+    source runs from its first token's line through its closing brace's line:
+    original lines in the unit's main file, preprocessed lines elsewhere.
     """
-    if project_root is None:
-        project_root = Path(unit.origin.command.directory)
     project_root = Path(project_root).resolve()
-
-    table = SymbolTable()
+    main_file = str(unit.origin.command.source_path())
+    try:
+        source = Path(main_file).read_text(encoding="utf-8")
+    except OSError:
+        source = ""
+    table = SymbolTable(macro_constants=collect_macro_constants(source))
 
     # attribute each line through the unit's line map; lines from outside the
     # project (system headers) only feed type-name harvesting
@@ -897,7 +908,8 @@ def extract_symbols(unit: PreprocessedUnit, project_root=None) -> SymbolTable:
     is_project: dict[str, bool] = {}
     toks: list[_Tok] = []
     env_lines: list[str] = []
-    for out_no, raw in enumerate(unit.text.splitlines(), start=1):
+    pre_lines = unit.text.splitlines()
+    for out_no, raw in enumerate(pre_lines, start=1):
         origin = unit.line_map.get(out_no)
         if origin is None:
             continue  # a line marker
@@ -908,47 +920,22 @@ def extract_symbols(unit: PreprocessedUnit, project_root=None) -> SymbolTable:
             env_lines.append(raw)
         elif not raw.lstrip().startswith("#"):
             for tm in _TOKEN_RE.finditer(raw):
-                toks.append(_Tok(tm.group(0), tm.lastgroup or "punct", file, line))
+                toks.append(_Tok(tm.group(0), tm.lastgroup or "punct", file, line, out_no))
     _harvest_env_names("\n".join(env_lines), table.env_types)
 
     parser = _Parser(toks, table)
     parser.parse()
 
-    _attach_source_text(table, unit)
+    original = source.splitlines()
+    for fn in table.functions:
+        if fn.defined_here:
+            first, last = parser.extents[fn.name]
+            if first.file == last.file == main_file and original:
+                fn.source_text = "\n".join(original[first.line - 1 : last.line])
+            else:
+                fn.source_text = "\n".join(pre_lines[first.row - 1 : last.row])
     _compute_external_refs(table, parser)
     return table
-
-
-def _attach_source_text(table: SymbolTable, unit: PreprocessedUnit) -> None:
-    """Slice each defined function's original source via the line map."""
-    main_file = str(unit.origin.command.source_path())
-    try:
-        original = Path(main_file).read_text(encoding="utf-8").splitlines()
-    except OSError:
-        original = []
-    pre_lines = unit.text.splitlines()
-
-    for fn in table.functions:
-        if not fn.defined_here:
-            continue
-        file, line = _split_loc(fn.source_loc)
-        if file != main_file or not original:
-            fn.source_text = _slice_preprocessed(pre_lines, unit, fn)
-            continue
-        start = line - 1
-        end = _find_function_end(original, start)
-        if end is None:
-            fn.source_text = _slice_preprocessed(pre_lines, unit, fn)
-        else:
-            fn.source_text = "\n".join(original[start : end + 1])
-
-
-def _split_loc(loc: str) -> tuple[str, int]:
-    file, _, line = loc.rpartition(":")
-    try:
-        return file, int(line)
-    except ValueError:
-        return loc, 0
 
 
 # literals and comments a C brace matcher skips, or a brace
@@ -970,26 +957,6 @@ def match_c_brace(text: str, start: int = 0) -> Optional[int]:
             if not depth:
                 return m.start()
     return None
-
-
-def _find_function_end(lines: list[str], start: int) -> Optional[int]:
-    """The index of the line that closes the function starting at ``start``."""
-    text = "\n".join(lines[start:])
-    end = match_c_brace(text)
-    return None if end is None else start + text.count("\n", 0, end)
-
-
-def _slice_preprocessed(pre_lines: list[str], unit: PreprocessedUnit, fn: CFunctionDecl) -> str:
-    file, line = _split_loc(fn.source_loc)
-    start = None
-    for out_no, origin in sorted(unit.line_map.items()):
-        if origin == (file, line):
-            start = out_no - 1
-            break
-    if start is None:
-        return ""
-    end = _find_function_end(pre_lines, start)
-    return "\n".join(pre_lines[start : (end if end is not None else start) + 1])
 
 
 def _compute_external_refs(table: SymbolTable, parser: _Parser) -> None:

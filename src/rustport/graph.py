@@ -22,7 +22,6 @@ logger = logging.getLogger(__name__)
 
 PENDING = "pending"
 TRANSLATED = "translated"
-FAILED = "failed"
 FALLBACK = "fallback"
 
 
@@ -30,7 +29,6 @@ FALLBACK = "fallback"
 class IndexEntry:
     module: str
     kind: str  # function | type | static | constant
-    visibility: str
     bare_name: str
     path: str = ""  # the real Rust path (keys may be disambiguated)
 
@@ -94,7 +92,6 @@ def build_symbol_index(skeleton: SkeletonProject) -> GlobalSymbolIndex:
             IndexEntry(
                 module=stub.module,
                 kind="function",
-                visibility=stub.visibility,
                 bare_name=stub.qualified_name.rsplit("::", 1)[1],
             ),
         )
@@ -109,17 +106,17 @@ def build_symbol_index(skeleton: SkeletonProject) -> GlobalSymbolIndex:
     for t in skeleton.types:
         index.add(
             f"{t.module}::{t.name}",
-            IndexEntry(module=t.module, kind="type", visibility="public", bare_name=t.name),
+            IndexEntry(module=t.module, kind="type", bare_name=t.name),
         )
     for s in skeleton.statics:
         index.add(
             f"{s.module}::{s.name}",
-            IndexEntry(module=s.module, kind="static", visibility="public", bare_name=s.name),
+            IndexEntry(module=s.module, kind="static", bare_name=s.name),
         )
     for c in skeleton.constants:
         index.add(
             f"{c.module}::{c.name}",
-            IndexEntry(module=c.module, kind="constant", visibility="public", bare_name=c.name),
+            IndexEntry(module=c.module, kind="constant", bare_name=c.name),
         )
     return index
 

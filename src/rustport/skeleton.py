@@ -427,17 +427,10 @@ def plan_skeleton(
 
     rel_keys = _relative_keys(project_root, unit_paths)
     symtabs: dict[str, SymbolTable] = {}
-    macro_consts: dict[str, list[tuple[str, object]]] = {}
     for unit in units:
         rel_key = rel_keys[str(unit.origin.command.source_path().resolve())]
         module = tree.mapping[rel_key]
-        table = extract_symbols(unit, project_root=project_root)
-        symtabs[module] = table
-        try:
-            source = unit.origin.command.source_path().read_text(encoding="utf-8")
-        except OSError:
-            source = ""
-        macro_consts[module] = collect_macro_constants(source)
+        symtabs[module] = extract_symbols(unit, project_root=project_root)
 
     # macros defined in project headers land in the shared layer
     header_consts: list[tuple[str, object]] = []
@@ -562,7 +555,7 @@ def plan_skeleton(
             )
         )
     for module in sorted(symtabs):
-        for name, value in macro_consts[module]:
+        for name, value in symtabs[module].macro_constants:
             if name in emitted_consts or name in emitted_type_names:
                 continue
             if any(s.name == sanitize_ident(name) for s in statics):

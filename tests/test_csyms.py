@@ -230,6 +230,8 @@ def test_source_text_sliced_from_original(tmp_path):
     # original text (macro name visible), not the preprocessed expansion
     assert "v * K" in fn.source_text
     assert fn.source_text.startswith("int scaled")
+    # the same read of the main file gives its macro constants
+    assert table.macro_constants == [("K", 3)]
 
 
 def test_source_text_skips_brace_in_char_literal(tmp_path):
@@ -237,6 +239,64 @@ def test_source_text_skips_brace_in_char_literal(tmp_path):
     table, _ = extract(tmp_path, src)
     [fn] = table.functions
     assert fn.source_text == src.rstrip("\n")
+
+
+def test_source_text_of_a_macro_defined_function_is_its_call(tmp_path):
+    src = (
+        "#define GETTER(n) int get_##n(void) { return 7; }\n"
+        "GETTER(seven)\n"
+        "int h(int x)\n"
+        "{\n"
+        "    return x + 1;\n"
+        "}\n"
+    )
+    table, _ = extract(tmp_path, src)
+    texts = {fn.name: fn.source_text for fn in table.functions}
+    assert texts == {"get_seven": "GETTER(seven)", "h": "int h(int x)\n{\n    return x + 1;\n}"}
+
+
+def test_source_text_keeps_conditional_braces_and_directives(tmp_path):
+    # each #ifdef branch opens a brace, so the raw text never balances
+    src = (
+        "int pick(int a, int b)\n"
+        "{\n"
+        "#ifdef W\n"
+        "    if (a > b) {\n"
+        "#else\n"
+        "    if (a < b) {\n"
+        "#endif\n"
+        "        return a;\n"
+        "    }\n"
+        "    return b;\n"
+        "}\n"
+    )
+    table, _ = extract(tmp_path, src)
+    [fn] = table.functions
+    assert fn.source_text == src.rstrip("\n")
+
+
+def test_source_text_of_a_header_function_is_preprocessed(tmp_path):
+    (tmp_path / "twice.h").write_text(
+        "#define FACTOR 3\n"
+        "static inline int twice(int v)\n"
+        "{\n"
+        "    return v * FACTOR;\n"
+        "}\n"
+    )
+    table, _ = extract(tmp_path, '#include "twice.h"\nint use(int v) { return twice(v); }\n')
+    texts = {fn.name: fn.source_text for fn in table.functions}
+    assert texts["twice"] == "static inline int twice(int v)\n{\n    return v * 3;\n}"
+    assert texts["use"] == "int use(int v) { return twice(v); }"
+
+
+def test_array_of_callbacks(tmp_path):
+    src = "int (*handlers[4])(int);\nstruct S { int n; void (*cbs[2])(void); };\n"
+    table, _ = extract(tmp_path, src)
+    assert not table.partial
+    [g] = table.globals
+    assert g.c_type == CType("<fn>", 1, [4], func=CFuncSig([CType("int")], CType("int")))
+    [s] = table.types
+    assert s.members[1] == ("cbs", CType("<fn>", 1, [2], func=CFuncSig([], CType("void"))), None)
 
 
 def test_anonymous_nested_union_member(tmp_path):

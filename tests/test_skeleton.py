@@ -414,6 +414,21 @@ def test_function_pointer_parameter_stub_compiles(tmp_path):
     assert 'op: Option<unsafe extern "C" fn(i32) -> i32>' in stub.signature_text
 
 
+def test_arrays_of_callbacks_lower_and_build(tmp_path):
+    decls = "int (*handlers[4])(int);\nstruct table { int n; void (*cbs[2])(void); };\n"
+    src = decls + "int count(struct table *t) { return t->n; }\n"
+    plan, project = build_skeleton(tmp_path, {"cb.c": src})
+    [static] = project.statics
+    assert static.emitted_text.startswith(
+        'pub static mut handlers: [Option<unsafe extern "C" fn(i32) -> i32>; 4] ='
+    )
+    [table] = project.types
+    assert 'pub cbs: [Option<unsafe extern "C" fn()>; 2],' in table.emitted_text
+    size, _ = c_sizeof_oracle(tmp_path, decls, "struct table")
+    # the layout assert matches the host compiler, and the skeleton built with it
+    assert f"size_of::<table>() == {size})" in table.emitted_text
+
+
 def test_module_named_core_does_not_shadow_emitted_paths(tmp_path):
     # a C file named core.c produces `mod core`, which must not break the
     # emitted `core::mem`/`core::ptr` paths inside module files
