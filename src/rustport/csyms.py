@@ -565,7 +565,7 @@ class _Parser:
                 raise _Unsupported("multi-level function pointer", t)
             ret = CType(base, ptr, const=base_const)
             sig = CFuncSig([p for _, p in params], ret, variadic)
-            return _Declarator(name, CType("<fn>", 1, dims + self.parse_array_dims(), func=sig))
+            return _Declarator(name, CType("<fn>", 1, dims, func=sig))
         if t is not None and t.kind == "ident" and t.text not in C_KEYWORDS:
             name = t.text
             self.next()
@@ -612,9 +612,13 @@ class _Parser:
                 self.next()
                 variadic = True
                 break
+            first = self.peek()
             is_const, base = self.parse_base_type()
             decl = self.parse_declarator(base, is_const)
             ctype = decl.ctype
+            if ctype.func is not None and ctype.array_dims:
+                # C passes a pointer to the first callback, which CType cannot express
+                raise _Unsupported("array of function pointers as a parameter", first)
             if decl.is_function:
                 # function-typed parameter decays to a function pointer
                 sig = CFuncSig([p for _, p in decl.params], ctype, decl.variadic)

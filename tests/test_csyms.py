@@ -299,6 +299,14 @@ def test_array_of_callbacks(tmp_path):
     assert s.members[1] == ("cbs", CType("<fn>", 1, [2], func=CFuncSig([], CType("void"))), None)
 
 
+def test_array_of_callbacks_parameter_is_unsupported(tmp_path):
+    # C passes a pointer here; a by-value array of callbacks would be the wrong ABI
+    table, _ = extract(tmp_path, "void run(int (*cbs[4])(int)) {}\nint ok;\n")
+    assert table.partial
+    assert any(i.startswith("array of function pointers as a parameter") for i in table.issues)
+    assert [fn.name for fn in table.functions] == []
+
+
 def test_anonymous_nested_union_member(tmp_path):
     src = (
         "struct holder {\n"
