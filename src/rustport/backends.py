@@ -26,6 +26,9 @@ logger = logging.getLogger(__name__)
 
 MAX_OUTPUT_TOKENS = 8192  # the output cap sent with every remote request
 REMOTE_MAX_INFLIGHT = 4  # concurrent requests one RemoteBackend lets through
+REMOTE_MAX_ATTEMPTS = 3  # tries per request before it ends as an error
+REMOTE_BACKOFF_BASE = 0.5  # seconds before the first retry, doubling after
+REMOTE_TIMEOUT = 120.0  # seconds one HTTP request may take
 # decoding parameters sent with every remote request: greedy decoding
 REMOTE_TEMPERATURE = 0.0
 REMOTE_TOP_P = 1.0
@@ -163,16 +166,10 @@ class RemoteBackend:
         endpoint: str,
         model: str,
         auth_env: str = "RUSTPORT_API_TOKEN",
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        timeout: float = 120.0,
     ):
         self.endpoint = endpoint
         self.model = model
         self.auth_env = auth_env
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.timeout = timeout
         self._gate = threading.Semaphore(REMOTE_MAX_INFLIGHT)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
@@ -195,12 +192,12 @@ class RemoteBackend:
         start = time.monotonic()
         last_error = "unknown"
         with self._gate:
-            for attempt in range(1, self.max_attempts + 1):
+            for attempt in range(1, REMOTE_MAX_ATTEMPTS + 1):
                 try:
                     request = urllib.request.Request(
                         self.endpoint, data=payload, headers=headers, method="POST"
                     )
-                    with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    with urllib.request.urlopen(request, timeout=REMOTE_TIMEOUT) as resp:
                         data = json.loads(resp.read().decode("utf-8"))
                     choice = data["choices"][0]
                     text = choice["message"]["content"]
@@ -214,10 +211,11 @@ class RemoteBackend:
                 except (urllib.error.URLError, urllib.error.HTTPError, KeyError, ValueError) as exc:
                     last_error = str(exc)
                     logger.warning(
-                        "remote backend attempt %d/%d failed: %s", attempt, self.max_attempts, exc
+                        "remote backend attempt %d/%d failed: %s",
+                        attempt, REMOTE_MAX_ATTEMPTS, exc,
                     )
-                    if attempt < self.max_attempts:
-                        time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                    if attempt < REMOTE_MAX_ATTEMPTS:
+                        time.sleep(REMOTE_BACKOFF_BASE * (2 ** (attempt - 1)))
         return GenerationResponse(
             text="",
             finish_reason="error",

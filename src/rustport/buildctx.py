@@ -1,9 +1,9 @@
 """Build-trace ingestion.
 
-Loads ``compile_commands.json``-shaped traces, derives per-unit defines and
-include paths from the recorded argv, and preprocesses each translation unit
-with the host preprocessor under exactly those flags, so later stages see the
-declarations the real build saw.
+Loads ``compile_commands.json``-shaped traces, keeps each unit's
+preprocessing flags from the recorded argv in their recorded order, and
+preprocesses each translation unit with the host preprocessor under exactly
+those flags, so later stages see the declarations the real build saw.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import shlex
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from .errors import BuildTraceError, MalformedRecordError, MissingSourceError, PreprocessError
 
@@ -39,13 +38,10 @@ class CompileCommand:
 
 @dataclass
 class TranslationUnitContext:
-    """The flags that matter for preprocessing, pulled out of the argv."""
+    """The argv's preprocessing flags, in recorded order and spelling."""
 
     command: CompileCommand
-    defines: list[tuple[str, Optional[str]]]
-    include_paths: list[str]
-    language_standard: Optional[str] = None
-    forced_includes: list[str] = field(default_factory=list)
+    flags: list[str]
 
 
 @dataclass
@@ -56,6 +52,9 @@ class PreprocessedUnit:
     text: str
     # preprocessed line number (1-based) -> (origin file, origin line)
     line_map: dict[int, tuple[str, int]]
+    # every file a line marker names, as spelled there: the files the
+    # preprocessor entered, including headers that emit no line
+    files: set[str]
 
 
 @dataclass
@@ -118,80 +117,54 @@ def load_compile_commands(path, skip_missing_sources: bool = False) -> list[Comp
 
 
 def expand_response_files(arguments: list[str], directory: str) -> list[str]:
-    """Inline ``@file`` response-file arguments (one level, recursively)."""
-    out: list[str] = []
-    for arg in arguments:
-        if arg.startswith("@") and len(arg) > 1:
-            rsp = Path(arg[1:])
-            if not rsp.is_absolute():
-                rsp = Path(directory) / rsp
-            if rsp.is_file():
-                nested = shlex.split(rsp.read_text(encoding="utf-8"))
-                out.extend(expand_response_files(nested, directory))
-                continue
-            logger.warning("response file not found, keeping literal: %s", arg)
-        out.append(arg)
-    return out
+    """Inline ``@file`` response-file arguments, and the ones those name in
+    turn; a response file that reaches itself again is a ``BuildTraceError``."""
+
+    def expand(args: list[str], open_files: frozenset[Path]) -> list[str]:
+        out: list[str] = []
+        for arg in args:
+            if arg.startswith("@") and len(arg) > 1:
+                rsp = Path(directory) / arg[1:]
+                if rsp.is_file():
+                    key = rsp.resolve()
+                    if key in open_files:
+                        raise BuildTraceError(f"response file includes itself: {rsp}")
+                    nested = shlex.split(rsp.read_text(encoding="utf-8"))
+                    out.extend(expand(nested, open_files | {key}))
+                    continue
+                logger.warning("response file not found, keeping literal: %s", arg)
+            out.append(arg)
+        return out
+
+    return expand(arguments, frozenset())
+
+
+# the preprocessing flags a recorded argv keeps: a flag whose value is the
+# next argument, and a prefix whose value is joined to it
+_SPLIT_FLAGS = ("-D", "-U", "-I", "-isystem", "-include")
+_JOINED_FLAGS = ("-D", "-U", "-I", "-std=")
 
 
 def derive_unit_context(cmd: CompileCommand) -> TranslationUnitContext:
-    """Pull defines, include paths, and the language standard out of the argv.
+    """Keep the argv's preprocessing flags, in recorded order and spelling.
 
-    ``-U`` cancels earlier ``-D`` entries of the same name; ``@file`` response
-    files are expanded first; unknown flags are ignored, never an error.
+    Those are ``-D``, ``-U`` and ``-I`` (joined or split), ``-isystem`` and
+    ``-include`` (split) and ``-std=``; ``@file`` response files are expanded
+    first. Every other argument is dropped, never an error.
     """
     args = expand_response_files(cmd.arguments, cmd.directory)
-    defines: list[tuple[str, Optional[str]]] = []
-    include_paths: list[str] = []
-    forced_includes: list[str] = []
-    std: Optional[str] = None
-
-    def add_define(spec: str) -> None:
-        name, _, value = spec.partition("=")
-        defines.append((name, value if "=" in spec else None))
-
+    flags: list[str] = []
     i = 1  # args[0] is the compiler itself
     while i < len(args):
         arg = args[i]
-        if arg == "-D" and i + 1 < len(args):
-            add_define(args[i + 1])
+        if arg in _SPLIT_FLAGS:
+            flags += args[i : i + 2] if i + 1 < len(args) else []
             i += 2
             continue
-        if arg.startswith("-D") and len(arg) > 2:
-            add_define(arg[2:])
-        elif arg == "-U" and i + 1 < len(args):
-            name = args[i + 1]
-            defines[:] = [d for d in defines if d[0] != name]
-            i += 2
-            continue
-        elif arg.startswith("-U") and len(arg) > 2:
-            name = arg[2:]
-            defines[:] = [d for d in defines if d[0] != name]
-        elif arg == "-I" and i + 1 < len(args):
-            include_paths.append(args[i + 1])
-            i += 2
-            continue
-        elif arg.startswith("-I") and len(arg) > 2:
-            include_paths.append(arg[2:])
-        elif arg == "-isystem" and i + 1 < len(args):
-            include_paths.append(args[i + 1])
-            i += 2
-            continue
-        elif arg == "-include" and i + 1 < len(args):
-            forced_includes.append(args[i + 1])
-            i += 2
-            continue
-        elif arg.startswith("-std="):
-            std = arg[len("-std=") :]
+        if arg.startswith(_JOINED_FLAGS):
+            flags.append(arg)
         i += 1
-
-    return TranslationUnitContext(
-        command=cmd,
-        defines=defines,
-        include_paths=include_paths,
-        language_standard=std,
-        forced_includes=forced_includes,
-    )
+    return TranslationUnitContext(command=cmd, flags=flags)
 
 
 # GNU-style line marker: `# <line> "<file>" [flags]`
@@ -205,16 +178,7 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
     every non-marker output line maps back to one original file:line.
     """
     cmd = ctx.command
-    argv = list(toolchain.executable) + list(toolchain.base_flags)
-    for name, value in ctx.defines:
-        argv.append(f"-D{name}={value}" if value is not None else f"-D{name}")
-    for inc in ctx.include_paths:
-        argv.append(f"-I{inc}")
-    for forced in ctx.forced_includes:
-        argv.extend(["-include", forced])
-    if ctx.language_standard:
-        argv.append(f"-std={ctx.language_standard}")
-    argv.append(str(cmd.source_path()))
+    argv = [*toolchain.executable, *toolchain.base_flags, *ctx.flags, str(cmd.source_path())]
 
     try:
         proc = subprocess.run(
@@ -234,6 +198,7 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
 
     text = proc.stdout
     line_map: dict[int, tuple[str, int]] = {}
+    files: set[str] = set()
     current_file = str(cmd.source_path())
     current_line = 1
     for out_line_no, line in enumerate(text.splitlines(), start=1):
@@ -241,16 +206,12 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
         if m:
             current_line = int(m.group(1))
             current_file = m.group(2)
-            continue
-        if line.lstrip().startswith("#"):
-            # stray directive (e.g. #pragma survives -E); no origin advance
-            line_map[out_line_no] = (current_file, current_line)
-            current_line += 1
+            files.add(current_file)
             continue
         line_map[out_line_no] = (current_file, current_line)
         current_line += 1
 
-    return PreprocessedUnit(origin=ctx, text=text, line_map=line_map)
+    return PreprocessedUnit(origin=ctx, text=text, line_map=line_map, files=files)
 
 
 def dedupe_by_source(commands: list[CompileCommand]) -> list[CompileCommand]:

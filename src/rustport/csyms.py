@@ -140,6 +140,8 @@ class SymbolTable:
     env_types: set[str] = field(default_factory=set)
     # object-like literal macros of the unit's main file
     macro_constants: list[tuple[str, object]] = field(default_factory=list)
+    # the project files the unit entered other than its main file, resolved
+    headers: list[Path] = field(default_factory=list)
 
 
 @dataclass
@@ -162,17 +164,16 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-def _is_project_file(file: str, project_root: Path, base_dir: Path) -> bool:
+def _project_path(file: str, project_root: Path, base_dir: Path) -> Optional[Path]:
+    """The resolved path of ``file`` if it lies inside ``project_root``."""
     if file.startswith("<"):
-        return False
+        return None
     try:
-        p = Path(file)
-        if not p.is_absolute():
-            # line markers are relative to the compiler's working directory
-            p = base_dir / p
-        return p.resolve().is_relative_to(project_root)
+        # line markers are relative to the compiler's working directory
+        p = (base_dir / file).resolve()
     except (OSError, ValueError):
-        return False
+        return None
+    return p if p.is_relative_to(project_root) else None
 
 
 _ENV_TYPEDEF_RE = re.compile(r"\btypedef\b[^;{]*?(\w+)\s*;")
@@ -616,9 +617,14 @@ class _Parser:
             is_const, base = self.parse_base_type()
             decl = self.parse_declarator(base, is_const)
             ctype = decl.ctype
-            if ctype.func is not None and ctype.array_dims:
-                # C passes a pointer to the first callback, which CType cannot express
-                raise _Unsupported("array of function pointers as a parameter", first)
+            if ctype.array_dims:
+                # C passes a pointer to the first element; CType cannot express
+                # one to a callback or to an inner array
+                if ctype.func is not None:
+                    raise _Unsupported("array of function pointers as a parameter", first)
+                if len(ctype.array_dims) > 1:
+                    raise _Unsupported("multi-dimensional array parameter", first)
+                ctype = CType(ctype.base, ctype.pointer_depth + 1, const=ctype.const)
             if decl.is_function:
                 # function-typed parameter decays to a function pointer
                 sig = CFuncSig([p for _, p in decl.params], ctype, decl.variadic)
@@ -896,7 +902,8 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
     headers) only contribute type names, never emitted symbols. External
     references are computed as referenced-minus-defined. A defined function's
     source runs from its first token's line through its closing brace's line:
-    original lines in the unit's main file, preprocessed lines elsewhere.
+    original lines in the unit's main file, preprocessed lines elsewhere. The
+    other project files the unit's line markers name become ``headers``.
     """
     project_root = Path(project_root).resolve()
     main_file = str(unit.origin.command.source_path())
@@ -909,7 +916,12 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
     # attribute each line through the unit's line map; lines from outside the
     # project (system headers) only feed type-name harvesting
     base_dir = Path(unit.origin.command.directory)
-    is_project: dict[str, bool] = {}
+    in_project = {
+        f: _project_path(f, project_root, base_dir) for f in unit.files | {main_file}
+    }
+    table.headers = sorted(
+        {p for p in in_project.values() if p is not None} - {in_project[main_file]}
+    )
     toks: list[_Tok] = []
     env_lines: list[str] = []
     pre_lines = unit.text.splitlines()
@@ -918,9 +930,7 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
         if origin is None:
             continue  # a line marker
         file, line = origin
-        if file not in is_project:
-            is_project[file] = _is_project_file(file, project_root, base_dir)
-        if not is_project[file]:
+        if in_project[file] is None:
             env_lines.append(raw)
         elif not raw.lstrip().startswith("#"):
             for tm in _TOKEN_RE.finditer(raw):

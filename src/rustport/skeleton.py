@@ -432,10 +432,11 @@ def plan_skeleton(
         module = tree.mapping[rel_key]
         symtabs[module] = extract_symbols(unit, project_root=project_root)
 
-    # macros defined in project headers land in the shared layer
+    # macros defined in the project headers the units entered land in the
+    # shared layer
     header_consts: list[tuple[str, object]] = []
     seen_headers: set[str] = set()
-    for header in sorted(project_root.rglob("*.h")):
+    for header in sorted({h for table in symtabs.values() for h in table.headers}):
         try:
             text = header.read_text(encoding="utf-8")
         except OSError:

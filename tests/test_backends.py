@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from rustport import backends
 from rustport.backends import (
     GenerationRequest,
     OracleBackend,
@@ -118,7 +119,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def http_backend_server():
+def http_backend_server(monkeypatch):
+    monkeypatch.setattr(backends, "REMOTE_BACKOFF_BASE", 0.0)
     server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -130,7 +132,7 @@ def http_backend_server():
 
 
 def test_remote_backend_round_trip(http_backend_server):
-    backend = RemoteBackend(endpoint=http_backend_server, model="test-model", backoff_base=0.0)
+    backend = RemoteBackend(endpoint=http_backend_server, model="test-model")
     resp = backend.generate(req(user="hello wire"))
     assert resp.finish_reason == "complete"
     assert resp.text == "echo:hello wire"
@@ -139,7 +141,7 @@ def test_remote_backend_round_trip(http_backend_server):
 def test_remote_backend_request_body_bytes(http_backend_server):
     """The wire body is fixed byte for byte: greedy decoding parameters and
     the output-token cap, nothing taken from the request but the prompt."""
-    backend = RemoteBackend(endpoint=http_backend_server, model="test-model", backoff_base=0.0)
+    backend = RemoteBackend(endpoint=http_backend_server, model="test-model")
     backend.generate(GenerationRequest(system="sys", user="usr", tag="crate::m::f#1"))
     assert _Handler.bodies == [
         b'{"model": "test-model", "messages": [{"role": "system", "content": "sys"}, '
@@ -148,21 +150,19 @@ def test_remote_backend_request_body_bytes(http_backend_server):
     ]
 
 
-def test_remote_backend_recovers_after_transient_failure(http_backend_server):
+def test_remote_backend_recovers_after_transient_failure(http_backend_server, monkeypatch):
+    monkeypatch.setattr(backends, "REMOTE_MAX_ATTEMPTS", 3)
     _Handler.fail_times = 2
-    backend = RemoteBackend(
-        endpoint=http_backend_server, model="test-model", max_attempts=3, backoff_base=0.0
-    )
+    backend = RemoteBackend(endpoint=http_backend_server, model="test-model")
     resp = backend.generate(req(user="retry me"))
     assert resp.finish_reason == "complete"
     assert len(_Handler.hits) == 3
 
 
-def test_remote_backend_bounded_attempts_then_error(http_backend_server):
+def test_remote_backend_bounded_attempts_then_error(http_backend_server, monkeypatch):
+    monkeypatch.setattr(backends, "REMOTE_MAX_ATTEMPTS", 3)
     _Handler.fail_times = 99
-    backend = RemoteBackend(
-        endpoint=http_backend_server, model="test-model", max_attempts=3, backoff_base=0.0
-    )
+    backend = RemoteBackend(endpoint=http_backend_server, model="test-model")
     resp = backend.generate(req(user="always failing"))
     assert resp.finish_reason == "error"
     assert resp.text == ""

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,24 +74,27 @@ def test_missing_trace_file(tmp_path):
 def test_derive_no_flags():
     cmd = CompileCommand(directory="/p", source_file="a.c", arguments=["cc", "-c", "a.c"])
     ctx = derive_unit_context(cmd)
-    assert ctx.defines == []
-    assert ctx.include_paths == []
+    assert ctx.flags == []
 
 
-def test_derive_defines_and_includes():
-    # hand-parsed against the flag grammar: -DX=3 -> (X, "3"), -DY -> (Y, None)
+def test_derive_defines_and_includes(tmp_path):
+    # kept as recorded; the preprocessor reads -DX=3 as X -> 3 and -DY as Y -> 1
     cmd = CompileCommand(
         directory="/p", source_file="a.c", arguments=["cc", "-DX=3", "-DY", "-Iinc", "a.c"]
     )
     ctx = derive_unit_context(cmd)
-    assert ctx.defines == [("X", "3"), ("Y", None)]
-    assert ctx.include_paths == ["inc"]
+    assert ctx.flags == ["-DX=3", "-DY", "-Iinc"]
+    (tmp_path / "inc").mkdir()
+    (tmp_path / "inc" / "h.h").write_text("int from_inc;\n")
+    unit = unit_for(tmp_path, '#include "h.h"\nint x = X, y = Y;\n', ctx.flags)
+    assert "int from_inc;" in unit.text
+    assert "int x = 3, y = 1;" in unit.text
 
 
 def test_derive_split_include_form():
     cmd = CompileCommand(directory="/p", source_file="a.c", arguments=["cc", "-I", "inc2", "a.c"])
     ctx = derive_unit_context(cmd)
-    assert ctx.include_paths == ["inc2"]
+    assert ctx.flags == ["-I", "inc2"]
 
 
 def test_derive_isystem_and_std():
@@ -100,16 +104,20 @@ def test_derive_isystem_and_std():
         arguments=["cc", "-isystem", "sysinc", "-std=c11", "a.c"],
     )
     ctx = derive_unit_context(cmd)
-    assert ctx.include_paths == ["sysinc"]
-    assert ctx.language_standard == "c11"
+    assert ctx.flags == ["-isystem", "sysinc", "-std=c11"]
 
 
-def test_undef_cancels_earlier_define():
+def test_undef_cancels_earlier_define(tmp_path):
     cmd = CompileCommand(
         directory="/p", source_file="a.c", arguments=["cc", "-DFOO=1", "-UFOO", "-DBAR", "a.c"]
     )
     ctx = derive_unit_context(cmd)
-    assert ctx.defines == [("BAR", None)]
+    assert ctx.flags == ["-DFOO=1", "-UFOO", "-DBAR"]
+    # the preprocessor applies -D and -U in their recorded order
+    source = "#ifdef X\nint x_defined;\n#endif\n"
+    assert "x_defined" not in unit_for(tmp_path, source, ["-DX", "-UX"]).text
+    assert "x_defined" in unit_for(tmp_path, source, ["-UX", "-DX"]).text
+    assert "x_defined" not in unit_for(tmp_path, source, ["-D", "X", "-U", "X"]).text
 
 
 def test_response_file_expansion(tmp_path):
@@ -118,8 +126,7 @@ def test_response_file_expansion(tmp_path):
         directory=str(tmp_path), source_file="a.c", arguments=["cc", "@flags.rsp", "a.c"]
     )
     ctx = derive_unit_context(cmd)
-    assert ("FROM_RSP", "7") in ctx.defines
-    assert "rspinc" in ctx.include_paths
+    assert ctx.flags == ["-DFROM_RSP=7", "-Irspinc"]
 
 
 def test_unknown_flags_never_fail():
@@ -129,7 +136,7 @@ def test_unknown_flags_never_fail():
         arguments=["cc", "--weird-flag=zzz", "-fno-such-thing", "a.c"],
     )
     ctx = derive_unit_context(cmd)
-    assert ctx.defines == [] and ctx.include_paths == []
+    assert ctx.flags == []
 
 
 def test_argv_normalization_idempotent(tmp_path):
@@ -217,3 +224,57 @@ def test_dedupe_keeps_first_variant(tmp_path):
     c2 = CompileCommand(str(tmp_path), "a.c", ["cc", "-DV2", "-c", "a.c"])
     kept = dedupe_by_source([c1, c2])
     assert kept == [c1]
+
+
+def test_response_file_named_twice_is_not_a_cycle(tmp_path):
+    (tmp_path / "flags.rsp").write_text("-DTWICE\n")
+    cmd = CompileCommand(
+        directory=str(tmp_path),
+        source_file="a.c",
+        arguments=["cc", "@flags.rsp", "@flags.rsp", "a.c"],
+    )
+    assert derive_unit_context(cmd).flags == ["-DTWICE", "-DTWICE"]
+
+
+def test_response_file_cycle_is_a_trace_error(tmp_path):
+    (tmp_path / "outer.rsp").write_text("-DA @inner.rsp\n")
+    (tmp_path / "inner.rsp").write_text("-DB @outer.rsp\n")
+    cmd = CompileCommand(
+        directory=str(tmp_path), source_file="a.c", arguments=["cc", "@outer.rsp", "a.c"]
+    )
+    with pytest.raises(BuildTraceError, match="outer.rsp"):
+        derive_unit_context(cmd)
+
+
+def test_preprocessor_gets_recorded_flags_in_order(tmp_path):
+    # a stub preprocessor that records its argv and emits nothing
+    log = tmp_path / "argv.json"
+    stub = tmp_path / "cpp_stub.py"
+    stub.write_text(
+        "import json, sys\n"
+        f"open({str(log)!r}, 'w').write(json.dumps(sys.argv[1:]))\n"
+    )
+    (tmp_path / "u.c").write_text("int x;\n")
+    recorded = [
+        "cc", "-O2", "-isystem", "sys", "-Wall", "-DA=1", "-MD", "-MF", "x.d",
+        "-Iinc", "-UA", "-include", "pre.h", "-c", "-std=gnu99", "-o", "x.o",
+        "-I", "inc2", "-D", "B", "u.c",
+    ]
+    cmd = CompileCommand(directory=str(tmp_path), source_file="u.c", arguments=recorded)
+    toolchain = PreprocessorConfig(executable=[sys.executable, str(stub)], base_flags=["-P"])
+    unit = preprocess_unit(derive_unit_context(cmd), toolchain)
+    assert unit.text == ""
+    assert json.loads(log.read_text()) == [
+        "-P", "-isystem", "sys", "-DA=1", "-Iinc", "-UA", "-include", "pre.h",
+        "-std=gnu99", "-I", "inc2", "-D", "B", str(tmp_path / "u.c"),
+    ]
+
+
+def test_isystem_dir_is_searched_after_include_dirs(tmp_path):
+    # gcc searches -I directories before -isystem ones, whatever their order
+    for d, which in (("A", 1), ("B", 2)):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "x.h").write_text(f"#define WHICH {which}\n")
+    unit = unit_for(tmp_path, '#include "x.h"\nint w = WHICH;\n', ["-isystem", "A", "-IB"])
+    assert "int w = 2;" in unit.text
+

@@ -50,6 +50,17 @@ def test_skeleton_command_builds_workspace(tmp_path, capsys):
     assert (ws / "tests" / "integration.rs").is_file()  # bundled tests copied
 
 
+def test_skeleton_response_file_cycle_is_an_error(tmp_path, capsys):
+    proj = copy_fixture("mini_list", tmp_path / "proj")
+    (proj / "loop.rsp").write_text("-DA @loop.rsp\n")
+    trace = write_trace(proj, ["list.c"], extra_args=["@loop.rsp"])
+    rc = run_cli("skeleton", "--project", proj, "--trace", trace, "--out", tmp_path / "ws")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "loop.rsp" in err
+    assert not (tmp_path / "ws").exists()
+
+
 def test_skeleton_missing_trace_nonzero(tmp_path, capsys):
     proj, _ = setup_mini_list(tmp_path)
     rc = run_cli(

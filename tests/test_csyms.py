@@ -388,3 +388,20 @@ def test_macro_constants_object_like_only(tmp_path):
     assert as_dict["NEWLINE"] == 10
     assert "MIN" not in as_dict
     assert "EXPR" not in as_dict
+
+
+def test_array_parameter_decays_to_a_pointer(tmp_path):
+    src = "int sum(int a[4]);\nint first(const int a[]);\nint main2(int n, char *argv[]);\n"
+    table, _ = extract(tmp_path, src)
+    params = {fn.name: fn.params for fn in table.functions}
+    assert params["sum"] == [("a", CType("int", 1))]
+    assert params["first"] == [("a", CType("int", 1, const=True))]
+    assert params["main2"] == [("n", CType("int")), ("argv", CType("char", 2))]
+
+
+def test_multi_dimensional_array_parameter_is_unsupported(tmp_path):
+    # C passes a pointer to an int[3] here, which CType cannot express
+    table, _ = extract(tmp_path, "int trace(int m[2][3]) { return m[0][0]; }\nint ok;\n")
+    assert table.partial
+    assert any(i.startswith("multi-dimensional array parameter") for i in table.issues)
+    assert [fn.name for fn in table.functions] == []

@@ -429,6 +429,58 @@ def test_arrays_of_callbacks_lower_and_build(tmp_path):
     assert f"size_of::<table>() == {size})" in table.emitted_text
 
 
+def test_array_parameters_decay_to_pointers_and_build(tmp_path):
+    src = (
+        "int sum(int a[4]) { return a[0]; }\n"
+        "int first(const int a[]) { return a[0]; }\n"
+        "int argc_of(int argc, char *argv[]) { return argc; }\n"
+    )
+    plan, project = build_skeleton(tmp_path, {"arr.c": src})
+    sigs = {s.origin.name: s.signature_text for s in project.stubs}
+    assert "a: *mut i32" in sigs["sum"]
+    assert "a: *const i32" in sigs["first"]
+    assert "argv: *mut *mut i8" in sigs["argc_of"]
+
+
+def plan_constants(root: Path, rels) -> dict[str, tuple[str, str]]:
+    plan = plan_skeleton(root, preprocess_all(root, rels), SkeletonConfig(crate_name="c"))
+    return {c.name: (c.module, c.emitted_text) for c in plan.constants}
+
+
+def test_header_no_unit_includes_plants_no_constant(tmp_path):
+    root = make_project(tmp_path, {
+        "cfg/other_platform.h": "#define BUF_LEN 64\n#define OTHER_ONLY 1\n",
+        "a.c": "#define BUF_LEN 16\nint buf_len(void) { return BUF_LEN; }\n",
+    })
+    assert plan_constants(root, ["a.c"]) == {
+        "BUF_LEN": ("crate::a", "pub const BUF_LEN: i32 = 16;"),
+    }
+
+
+def test_header_behind_an_inactive_ifdef_plants_no_constant(tmp_path):
+    root = make_project(tmp_path, {
+        "cfg/on.h": "#define ON_LEN 2\n",
+        "cfg/off.h": "#define OFF_LEN 3\n",
+        "a.c": '#include "cfg/on.h"\n#ifdef USE_OFF\n#include "cfg/off.h"\n#endif\n'
+        "int len(void) { return ON_LEN; }\n",
+    })
+    assert plan_constants(root, ["a.c"]) == {
+        "ON_LEN": ("crate::shared", "pub const ON_LEN: i32 = 2;"),
+    }
+
+
+def test_defines_only_header_still_plants_its_constants(tmp_path):
+    # such a header maps no preprocessed line; its line marker still names it
+    root = make_project(tmp_path, {
+        "inc/consts.h": "#define K_ONE 1\n#define K_NAME \"k\"\n",
+        "a.c": '#include "inc/consts.h"\nint one(void) { return K_ONE; }\n',
+    })
+    assert plan_constants(root, ["a.c"]) == {
+        "K_ONE": ("crate::shared", "pub const K_ONE: i32 = 1;"),
+        "K_NAME": ("crate::shared", 'pub const K_NAME: &str = "k";'),
+    }
+
+
 def test_module_named_core_does_not_shadow_emitted_paths(tmp_path):
     # a C file named core.c produces `mod core`, which must not break the
     # emitted `core::mem`/`core::ptr` paths inside module files
