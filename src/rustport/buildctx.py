@@ -13,6 +13,7 @@ import logging
 import re
 import shlex
 import subprocess
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,11 +51,12 @@ class PreprocessedUnit:
 
     origin: TranslationUnitContext
     text: str
-    # preprocessed line number (1-based) -> (origin file, origin line)
+    # preprocessed line number (1-based) -> (origin file, origin line), for
+    # every line that is neither blank nor a directive
     line_map: dict[int, tuple[str, int]]
-    # every file a line marker names, as spelled there: the files the
-    # preprocessor entered, including headers that emit no line
-    files: set[str]
+    # (name, replacement, file, line) of each object-like macro with a
+    # replacement in force under the unit's flags, in the order defined
+    defines: list[tuple[str, str, str, int]]
 
 
 @dataclass
@@ -141,16 +143,17 @@ def expand_response_files(arguments: list[str], directory: str) -> list[str]:
 
 # the preprocessing flags a recorded argv keeps: a flag whose value is the
 # next argument, and a prefix whose value is joined to it
-_SPLIT_FLAGS = ("-D", "-U", "-I", "-isystem", "-include")
-_JOINED_FLAGS = ("-D", "-U", "-I", "-std=")
+_SPLIT_FLAGS = ("-D", "-U", "-I", "-isystem", "-iquote", "-idirafter", "-include")
+_JOINED_FLAGS = ("-D", "-U", "-I", "-isystem", "-iquote", "-idirafter", "-std=")
 
 
 def derive_unit_context(cmd: CompileCommand) -> TranslationUnitContext:
     """Keep the argv's preprocessing flags, in recorded order and spelling.
 
-    Those are ``-D``, ``-U`` and ``-I`` (joined or split), ``-isystem`` and
-    ``-include`` (split) and ``-std=``; ``@file`` response files are expanded
-    first. Every other argument is dropped, never an error.
+    Those are ``-D``, ``-U``, ``-I``, ``-isystem``, ``-iquote`` and
+    ``-idirafter`` (joined or split), ``-include`` (split) and ``-std=``;
+    ``@file`` response files are expanded first. Every other argument is
+    dropped, never an error.
     """
     args = expand_response_files(cmd.arguments, cmd.directory)
     flags: list[str] = []
@@ -169,16 +172,24 @@ def derive_unit_context(cmd: CompileCommand) -> TranslationUnitContext:
 
 # GNU-style line marker: `# <line> "<file>" [flags]`
 _LINE_MARKER = re.compile(r'^#\s+(\d+)\s+"([^"]*)"')
+# `-dD` prints each definition as `#define NAME REPLACEMENT`, comments
+# stripped and continuations joined; a `(` right after the name makes it
+# function-like, and an empty replacement defines no value
+_OBJECT_DEFINE = re.compile(r"#define (\w+) (.+)$")
 
 
 def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) -> PreprocessedUnit:
     """Run the external preprocessor under the unit's exact flags.
 
-    The output keeps line markers; ``line_map`` is reconstructed from them so
-    every non-marker output line maps back to one original file:line.
+    The output keeps line markers and, through ``-dD``, the macro definitions
+    in force; ``line_map`` is reconstructed from the markers so every line
+    that is neither blank nor a directive maps back to one original
+    file:line, and ``defines`` lists the object-like definitions where they
+    stood.
     """
     cmd = ctx.command
-    argv = [*toolchain.executable, *toolchain.base_flags, *ctx.flags, str(cmd.source_path())]
+    # -dD keeps every #define in place in the output
+    argv = [*toolchain.executable, *toolchain.base_flags, "-dD", *ctx.flags, str(cmd.source_path())]
 
     try:
         proc = subprocess.run(
@@ -198,20 +209,26 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
 
     text = proc.stdout
     line_map: dict[int, tuple[str, int]] = {}
-    files: set[str] = set()
+    defines: list[tuple[str, str, str, int]] = []
     current_file = str(cmd.source_path())
     current_line = 1
     for out_line_no, line in enumerate(text.splitlines(), start=1):
-        m = _LINE_MARKER.match(line)
-        if m:
-            current_line = int(m.group(1))
-            current_file = m.group(2)
-            files.add(current_file)
-            continue
-        line_map[out_line_no] = (current_file, current_line)
+        if line.startswith("#"):
+            m = _LINE_MARKER.match(line)
+            if m:
+                current_line = int(m.group(1))
+                current_file = m.group(2)
+                continue
+            m = _OBJECT_DEFINE.match(line)
+            if m and not current_file.startswith("<"):
+                # the units of one build share most system-header macros
+                name, replacement = map(sys.intern, m.groups())
+                defines.append((name, replacement, current_file, current_line))
+        elif line and not line.isspace():
+            line_map[out_line_no] = (current_file, current_line)
         current_line += 1
 
-    return PreprocessedUnit(origin=ctx, text=text, line_map=line_map, files=files)
+    return PreprocessedUnit(origin=ctx, text=text, line_map=line_map, defines=defines)
 
 
 def dedupe_by_source(commands: list[CompileCommand]) -> list[CompileCommand]:

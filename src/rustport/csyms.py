@@ -10,6 +10,8 @@ names are harvested so project declarations referring to them still parse.
 
 from __future__ import annotations
 
+import codecs
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -138,10 +140,11 @@ class SymbolTable:
     partial: bool = False
     issues: list[str] = field(default_factory=list)
     env_types: set[str] = field(default_factory=set)
-    # object-like literal macros of the unit's main file
+    # object-like literal macros of the unit's main file: (name, value)
     macro_constants: list[tuple[str, object]] = field(default_factory=list)
-    # the project files the unit entered other than its main file, resolved
-    headers: list[Path] = field(default_factory=list)
+    # those of the project headers the unit included:
+    # (resolved header, line, name, value)
+    header_constants: list[tuple[Path, int, str, object]] = field(default_factory=list)
 
 
 @dataclass
@@ -350,7 +353,7 @@ class _Parser:
                 init = None
                 if self.at("="):
                     self.next()
-                    init = self.capture_initializer()
+                    init = " ".join(t.text for t in self.capture_expr((",", ";")))
                 self.make_global(decl, storage, is_extern, is_typedef, init)
             first = False
             if self.at(","):
@@ -449,10 +452,7 @@ class _Parser:
                 width: Optional[int] = None
                 if self.at(":"):
                     self.next()
-                    wt = self.next()
-                    if wt is None or wt.kind != "num":
-                        raise _Unsupported("non-literal bit-field width", wt)
-                    width = int(wt.text.rstrip("uUlL"), 0)
+                    width = self.parse_int_literal("bit-field width", (",", ";"))
                     has_bits = True
                 if decl.is_function:
                     raise _Unsupported("function member", None)
@@ -488,7 +488,7 @@ class _Parser:
                 value = next_value
                 if self.at("="):
                     self.next()
-                    value = self.parse_enum_value()
+                    value = self.parse_int_literal("enumerator value", (",", "}"))
                 enumerators.append((et.text, value))
                 self.enum_constants.add(et.text)
                 next_value = value + 1
@@ -509,21 +509,13 @@ class _Parser:
             raise _Unsupported("anonymous enum without body", kw_tok)
         return f"enum {tag}"
 
-    def parse_enum_value(self) -> int:
-        sign = 1
-        if self.at("-"):
-            self.next()
-            sign = -1
-        elif self.at("+"):
-            self.next()
-        t = self.next()
-        if t is None:
-            raise _Unsupported("truncated enumerator value", None)
-        if t.kind == "num":
-            return sign * int(t.text.rstrip("uUlL"), 0)
-        if t.kind == "char":
-            return sign * _char_value(t.text)
-        raise _Unsupported("non-literal enumerator value", t)
+    def parse_int_literal(self, what: str, stops: tuple[str, ...]) -> int:
+        """Read the tokens up to one of ``stops`` as an integer literal."""
+        toks = self.capture_expr(stops)
+        value = read_literal(" ".join(t.text for t in toks))
+        if not isinstance(value, int):
+            raise _Unsupported(f"non-literal {what}", toks[0] if toks else self.peek())
+        return value
 
     def synth_anon_name(self, tok: _Tok) -> str:
         self.anon_counter += 1
@@ -591,13 +583,9 @@ class _Parser:
         while self.at("["):
             self.next()
             if self.at("]"):
-                self.next()
                 dims.append(0)  # incomplete array
-                continue
-            t = self.next()
-            if t is None or t.kind != "num":
-                raise _Unsupported("non-literal array dimension", t)
-            dims.append(int(t.text.rstrip("uUlL"), 0))
+            else:
+                dims.append(self.parse_int_literal("array dimension", ("]",)))
             self.expect("]")
         return dims
 
@@ -638,22 +626,23 @@ class _Parser:
         self.expect(")")
         return params, variadic
 
-    def capture_initializer(self) -> str:
-        parts: list[str] = []
+    def capture_expr(self, stops: tuple[str, ...]) -> list[_Tok]:
+        """Consume the tokens before the first of ``stops`` outside brackets."""
+        parts: list[_Tok] = []
         depth = 0
         while True:
             t = self.peek()
             if t is None:
                 break
-            if depth == 0 and t.text in (",", ";"):
+            if depth == 0 and t.text in stops:
                 break
             if t.text in "({[":
                 depth += 1
             elif t.text in ")}]":
                 depth -= 1
-            parts.append(t.text)
+            parts.append(t)
             self.next()
-        return " ".join(parts)
+        return parts
 
     # --- result construction ---------------------------------------------
 
@@ -773,14 +762,49 @@ def _canon_primitive(words: list[str]) -> str:
     return aliases.get(text, text)
 
 
-def _char_value(text: str) -> int:
-    inner = text[1:-1]
-    table = {"\\n": 10, "\\t": 9, "\\r": 13, "\\0": 0, "\\\\": 92, "\\'": 39}
-    if inner in table:
-        return table[inner]
-    if inner.startswith("\\x"):
-        return int(inner[2:], 16)
-    return ord(inner[0])
+_LITERAL_RE = re.compile(
+    r"""
+    (?P<int>(?:0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)[uUlL]*)
+  | (?P<float>(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)[fFlL]?)
+  | "(?P<str>(?:\\.|[^"\\])*)"
+  | '(?P<char>[^'\\]|\\(?:[0-7]{1,3}|x[0-9a-fA-F]{2}|[abfnrtv'"\\]))'
+    """,
+    re.VERBOSE,
+)
+
+
+def _unparen(text: str) -> str:
+    text = text.strip()
+    while text.startswith("(") and text.endswith(")"):
+        text = text[1:-1].strip()
+    return text
+
+
+def read_literal(text: str) -> int | float | str | None:
+    """The value of one C literal, or None if ``text`` is anything else.
+
+    An optional sign and enclosing parentheses are accepted around decimal,
+    hex or octal integers with ``uUlL`` suffixes, character literals (read as
+    their int value; the simple, octal and two-digit hex escapes), floats, and
+    string literals (their text between the quotes, escapes as written; never
+    signed).
+    """
+    body = _unparen(text)
+    sign = body[:1] if body[:1] in ("-", "+") else ""
+    m = _LITERAL_RE.fullmatch(_unparen(body[len(sign):]))
+    if m is None or sign and m.lastgroup == "str":
+        return None
+    if m.lastgroup == "str":
+        return m.group("str")
+    if m.lastgroup == "float":
+        value = float(m.group("float").rstrip("fFlL"))
+    elif m.lastgroup == "int":
+        digits = m.group("int").rstrip("uUlL")
+        value = int(digits, 16 if digits[1:2] in ("x", "X") else 8 if digits[0] == "0" else 10)
+    else:  # the escapes the pattern admits mean the same in Python
+        char = m.group("char")
+        value = ord(codecs.decode(char, "unicode_escape") if char[0] == "\\" else char)
+    return -value if sign == "-" else value
 
 
 _STATEMENT_TERMINATORS = {";", "{", "}"}
@@ -903,36 +927,43 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
     references are computed as referenced-minus-defined. A defined function's
     source runs from its first token's line through its closing brace's line:
     original lines in the unit's main file, preprocessed lines elsewhere. The
-    other project files the unit's line markers name become ``headers``.
+    unit's object-like macros whose replacement is an integer, character or
+    string literal become its main file's ``macro_constants`` and its project
+    headers' ``header_constants``.
     """
     project_root = Path(project_root).resolve()
     main_file = str(unit.origin.command.source_path())
     try:
-        source = Path(main_file).read_text(encoding="utf-8")
+        original = Path(main_file).read_text(encoding="utf-8").splitlines()
     except OSError:
-        source = ""
-    table = SymbolTable(macro_constants=collect_macro_constants(source))
+        original = []
+    table = SymbolTable()
+
+    base_dir = Path(unit.origin.command.directory)
+    project_path = functools.cache(lambda file: _project_path(file, project_root, base_dir))
+
+    for name, replacement, file, line in unit.defines:
+        header = project_path(file)
+        if header is None:
+            continue  # built in, from the command line, or a system header's
+        value = read_literal(replacement)
+        if value is None or isinstance(value, float):
+            logger.info("macro %s skipped: non-literal replacement %r", name, replacement)
+        elif file == main_file:
+            table.macro_constants.append((name, value))
+        else:
+            table.header_constants.append((header, line, name, value))
 
     # attribute each line through the unit's line map; lines from outside the
     # project (system headers) only feed type-name harvesting
-    base_dir = Path(unit.origin.command.directory)
-    in_project = {
-        f: _project_path(f, project_root, base_dir) for f in unit.files | {main_file}
-    }
-    table.headers = sorted(
-        {p for p in in_project.values() if p is not None} - {in_project[main_file]}
-    )
     toks: list[_Tok] = []
     env_lines: list[str] = []
     pre_lines = unit.text.splitlines()
-    for out_no, raw in enumerate(pre_lines, start=1):
-        origin = unit.line_map.get(out_no)
-        if origin is None:
-            continue  # a line marker
-        file, line = origin
-        if in_project[file] is None:
+    for out_no, (file, line) in unit.line_map.items():
+        raw = pre_lines[out_no - 1]
+        if project_path(file) is None:
             env_lines.append(raw)
-        elif not raw.lstrip().startswith("#"):
+        else:
             for tm in _TOKEN_RE.finditer(raw):
                 toks.append(_Tok(tm.group(0), tm.lastgroup or "punct", file, line, out_no))
     _harvest_env_names("\n".join(env_lines), table.env_types)
@@ -940,7 +971,6 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
     parser = _Parser(toks, table)
     parser.parse()
 
-    original = source.splitlines()
     for fn in table.functions:
         if fn.defined_here:
             first, last = parser.extents[fn.name]
@@ -1004,44 +1034,3 @@ def declared_types(table: SymbolTable) -> Iterator[CType]:
         yield from (mtype for _, mtype, _ in t.members)
     for g in table.globals:
         yield g.c_type
-
-
-_DEFINE_RE = re.compile(r"^[ \t]*#[ \t]*define[ \t]+(\w+)([ \t(].*)?$")
-INT_LITERAL_RE = re.compile(r"^[+-]?(?:0[xX][0-9a-fA-F]+|\d+)[uUlL]*$")
-_STR_LITERAL_RE = re.compile(r'^"((?:\\.|[^"\\])*)"$')
-_CHAR_LITERAL_RE = re.compile(r"^'(?:\\.|[^'\\])+'$")
-
-
-def collect_macro_constants(original_source: str) -> list[tuple[str, object]]:
-    """Recover object-like macros with single-literal replacements.
-
-    Preprocessing erases these names; recording them lets the skeleton emit
-    named constants instead of bare literals. Function-like macros and
-    non-literal replacements are skipped and logged.
-    """
-    # join backslash continuations before scanning
-    source = re.sub(r"\\\r?\n", " ", original_source)
-    out: list[tuple[str, object]] = []
-    for line in source.splitlines():
-        m = _DEFINE_RE.match(line)
-        if not m:
-            continue
-        name, rest = m.group(1), (m.group(2) or "").strip()
-        if (m.group(2) or "").startswith("("):
-            logger.info("macro %s skipped: function-like", name)
-            continue
-        if not rest:
-            continue
-        body = rest.strip()
-        while body.startswith("(") and body.endswith(")"):
-            body = body[1:-1].strip()
-        if INT_LITERAL_RE.match(body):
-            sign = -1 if body.startswith("-") else 1
-            out.append((name, sign * int(body.lstrip("+-").rstrip("uUlL"), 0)))
-        elif _STR_LITERAL_RE.match(body):
-            out.append((name, _STR_LITERAL_RE.match(body).group(1)))
-        elif _CHAR_LITERAL_RE.match(body):
-            out.append((name, _char_value(body)))
-        else:
-            logger.info("macro %s skipped: non-literal replacement %r", name, body)
-    return out

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..errors import KnowledgeBaseError
-from .bm25 import Bm25Index, default_rerank_score, rerank_top_n
+from .bm25 import Bm25Index, default_rerank_score, rerank_scorer, rerank_top_n
 from .mining import FilePairCandidate, get_file_candidates
 from .rules import (
     AlignedFunctionPair,
@@ -266,14 +266,11 @@ class KnowledgeBase:
         """
         if k <= 0:
             return [], [], []
+        score = rerank_scorer(query_source)
         with self._lock:
             ids = self._indexed().top_n(query_source, max(20, k))
             shortlist = [copy.copy(self._distinct[pid]) for pid in ids]
-            top = rerank_top_n(
-                shortlist,
-                n=k,
-                reranker=lambda pair: default_rerank_score(query_source, pair.c_source),
-            )
+            top = rerank_top_n(shortlist, n=k, reranker=lambda pair: score(pair.c_source))
             cited = {seq: rule for pair in top for seq, rule in self._citing.get(pair.pair_id, ())}
         rules = [cited[seq] for seq in sorted(cited)]
         api = [r for r in rules if isinstance(r, ApiRule)]

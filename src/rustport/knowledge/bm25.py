@@ -180,13 +180,23 @@ class Bm25Index:
         return ranked
 
 
+def rerank_scorer(left_text: str) -> Callable[[str], float]:
+    """``default_rerank_score`` with its left text fixed, whose identifiers
+    and long literals are extracted once for every right text scored."""
+    left_ids, left_literals = identifiers(left_text), long_string_literals(left_text)
+
+    def score(right_text: str) -> float:
+        right_ids = identifiers(right_text)
+        union = left_ids | right_ids
+        jaccard = (len(left_ids & right_ids) / len(union)) if union else 0.0
+        shared_literals = left_literals & long_string_literals(right_text)
+        return jaccard + 0.1 * len(shared_literals)
+
+    return score
+
+
 def default_rerank_score(left_text: str, right_text: str) -> float:
-    left_ids = identifiers(left_text)
-    right_ids = identifiers(right_text)
-    union = left_ids | right_ids
-    jaccard = (len(left_ids & right_ids) / len(union)) if union else 0.0
-    shared_literals = long_string_literals(left_text) & long_string_literals(right_text)
-    return jaccard + 0.1 * len(shared_literals)
+    return rerank_scorer(left_text)(right_text)
 
 
 def rerank_top_n(pairs: Sequence, reranker: Callable, n: int = 5) -> list:

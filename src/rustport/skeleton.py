@@ -21,15 +21,14 @@ from .buildctx import PreprocessedUnit
 from .cargo import BuildRunner, render_diagnostics
 from .clayout import TypeResolver
 from .csyms import (
-    INT_LITERAL_RE,
     CFunctionDecl,
     CGlobalDecl,
     CTypeDef,
     SymbolTable,
     base_names,
-    collect_macro_constants,
     declared_types,
     extract_symbols,
+    read_literal,
 )
 from .errors import SkeletonBuildError, SkeletonError
 
@@ -316,10 +315,6 @@ class GlobalUsage:
     defining_module: str = SHARED_MODULE
 
 
-_FLOAT_INIT_RE = re.compile(r"^[+-]?\d+\.\d*(?:[eE][+-]?\d+)?[fF]?$")
-_STR_INIT_RE = re.compile(r'^"(?:\\.|[^"\\])*"$')
-
-
 def _zero_value(rust_type: str) -> str:
     if rust_type in ("f32", "f64"):
         return "0.0"
@@ -353,17 +348,16 @@ def lift_global(
 
     todo_comment = ""
     init = (g.initializer_text or "").strip()
+    value = read_literal(init)
     str_ptr = g.c_type.pointer_depth == 1 and g.c_type.base == "char"
-    if init and _STR_INIT_RE.match(init) and str_ptr:
-        literal = init[1:-1]
-        rust_init = f'b"{literal}\\0".as_ptr() as {rust_type}'
-    elif init and INT_LITERAL_RE.match(init):
-        rust_init = init.rstrip("uUlL")
-    elif init and _FLOAT_INIT_RE.match(init):
-        rust_init = init.rstrip("fF")
-        if "." not in rust_init:
-            rust_init += ".0"
-    elif init in ("", "0", "{ 0 }", "{0}"):
+    if isinstance(value, str) and str_ptr:
+        rust_init = f'b"{value}\\0".as_ptr() as {rust_type}'
+    elif isinstance(value, int) and value < 0 and not re.fullmatch(r"i(8|16|32|64|size)", rust_type):
+        # C converts the value to the object's type, as `as` does
+        rust_init = f"{value}i64 as {rust_type}"
+    elif isinstance(value, (int, float)):
+        rust_init = repr(value)
+    elif init in ("", "{ 0 }", "{0}"):
         rust_init = _zero_value(rust_type)
     else:
         rust_init = _zero_value(rust_type)
@@ -431,20 +425,6 @@ def plan_skeleton(
         rel_key = rel_keys[str(unit.origin.command.source_path().resolve())]
         module = tree.mapping[rel_key]
         symtabs[module] = extract_symbols(unit, project_root=project_root)
-
-    # macros defined in the project headers the units entered land in the
-    # shared layer
-    header_consts: list[tuple[str, object]] = []
-    seen_headers: set[str] = set()
-    for header in sorted({h for table in symtabs.values() for h in table.headers}):
-        try:
-            text = header.read_text(encoding="utf-8")
-        except OSError:
-            continue
-        for name, value in collect_macro_constants(text):
-            if name not in seen_headers:
-                seen_headers.add(name)
-                header_consts.append((name, value))
 
     # usage analysis: which modules reference which names
     uses: dict[str, set[str]] = {}
@@ -541,10 +521,12 @@ def plan_skeleton(
             )
             statics.append(lift_global(g, usage, policy))
 
-    # named constants from object-like macros
+    # named constants from object-like macros: those of the project headers
+    # the units included land in the shared layer, in (header, line) order
     constants: list[NamedConstant] = []
     emitted_consts: set[str] = set()
-    for name, value in header_consts:
+    header_consts = sorted({c for table in symtabs.values() for c in table.header_constants})
+    for _header, _line, name, value in header_consts:
         if name in emitted_consts or name in emitted_type_names:
             continue
         emitted_consts.add(name)

@@ -264,8 +264,9 @@ def test_preprocessor_gets_recorded_flags_in_order(tmp_path):
     toolchain = PreprocessorConfig(executable=[sys.executable, str(stub)], base_flags=["-P"])
     unit = preprocess_unit(derive_unit_context(cmd), toolchain)
     assert unit.text == ""
+    # -dD is always passed, so the output carries the macros in force
     assert json.loads(log.read_text()) == [
-        "-P", "-isystem", "sys", "-DA=1", "-Iinc", "-UA", "-include", "pre.h",
+        "-P", "-dD", "-isystem", "sys", "-DA=1", "-Iinc", "-UA", "-include", "pre.h",
         "-std=gnu99", "-I", "inc2", "-D", "B", str(tmp_path / "u.c"),
     ]
 
@@ -278,3 +279,30 @@ def test_isystem_dir_is_searched_after_include_dirs(tmp_path):
     unit = unit_for(tmp_path, '#include "x.h"\nint w = WHICH;\n', ["-isystem", "A", "-IB"])
     assert "int w = 2;" in unit.text
 
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["-iquote", "inc"], ["-idirafter", "inc"], ["-isysteminc"], ["-iquoteinc"], ["-idirafterinc"]],
+    ids=" ".join,
+)
+def test_include_dir_flag_reaches_the_preprocessor(tmp_path, flags):
+    (tmp_path / "inc").mkdir()
+    (tmp_path / "inc" / "q.h").write_text("int from_q;\n")
+    unit = unit_for(tmp_path, '#include "q.h"\n', flags)
+    assert "int from_q;" in unit.text
+
+
+def test_defines_are_the_ones_in_force_where_they_stood(tmp_path):
+    (tmp_path / "cfg.h").write_text(
+        "#ifdef BIG\n#define N 64\n#else\n#define N 8 /* eight */\n#endif\n"
+        "#define SUM (1 + \\\n  2)\n#define TWICE(x) ((x) * 2)\n#define GUARD\n"
+    )
+    unit = unit_for(tmp_path, '#include "cfg.h"\n#define LOCAL 3\nint v = N;\n')
+    project = [d for d in unit.defines if d[2].startswith(str(tmp_path))]
+    header, main = str(tmp_path / "cfg.h"), str(tmp_path / "u.c")
+    assert project == [
+        ("N", "8", header, 4), ("SUM", "(1 + 2)", header, 6), ("LOCAL", "3", main, 2),
+    ]
+    # directive and blank lines map to no source line
+    assert [unit.line_map[no] for no in sorted(unit.line_map)] == [(main, 3)]

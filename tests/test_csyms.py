@@ -1,7 +1,9 @@
 from pathlib import Path
 
+import pytest
+
 from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
-from rustport.csyms import CFuncSig, CType, collect_macro_constants, extract_symbols
+from rustport.csyms import CFuncSig, CType, extract_symbols, read_literal
 
 CPP = PreprocessorConfig()
 
@@ -380,8 +382,8 @@ def test_macro_constants_object_like_only(tmp_path):
         "#define NEWLINE '\\n'\n"
         "#define EXPR (MAX_LEN + 1)\n"
     )
-    consts = collect_macro_constants(source)
-    as_dict = dict(consts)
+    table, _ = extract(tmp_path, source)
+    as_dict = dict(table.macro_constants)
     assert as_dict["MAX_LEN"] == 64
     assert as_dict["HDF_POWER_DYNAMIC_CTRL"] == 0
     assert as_dict["TAG_NAME"] == "hdf"
@@ -405,3 +407,35 @@ def test_multi_dimensional_array_parameter_is_unsupported(tmp_path):
     assert table.partial
     assert any(i.startswith("multi-dimensional array parameter") for i in table.issues)
     assert [fn.name for fn in table.functions] == []
+
+
+@pytest.mark.parametrize(
+    "source, read",
+    [
+        (
+            "enum Perm { P_R = 010, P_W = -(02), P_X = 0x1F };\n",
+            lambda t: t.types[0].enumerators == [("P_R", 8), ("P_W", -2), ("P_X", 31)],
+        ),
+        ("int grid[010][(2)];\n", lambda t: t.globals[0].c_type.array_dims == [8, 2]),
+        ("struct Bits { unsigned a : 010; };\n", lambda t: t.types[0].members[0][2] == 8),
+    ],
+    ids=["enumerator", "array-dim", "bit-field-width"],
+)
+def test_octal_literals_read_as_octal(tmp_path, source, read):
+    table, _ = extract(tmp_path, source)
+    assert not table.partial
+    assert read(table)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("0644", 0o644), ("0", 0), ("0x1fUL", 31), ("42u", 42), ("-(7)", -7), ("+3", 3),
+        ("((-1))", -1), ("'\\n'", 10), ("'\\0'", 0), ("'\\101'", 65), ("'\\x41'", 65),
+        ("'a'", 97), ('"hdf"', "hdf"), ("1.5f", 1.5), ("-2.", -2.0), ("1e3", 1000.0),
+        ("08", None), ('-"s"', None), ("N + 1", None), ("(1) + (2)", None), ("", None),
+    ],
+)
+def test_read_literal(text, value):
+    assert read_literal(text) == value
+    assert type(read_literal(text)) is type(value)

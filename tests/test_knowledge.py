@@ -551,6 +551,25 @@ def test_retrieve_equals_the_serial_reference(tmp_path):
         kb.accumulate(pair.c_name, pair.c_source, pair.rust_name, pair.rust_source)
 
 
+def test_retrieve_scores_equal_default_rerank_score(tmp_path):
+    # long string literals shared with the query weigh in the rerank score
+    rng = random.Random(13)
+    kb = KnowledgeBase(tmp_path / "kb")
+    messages = ['"queue overflow"', '"bad checksum"', '"short"']
+    for n in range(40):
+        pair = history_pair(rng, n)
+        c_source = pair.c_source.replace("return t;", f"log_msg({rng.choice(messages)});\n    return t;")
+        kb.insert_pair(AlignedFunctionPair(**{**vars(pair), "c_source": c_source}))
+    query = history_pair(rng, 99).c_source.replace("{", '{\n    log_msg("queue overflow");', 1)
+    top, _, _ = kb.retrieve(query, k=5)
+    by_id = {pair.pair_id: pair for pair in kb.pairs}
+    assert [(p.pair_id, p.rerank_score) for p in top] == [
+        (p.pair_id, default_rerank_score(query, by_id[p.pair_id].c_source)) for p in top
+    ]
+    assert retrieval_record((top, [], [])) == retrieval_record(serial_retrieve(kb, query, 5))
+    assert any('"queue overflow"' in by_id[p.pair_id].c_source for p in top)
+
+
 def test_retrieve_from_threads_equals_serial(tmp_path):
     rng = random.Random(12)
     seed_kb = KnowledgeBase(tmp_path / "kb")

@@ -46,10 +46,10 @@ def make_project(tmp_path: Path, files: dict[str, str]) -> Path:
     return root
 
 
-def preprocess_all(root: Path, rels) -> list:
+def preprocess_all(root: Path, rels, flags=()) -> list:
     units = []
     for rel in rels:
-        cmd = CompileCommand(directory=str(root), source_file=rel, arguments=["cc", "-c", rel])
+        cmd = CompileCommand(directory=str(root), source_file=rel, arguments=["cc", *flags, "-c", rel])
         units.append(preprocess_unit(derive_unit_context(cmd), CPP))
     return units
 
@@ -442,9 +442,44 @@ def test_array_parameters_decay_to_pointers_and_build(tmp_path):
     assert "argv: *mut *mut i8" in sigs["argc_of"]
 
 
-def plan_constants(root: Path, rels) -> dict[str, tuple[str, str]]:
-    plan = plan_skeleton(root, preprocess_all(root, rels), SkeletonConfig(crate_name="c"))
+def plan_constants(root: Path, rels, flags=()) -> dict[str, tuple[str, str]]:
+    plan = plan_skeleton(root, preprocess_all(root, rels, flags), SkeletonConfig(crate_name="c"))
     return {c.name: (c.module, c.emitted_text) for c in plan.constants}
+
+
+BRANCHED_N = "#ifdef BIG\n#define N 64\n#else\n#define N 8\n#endif\n"
+
+
+@pytest.mark.parametrize("flags, n", [((), 8), (("-DBIG",), 64)])
+def test_header_constant_takes_the_branch_the_flags_select(tmp_path, flags, n):
+    root = make_project(tmp_path, {
+        "cfg.h": BRANCHED_N,
+        "a.c": '#include "cfg.h"\nint n(void) { return N; }\n',
+    })
+    assert plan_constants(root, ["a.c"], flags) == {
+        "N": ("crate::shared", f"pub const N: i32 = {n};"),
+    }
+
+
+@pytest.mark.parametrize("flags, n", [((), 8), (("-DBIG",), 64)])
+def test_unit_constant_takes_the_branch_the_flags_select(tmp_path, flags, n):
+    root = make_project(tmp_path, {"a.c": BRANCHED_N + "int n(void) { return N; }\n"})
+    assert plan_constants(root, ["a.c"], flags) == {"N": ("crate::a", f"pub const N: i32 = {n};")}
+
+
+def test_defines_are_read_as_the_preprocessor_sees_them(tmp_path):
+    root = make_project(tmp_path, {
+        "a.c": "#define N 8 /* eight */\n"
+        "#define K \\\n    3\n"
+        "#define PERM 0644\n"
+        "#define TWICE(x) ((x) * 2)\n"
+        "int n(void) { return TWICE(N + K) + PERM; }\n",
+    })
+    assert plan_constants(root, ["a.c"]) == {
+        "N": ("crate::a", "pub const N: i32 = 8;"),
+        "K": ("crate::a", "pub const K: i32 = 3;"),
+        "PERM": ("crate::a", "pub const PERM: i32 = 420;"),
+    }
 
 
 def test_header_no_unit_includes_plants_no_constant(tmp_path):
@@ -548,6 +583,21 @@ def test_same_name_enums_unify_only_when_their_values_match(tmp_path, b_enum, un
     else:
         assert mode.module == "crate::a"
         assert plan.holes == ["type conflict: mode"]
+
+
+@pytest.mark.parametrize(
+    "decl, emitted",
+    [
+        ("int g = -1;", "pub static mut g: i32 = -1;"),
+        ("int g = 010;", "pub static mut g: i32 = 8;"),
+        ("unsigned g = -1;", "pub static mut g: u32 = -1i64 as u32;"),
+    ],
+    ids=["negative", "octal", "negative-unsigned"],
+)
+def test_literal_initializer_keeps_its_value(tmp_path, decl, emitted):
+    _, project = build_skeleton(tmp_path, {"a.c": f"{decl}\nint get(void) {{ return g; }}\n"})
+    [static] = project.statics
+    assert static.emitted_text == emitted
 
 
 def test_tentative_global_in_two_units_emitted_once(tmp_path):
