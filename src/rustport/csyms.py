@@ -784,10 +784,10 @@ def read_literal(text: str) -> int | float | str | None:
     """The value of one C literal, or None if ``text`` is anything else.
 
     An optional sign and enclosing parentheses are accepted around decimal,
-    hex or octal integers with ``uUlL`` suffixes, character literals (read as
-    their int value; the simple, octal and two-digit hex escapes), floats, and
-    string literals (their text between the quotes, escapes as written; never
-    signed).
+    hex or octal integers with ``uUlL`` suffixes, character literals (the
+    value of a signed char, as ``char`` lowers to ``i8``; simple, octal and
+    two-digit hex escapes), floats, and string literals (their text between
+    the quotes, escapes as written; never signed).
     """
     body = _unparen(text)
     sign = body[:1] if body[:1] in ("-", "+") else ""
@@ -804,6 +804,7 @@ def read_literal(text: str) -> int | float | str | None:
     else:  # the escapes the pattern admits mean the same in Python
         char = m.group("char")
         value = ord(codecs.decode(char, "unicode_escape") if char[0] == "\\" else char)
+        value -= 256 if 127 < value < 256 else 0  # a (signed) char's value, as C's lowers
     return -value if sign == "-" else value
 
 

@@ -432,7 +432,8 @@ def test_octal_literals_read_as_octal(tmp_path, source, read):
     [
         ("0644", 0o644), ("0", 0), ("0x1fUL", 31), ("42u", 42), ("-(7)", -7), ("+3", 3),
         ("((-1))", -1), ("'\\n'", 10), ("'\\0'", 0), ("'\\101'", 65), ("'\\x41'", 65),
-        ("'a'", 97), ('"hdf"', "hdf"), ("1.5f", 1.5), ("-2.", -2.0), ("1e3", 1000.0),
+        ("'a'", 97), ("'\\xff'", -1), ("'\\200'", -128), ('"hdf"', "hdf"),
+        ("1.5f", 1.5), ("-2.", -2.0), ("1e3", 1000.0),
         ("08", None), ('-"s"', None), ("N + 1", None), ("(1) + (2)", None), ("", None),
     ],
 )

@@ -591,8 +591,9 @@ def test_same_name_enums_unify_only_when_their_values_match(tmp_path, b_enum, un
         ("int g = -1;", "pub static mut g: i32 = -1;"),
         ("int g = 010;", "pub static mut g: i32 = 8;"),
         ("unsigned g = -1;", "pub static mut g: u32 = -1i64 as u32;"),
+        ("char g = '\\xff';", "pub static mut g: i8 = -1;"),
     ],
-    ids=["negative", "octal", "negative-unsigned"],
+    ids=["negative", "octal", "negative-unsigned", "high-char"],
 )
 def test_literal_initializer_keeps_its_value(tmp_path, decl, emitted):
     _, project = build_skeleton(tmp_path, {"a.c": f"{decl}\nint get(void) {{ return g; }}\n"})
