@@ -50,6 +50,8 @@ class PreprocessedUnit:
     """Fully expanded translation unit plus a line-origin map."""
 
     origin: TranslationUnitContext
+    # the output with its marker and directive lines blanked, so each line
+    # keeps its row; line_map and defines hold what those lines said
     text: str
     # preprocessed line number (1-based) -> (origin file, origin line), for
     # every line that is neither blank nor a directive
@@ -185,7 +187,8 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
     in force; ``line_map`` is reconstructed from the markers so every line
     that is neither blank nor a directive maps back to one original
     file:line, and ``defines`` lists the object-like definitions where they
-    stood.
+    stood. The units of a build are held at once, so ``text`` drops what
+    those lines said and keeps their rows.
     """
     cmd = ctx.command
     # -dD keeps every #define in place in the output
@@ -207,13 +210,14 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
             diagnostics=proc.stderr,
         )
 
-    text = proc.stdout
+    lines = proc.stdout.splitlines()
     line_map: dict[int, tuple[str, int]] = {}
     defines: list[tuple[str, str, str, int]] = []
     current_file = str(cmd.source_path())
     current_line = 1
-    for out_line_no, line in enumerate(text.splitlines(), start=1):
+    for out_line_no, line in enumerate(lines, start=1):
         if line.startswith("#"):
+            lines[out_line_no - 1] = ""
             m = _LINE_MARKER.match(line)
             if m:
                 current_line = int(m.group(1))
@@ -228,7 +232,8 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
             line_map[out_line_no] = (current_file, current_line)
         current_line += 1
 
-    return PreprocessedUnit(origin=ctx, text=text, line_map=line_map, defines=defines)
+    lines.append("")  # the output's final newline
+    return PreprocessedUnit(origin=ctx, text="\n".join(lines), line_map=line_map, defines=defines)
 
 
 def dedupe_by_source(commands: list[CompileCommand]) -> list[CompileCommand]:
