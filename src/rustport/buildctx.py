@@ -50,8 +50,9 @@ class PreprocessedUnit:
     """Fully expanded translation unit plus a line-origin map."""
 
     origin: TranslationUnitContext
-    # the output with its marker and directive lines blanked, so each line
-    # keeps its row; line_map and defines hold what those lines said
+    # the output with its marker and directive lines blanked, each line in its
+    # row: a build's units are held at once, and line_map and defines hold
+    # what those lines said
     text: str
     # preprocessed line number (1-based) -> (origin file, origin line), for
     # every line that is neither blank nor a directive
@@ -187,8 +188,7 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
     in force; ``line_map`` is reconstructed from the markers so every line
     that is neither blank nor a directive maps back to one original
     file:line, and ``defines`` lists the object-like definitions where they
-    stood. The units of a build are held at once, so ``text`` drops what
-    those lines said and keeps their rows.
+    stood.
     """
     cmd = ctx.command
     # -dD keeps every #define in place in the output

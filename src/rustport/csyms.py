@@ -142,8 +142,7 @@ class SymbolTable:
     env_types: set[str] = field(default_factory=set)
     # object-like literal macros of the unit's main file: (name, value)
     macro_constants: list[tuple[str, object]] = field(default_factory=list)
-    # those of the project headers the unit included:
-    # (resolved header, line, name, value)
+    # those of the project headers it included: (resolved header, line, name, value)
     header_constants: list[tuple[Path, int, str, object]] = field(default_factory=list)
 
 
@@ -632,9 +631,7 @@ class _Parser:
         depth = 0
         while True:
             t = self.peek()
-            if t is None:
-                break
-            if depth == 0 and t.text in stops:
+            if t is None or depth == 0 and t.text in stops:
                 break
             if t.text in "({[":
                 depth += 1

@@ -357,12 +357,11 @@ def lift_global(
         rust_init = f"{value}i64 as {rust_type}"
     elif isinstance(value, (int, float)):
         rust_init = repr(value)
-    elif init in ("", "{ 0 }", "{0}"):
-        rust_init = _zero_value(rust_type)
     else:
         rust_init = _zero_value(rust_type)
-        todo_comment = f"// TODO: translate non-literal initializer: {init}\n"
-        logger.warning("global %s: initializer %r needs manual translation", g.name, init)
+        if init not in ("", "{ 0 }", "{0}"):
+            todo_comment = f"// TODO: translate non-literal initializer: {init}\n"
+            logger.warning("global %s: initializer %r needs manual translation", g.name, init)
 
     mutable = g.mutable
     if not mutable and "*" in rust_type:
