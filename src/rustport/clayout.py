@@ -8,9 +8,11 @@ checks them against sizes reported by the host C compiler.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .csyms import CType, CTypeDef
+from .csyms import CType, CTypeDef, string_bytes
 from .errors import SkeletonError
 
 
@@ -49,22 +51,19 @@ PRIMITIVES: dict[str, tuple[str, int, int]] = {
 POINTER_SIZE = 8
 POINTER_ALIGN = 8
 
+# what an enum is stored as: the first that holds every enumerator, so its
+# size is gcc's sizeof; ``int`` is the type C gives enumerators
+ENUM_BASES = ("int", "unsigned int", "long", "unsigned long")
 
+
+@dataclass
 class TypeResolver:
-    """Resolves non-primitive base names while lowering.
+    """Resolves base names while lowering: ``rust_path(name)`` gives a project
+    type's absolute Rust path and ``lookup(name)`` its CTypeDef (for layout
+    and values); both give None for an unknown name."""
 
-    ``rust_path(name)`` returns the absolute Rust path for a project type;
-    ``lookup(name)`` returns its CTypeDef (for layout); both return None for
-    unknown names.
-    """
-
-    def __init__(
-        self,
-        lookup: Callable[[str], Optional[CTypeDef]],
-        rust_path: Callable[[str], Optional[str]],
-    ):
-        self.lookup = lookup
-        self.rust_path = rust_path
+    lookup: Callable[[str], Optional[CTypeDef]]
+    rust_path: Callable[[str], Optional[str]]
 
 
 def lower(ct: CType, resolver: TypeResolver, position: str = "value") -> str:
@@ -81,31 +80,19 @@ def lower(ct: CType, resolver: TypeResolver, position: str = "value") -> str:
         ret = lower(ct.func.ret, resolver, "return")
         fn = f'unsafe extern "C" fn({", ".join(params)})' + (f" -> {ret}" if ret != "()" else "")
         lowered = f"Option<{fn}>"
-    elif ct.pointer_depth:
-        if base == "void":
-            inner = "core::ffi::c_void"
-        elif base in PRIMITIVES:
-            inner = PRIMITIVES[base][0]
-        else:
-            path = resolver.rust_path(base)
-            if path is None:
-                raise SkeletonError(f"unresolvable member type '{ct.base}'")
-            inner = path
-        sigil = "*const" if ct.const else "*mut"
-        lowered = f"{sigil} {inner}"
-        for _ in range(ct.pointer_depth - 1):
-            lowered = f"{sigil} {lowered}"
-    elif base == "void":
+    elif base == "void" and not ct.pointer_depth:
         if position != "return":
             raise SkeletonError("void in value position")
         lowered = "()"
-    elif base in PRIMITIVES:
-        lowered = PRIMITIVES[base][0]
     else:
-        path = resolver.rust_path(base)
-        if path is None:
+        if base == "void":
+            lowered = "core::ffi::c_void"
+        else:
+            lowered = PRIMITIVES[base][0] if base in PRIMITIVES else resolver.rust_path(base)
+        if lowered is None:
             raise SkeletonError(f"unresolvable member type '{ct.base}'")
-        lowered = path
+        for _ in range(ct.pointer_depth):
+            lowered = f"{'*const' if ct.const else '*mut'} {lowered}"
 
     for d in reversed(ct.array_dims):
         lowered = f"[{lowered}; {d}]"
@@ -119,29 +106,99 @@ def _round_up(v: int, align: int) -> int:
     return (v + align - 1) // align * align
 
 
+def int_range(base: str) -> tuple[int, int]:
+    """The least and greatest value of a primitive integer type."""
+    rust, size, _ = PRIMITIVES[base]
+    bits = 8 * size
+    return (-(1 << bits - 1), (1 << bits - 1) - 1) if rust[0] == "i" else (0, (1 << bits) - 1)
+
+
+def narrowest(values: list[int], bases: tuple[str, ...] = ENUM_BASES) -> str:
+    """The first of ``bases`` that holds every value, else the last."""
+    lo, hi = min(values, default=0), max(values, default=0)
+    return next((b for b in bases if int_range(b)[0] <= lo and hi <= int_range(b)[1]), bases[-1])
+
+
+def underlying(ct: CType, resolver: TypeResolver) -> CType:
+    """``ct`` with typedef names and enums replaced by what they stand for."""
+    td = resolver.lookup(ct.name) if ct.func is None else None
+    if td is not None and td.kind == "enumeration":
+        return replace(ct, base=narrowest([v for _, v in td.enumerators]))
+    if td is None or td.kind != "alias" or td.members[0][1].name == ct.name:
+        return ct
+    to = td.members[0][1]
+    const = ct.const if ct.pointer_depth else to.const
+    depth, dims = ct.pointer_depth + to.pointer_depth, ct.array_dims + to.array_dims
+    return underlying(CType(to.base, depth, dims, const, to.func), resolver)
+
+
+def c_value(
+    value: int | float | str, ct: Optional[CType], resolver: TypeResolver
+) -> Optional[str]:
+    """A ``read_literal`` value as a Rust constant of the lowered ``ct``,
+    converted as C converts it, or None where C takes no such value: 0 is a
+    null pointer, ``_Bool`` is whether the value is nonzero, an integer out of
+    range goes through ``as``, and a string fills a NUL-padded char array or
+    points at its bytes. A string of no C type is a ``&str``."""
+    if ct is None:
+        text = string_bytes(value).decode("utf-8", "replace")
+        safe = (c if " " <= c <= "~" and c not in '"\\' else f"\\u{{{ord(c):x}}}" for c in text)
+        return '"' + "".join(safe) + '"'
+    ct = underlying(ct, resolver)
+    rust = lower(ct, resolver)
+    if isinstance(value, str):
+        data = string_bytes(value) + b"\0"
+        chars = ct.name in ("char", "signed char", "unsigned char")
+        if not chars or ct.pointer_depth + len(ct.array_dims) != 1:
+            return None
+        if ct.pointer_depth:
+            safe = (chr(b) if 32 <= b < 127 and b not in b'"\\' else f"\\x{b:02x}" for b in data)
+            return f'b"{"".join(safe)}".as_ptr() as {rust}'
+        data = data[: ct.array_dims[0]].ljust(ct.array_dims[0], b"\0")
+        return "[" + ", ".join(c_value(b, CType(ct.base), resolver) for b in data) + "]"
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if ct.array_dims or not ct.pointer_depth and ct.name not in PRIMITIVES:
+        return "unsafe { core::mem::zeroed() }" if value == 0 else None
+    if ct.pointer_depth:
+        if value != 0 or isinstance(value, float):
+            return None
+        if ct.func is not None:
+            return "None"
+        return "core::ptr::null()" if ct.const else "core::ptr::null_mut()"
+    if rust in ("bool", "f32", "f64"):
+        return ("true" if value else "false") if rust == "bool" else repr(float(value))
+    lo, hi = int_range(ct.name)
+    if lo <= int(value) <= hi:
+        return str(int(value))
+    return f"{int(value)}{'i64' if value < 1 << 63 else 'u64'} as {rust}"
+
+
+def constant_type(value: int | str) -> Optional[CType]:
+    """The C type of a named constant: the first of int, long and unsigned
+    long that holds an integer; None (a ``&str``) for a string."""
+    bases = ("int", "long", "unsigned long")
+    return None if isinstance(value, str) else CType(narrowest([value], bases))
+
+
 def size_align_of(ct: CType, resolver: TypeResolver) -> tuple[int, int]:
+    ct = underlying(ct, resolver)
     if ct.pointer_depth or ct.func is not None:
         size, align = POINTER_SIZE, POINTER_ALIGN
+    elif ct.name in PRIMITIVES:
+        _, size, align = PRIMITIVES[ct.name]
     else:
-        base = ct.name
-        if base in PRIMITIVES:
-            _, size, align = PRIMITIVES[base]
-        else:
-            td = resolver.lookup(base)
-            if td is None:
-                raise SkeletonError(f"unknown type for layout: '{ct.base}'")
-            size, align = record_size_align(td, resolver)
+        td = resolver.lookup(ct.name)
+        if td is None:
+            raise SkeletonError(f"unknown type for layout: '{ct.base}'")
+        size, align = record_size_align(td, resolver)
     for d in ct.array_dims:
         size *= d
     return size, align
 
 
 def record_size_align(td: CTypeDef, resolver: TypeResolver) -> tuple[int, int]:
-    """System V x86-64 layout for records, unions, and enums."""
-    if td.kind == "enumeration":
-        return 4, 4
-    if td.kind == "alias":
-        return size_align_of(td.members[0][1], resolver)
+    """System V x86-64 layout for records and unions."""
     if td.opaque or not td.members:
         return 0, 1
 

@@ -352,7 +352,10 @@ class _Parser:
                 init = None
                 if self.at("="):
                     self.next()
-                    init = " ".join(t.text for t in self.capture_expr((",", ";")))
+                    toks = self.capture_expr((",", ";"))
+                    init = " ".join(t.text for t in toks)
+                    if decl.ctype.array_dims[:1] == [0]:
+                        decl.ctype.array_dims[0] = _initializer_length(toks)
                 self.make_global(decl, storage, is_extern, is_typedef, init)
             first = False
             if self.at(","):
@@ -803,6 +806,24 @@ def read_literal(text: str) -> int | float | str | None:
         value = ord(codecs.decode(char, "unicode_escape") if char[0] == "\\" else char)
         value -= 256 if 127 < value < 256 else 0  # a (signed) char's value, as C's lowers
     return -value if sign == "-" else value
+
+
+def string_bytes(text: str) -> bytes:
+    """The bytes of a string literal's text (as ``read_literal`` returns it),
+    its escapes decoded, without the terminating NUL."""
+    return text.encode("utf-8").decode("unicode_escape", "replace").encode("latin-1", "replace")
+
+
+def _initializer_length(toks: list[_Tok]) -> int:
+    """The element count an initializer gives an incomplete array: a string's
+    bytes plus the NUL, or a flat brace list's items; 0 for anything else."""
+    value = read_literal(" ".join(t.text for t in toks))
+    if isinstance(value, str):
+        return len(string_bytes(value)) + 1
+    inner = toks[1:-1]
+    if not inner or toks[0].text + toks[-1].text != "{}" or any(t.text in "{}[]" for t in inner):
+        return 0
+    return sum(t.text == "," for t in inner) + (inner[-1].text != ",")
 
 
 _STATEMENT_TERMINATORS = {";", "{", "}"}

@@ -23,6 +23,7 @@ from .clayout import TypeResolver
 from .csyms import (
     CFunctionDecl,
     CGlobalDecl,
+    CType,
     CTypeDef,
     SymbolTable,
     base_names,
@@ -175,35 +176,17 @@ def mirror_module_tree(project_root, source_files) -> ModuleTree:
     return ModuleTree(mapping=mapping, reverse=reverse, collisions=collisions)
 
 
-@dataclass
-class TypePolicy:
-    resolver: TypeResolver
-    strict: bool = True
-
-
-def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> RustTypeDecl:
-    """Lower one C type definition to layout-preserving Rust source."""
+def lower_type(
+    t: CTypeDef, resolver: TypeResolver, module: str = SHARED_MODULE, strict: bool = True
+) -> RustTypeDecl:
+    """Lower one C type definition to layout-preserving Rust source; an enum
+    is an alias of the integer it is stored as."""
     name = sanitize_ident(t.name)
-    if t.kind == "alias":
-        target = clayout.lower(t.members[0][1], policy.resolver)
-        text = f"pub type {name} = {target};"
+    if t.kind in ("alias", "enumeration"):
+        values = [v for _, v in t.enumerators]
+        target = t.members[0][1] if t.kind == "alias" else CType(clayout.narrowest(values))
+        text = f"pub type {name} = {clayout.lower(target, resolver)};"
         return RustTypeDecl(name=name, emitted_text=text, origin=t, module=module)
-
-    if t.kind == "enumeration":
-        values = [(sanitize_ident(n), v) for n, v in t.enumerators]
-        if len({v for _, v in values}) != len(values):
-            # duplicate discriminants cannot become a Rust enum
-            lines = [f"pub type {name} = i32;"]
-            for vn, vv in values:
-                lines.append(f"pub const {vn}: {name} = {vv};")
-            logger.info("enum %s has duplicate discriminants; emitted as alias+consts", t.name)
-            return RustTypeDecl(name=name, emitted_text="\n".join(lines), origin=t, module=module)
-        lines = ["#[repr(C)]", "#[derive(Clone, Copy, PartialEq)]", f"pub enum {name} {{"]
-        for vn, vv in values:
-            lines.append(f"    {vn} = {vv},")
-        lines.append("}")
-        lines.append(f"const _: () = assert!(core::mem::size_of::<{name}>() == 4);")
-        return RustTypeDecl(name=name, emitted_text="\n".join(lines), origin=t, module=module)
 
     keyword = "struct" if t.kind == "record" else "union"
 
@@ -215,9 +198,9 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
         # bit-field records become opaque byte blobs of the computed C size,
         # with accessor stubs flagged for manual follow-up
         try:
-            size, align = clayout.record_size_align(t, policy.resolver)
+            size, align = clayout.record_size_align(t, resolver)
         except SkeletonError as exc:
-            if policy.strict:
+            if strict:
                 raise
             size, align = 0, 1
             logger.warning("bit-field record %s: %s", t.name, exc)
@@ -233,7 +216,7 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
             if width is None:
                 continue
             acc = sanitize_ident(mname)
-            mt = clayout.lower(mtype, policy.resolver)
+            mt = clayout.lower(mtype, resolver)
             lines.append(f"    pub fn {acc}(&self) -> {mt} {{ unimplemented!() }}")
             lines.append(
                 f"    pub fn set_{acc}(&mut self, value: {mt}) {{ let _ = value; unimplemented!() }}"
@@ -248,11 +231,11 @@ def lower_type(t: CTypeDef, policy: TypePolicy, module: str = SHARED_MODULE) -> 
 
     lines = ["#[repr(C)]", "#[derive(Clone, Copy)]", f"pub {keyword} {name} {{"]
     for mname, mtype, _width in t.members:
-        lowered = clayout.lower(mtype, policy.resolver)
+        lowered = clayout.lower(mtype, resolver)
         lines.append(f"    pub {sanitize_ident(mname)}: {lowered},")
     lines.append("}")
     try:
-        size, align = clayout.record_size_align(t, policy.resolver)
+        size, align = clayout.record_size_align(t, resolver)
         lines.append(f"const _: () = assert!(core::mem::size_of::<{name}>() == {size});")
         lines.append(f"const _: () = assert!(core::mem::align_of::<{name}>() == {align});")
     except SkeletonError:
@@ -272,7 +255,7 @@ def placeholder_body(param_names: list[str]) -> str:
 def emit_stub(
     f: CFunctionDecl,
     module: str,
-    policy: TypePolicy,
+    resolver: TypeResolver,
     visibility: str = "public",
     address_taken: bool = False,
 ) -> FunctionStub:
@@ -287,8 +270,8 @@ def emit_stub(
     for i, (pname, ptype) in enumerate(f.params):
         rust_name = sanitize_ident(pname) if pname else f"p{i}"
         param_names.append(rust_name)
-        params.append(f"{rust_name}: {clayout.lower(ptype, policy.resolver)}")
-    ret = clayout.lower(f.return_type, policy.resolver, position="return")
+        params.append(f"{rust_name}: {clayout.lower(ptype, resolver)}")
+    ret = clayout.lower(f.return_type, resolver, position="return")
 
     vis_prefix = {"public": "pub ", "crate": "pub(crate) ", "private": ""}[visibility]
     abi = 'extern "C" ' if f.storage == "external" or address_taken else ""
@@ -309,94 +292,46 @@ def emit_stub(
     )
 
 
-@dataclass
-class GlobalUsage:
-    using_modules: set[str] = field(default_factory=set)
-    defining_module: str = SHARED_MODULE
-
-
-def _zero_value(rust_type: str) -> str:
-    if rust_type in ("f32", "f64"):
-        return "0.0"
-    if rust_type == "bool":
-        return "false"
-    if rust_type.startswith("*const"):
-        return "core::ptr::null()"
-    if rust_type.startswith("*mut"):
-        return "core::ptr::null_mut()"
-    if rust_type.startswith("Option<"):
-        return "None"
-    if re.fullmatch(r"[iu](8|16|32|64|size)", rust_type):
-        return "0"
-    return "unsafe { core::mem::zeroed() }"
-
-
 def lift_global(
-    g: CGlobalDecl,
-    usage: GlobalUsage,
-    policy: TypePolicy,
+    g: CGlobalDecl, module: str, resolver: TypeResolver, enumerators: dict[str, int]
 ) -> LiftedStatic:
-    """Lift one C global into a module-local or shared static.
-
-    Literal and zero initializers translate directly; anything else gets a
-    zeroed default plus a logged TODO marker in the emitted text.
-    """
+    """Lift one C global into a static of ``module``. A literal initializer,
+    or one naming an enumerator, converts to the static's type as C converts
+    it; anything else gets a zeroed default under a logged TODO marker."""
     name = sanitize_ident(g.name)
-    rust_type = clayout.lower(g.c_type, policy.resolver)
-    cross_module = len(usage.using_modules - {usage.defining_module}) >= 1
-    module = SHARED_MODULE if cross_module else usage.defining_module
+    rust_type = clayout.lower(g.c_type, resolver)
 
-    todo_comment = ""
+    todo = ""
     init = (g.initializer_text or "").strip()
-    value = read_literal(init)
-    str_ptr = g.c_type.pointer_depth == 1 and g.c_type.base == "char"
-    if isinstance(value, str) and str_ptr:
-        rust_init = f'b"{value}\\0".as_ptr() as {rust_type}'
-    elif isinstance(value, int) and value < 0 and not re.fullmatch(r"i(8|16|32|64|size)", rust_type):
-        # C converts the value to the object's type, as `as` does
-        rust_init = f"{value}i64 as {rust_type}"
-    elif isinstance(value, (int, float)):
-        rust_init = repr(value)
-    else:
-        rust_init = _zero_value(rust_type)
-        if init not in ("", "{ 0 }", "{0}"):
-            todo_comment = f"// TODO: translate non-literal initializer: {init}\n"
-            logger.warning("global %s: initializer %r needs manual translation", g.name, init)
+    value = 0 if init in ("", "{ 0 }") else enumerators.get(init, read_literal(init))
+    rust_init = None if value is None else clayout.c_value(value, g.c_type, resolver)
+    if rust_init is None:
+        rust_init = clayout.c_value(0, g.c_type, resolver)
+        todo = f"// TODO: translate non-literal initializer: {init}\n"
+        logger.warning("global %s: initializer %r needs manual translation", g.name, init)
 
-    mutable = g.mutable
-    if not mutable and "*" in rust_type:
-        # raw pointers are not Sync; a pointer-typed static must stay `mut`
-        mutable = True
-    vis = "pub " if g.storage == "external" or cross_module else ""
-    mut = "mut " if mutable else ""
-    text = f"{todo_comment}{vis}static {mut}{name}: {rust_type} = {rust_init};"
+    # only a static of plain numbers is Sync for certain; any other stays `mut`
+    plain = clayout.underlying(g.c_type, resolver)
+    mutable = g.mutable or plain.pointer_depth > 0 or plain.name not in clayout.PRIMITIVES
+    vis = "pub " if g.storage == "external" or module == SHARED_MODULE else ""
+    text = f"{todo}{vis}static {'mut ' if mutable else ''}{name}: {rust_type} = {rust_init};"
 
-    accessor = ""
-    if mutable and module == SHARED_MODULE:
-        accessor = (
-            f"pub fn {name}_ptr() -> *mut {rust_type} {{\n"
-            f"    core::ptr::addr_of_mut!({name})\n"
-            f"}}"
-        )
+    accessor = (
+        f"pub fn {name}_ptr() -> *mut {rust_type} {{\n    core::ptr::addr_of_mut!({name})\n}}"
+        if mutable and module == SHARED_MODULE
+        else ""
+    )
     return LiftedStatic(
         name=name, emitted_text=text, module=module, origin=g, accessor_text=accessor
     )
 
 
-def _const_text(name: str, value: object) -> str:
-    ident = sanitize_ident(name)
-    if isinstance(value, bool):
-        return f"pub const {ident}: bool = {str(value).lower()};"
-    if isinstance(value, int):
-        if -(2**31) <= value < 2**31:
-            ty = "i32"
-        elif value >= 0 and value < 2**64:
-            ty = "u64" if value >= 2**63 else "i64"
-        else:
-            ty = "i64"
-        return f"pub const {ident}: {ty} = {value};"
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'pub const {ident}: &str = "{escaped}";'
+def _hole(holes: list[str], hole: str, strict: bool) -> None:
+    """Record a hole, or refuse the project under the strict hole policy."""
+    if strict:
+        raise SkeletonError(f"{hole} (strict hole policy)")
+    holes.append(hole)
+    logger.warning("%s", hole)
 
 
 # --- whole-project planning --------------------------------------------------
@@ -421,8 +356,7 @@ def plan_skeleton(
     rel_keys = _relative_keys(project_root, unit_paths)
     symtabs: dict[str, SymbolTable] = {}
     for unit in units:
-        rel_key = rel_keys[str(unit.origin.command.source_path().resolve())]
-        module = tree.mapping[rel_key]
+        module = tree.mapping[rel_keys[str(unit.origin.command.source_path().resolve())]]
         symtabs[module] = extract_symbols(unit, project_root=project_root)
 
     # usage analysis: which modules reference which names
@@ -454,59 +388,43 @@ def plan_skeleton(
                 type_conflicts.append(t.name)
                 logger.warning("type %s defined differently in multiple units", t.name)
     for name, module in list(placed_types.items()):
-        using = uses.get(name, set())
-        if module != SHARED_MODULE and len(using - {module}) >= 1:
+        if uses.get(name, set()) - {module, SHARED_MODULE}:
             placed_types[name] = SHARED_MODULE
 
-    holes: list[str] = []
-
-    def resolve_lookup(name: str) -> Optional[CTypeDef]:
-        return type_defs.get(name)
-
-    def resolve_path(name: str) -> Optional[str]:
-        rust_name = sanitize_ident(name)
-        if name in placed_types:
-            home = placed_types[name]
-            return f"{home}::{rust_name}"
-        return None
-
-    resolver = TypeResolver(lookup=resolve_lookup, rust_path=resolve_path)
-    policy = TypePolicy(resolver=resolver, strict=config.strict_holes)
-
     # synthesize opaque types for referenced-but-undefined type names
+    holes: list[str] = []
     referenced_types = {
         name
         for table in symtabs.values()
         for ct in declared_types(table)
         for name in base_names(ct)
     }
-    synthesized: list[RustTypeDecl] = []
+    synthesized: list[CTypeDef] = []
     for name in sorted(referenced_types):
         if name in type_defs or name in clayout.PRIMITIVES or name == "void":
             continue
-        hole = f"unresolvable type '{name}'"
-        if config.strict_holes:
-            raise SkeletonError(f"{hole} (strict hole policy)")
-        holes.append(hole)
-        logger.warning("%s: emitted as opaque in shared layer", hole)
+        _hole(holes, f"unresolvable type '{name}'", config.strict_holes)
         opaque = CTypeDef(name=name, kind="record", members=[], source_loc="<hole>", opaque=True)
         type_defs[name] = opaque
         placed_types[name] = SHARED_MODULE
-        synthesized.append(lower_type(opaque, policy, module=SHARED_MODULE))
+        synthesized.append(opaque)
 
-    types: list[RustTypeDecl] = list(synthesized)
-    emitted_type_names: set[str] = {t.origin.name for t in synthesized}
-    for module in sorted(symtabs):
-        for t in symtabs[module].types:
-            if t.name in emitted_type_names:
-                continue
-            emitted_type_names.add(t.name)
-            types.append(lower_type(t, policy, module=placed_types[t.name]))
+    paths = {name: f"{home}::{sanitize_ident(name)}" for name, home in placed_types.items()}
+    resolver = TypeResolver(lookup=type_defs.get, rust_path=paths.get)
+
+    types: list[RustTypeDecl] = []
+    emitted_type_names: set[str] = set()
+    for t in synthesized + [t for module in sorted(symtabs) for t in symtabs[module].types]:
+        if t.name in emitted_type_names:
+            continue
+        emitted_type_names.add(t.name)
+        types.append(lower_type(t, resolver, placed_types[t.name], config.strict_holes))
 
     # globals: external tentative definitions unify by name
     statics: list[LiftedStatic] = []
     emitted_globals: set[str] = set()
     for module in sorted(symtabs):
+        enumerators = {n: v for t in symtabs[module].types for n, v in t.enumerators}
         for g in symtabs[module].globals:
             if not g.is_definition:
                 continue
@@ -514,42 +432,46 @@ def plan_skeleton(
             if key in emitted_globals:
                 continue
             emitted_globals.add(key)
-            usage = GlobalUsage(
-                using_modules=set(uses.get(g.name, set())) | {module},
-                defining_module=module,
-            )
-            statics.append(lift_global(g, usage, policy))
+            if g.c_type.array_dims[:1] == [0]:
+                _hole(holes, f"incomplete array '{g.name}' without a size", config.strict_holes)
+                continue
+            home = SHARED_MODULE if uses.get(g.name, set()) - {module} else module
+            statics.append(lift_global(g, home, resolver, enumerators))
 
-    # named constants from object-like macros: those of the project headers
-    # the units included land in the shared layer, in (header, line) order
+    # named constants: each enum's enumerators beside their type, then the
+    # units' literal macros, project headers' first in (header, line) order.
+    # A header's macro lands once in the shared layer when every unit reading
+    # it reads one value, else in each unit's module; a unit that defines a
+    # name twice with different values gets no constant for it.
+    planned = [
+        (t.module, n, v, CType(f"enum {t.origin.name}"))
+        for t in types
+        if t.origin.kind == "enumeration"
+        for n, v in t.origin.enumerators
+    ]
+    defines = sorted((*c, m) for m, table in symtabs.items() for c in table.header_constants)
+    defines += [(None, 0, n, v, m) for m in sorted(symtabs) for n, v in symtabs[m].macro_constants]
+    headers = {name for header, _, name, _, _ in defines if header}
+    values: dict[str, dict[str, set]] = {}
+    for _, _, name, value, module in defines:
+        values.setdefault(name, {}).setdefault(module, set()).add(value)
+    for name, by_module in values.items():
+        readers = {m: next(iter(vs)) for m, vs in by_module.items() if len(vs) == 1}
+        for module in sorted(by_module.keys() - readers.keys()):
+            logger.warning("macro %s has several values in %s: no constant planted", name, module)
+        if name in headers and len(set(readers.values())) == 1:
+            readers = {SHARED_MODULE: readers.popitem()[1]}
+        planned += [(m, name, v, clayout.constant_type(v)) for m, v in readers.items()]
+
     constants: list[NamedConstant] = []
-    emitted_consts: set[str] = set()
-    header_consts = sorted({c for table in symtabs.values() for c in table.header_constants})
-    for _header, _line, name, value in header_consts:
-        if name in emitted_consts or name in emitted_type_names:
-            continue
-        emitted_consts.add(name)
-        constants.append(
-            NamedConstant(
-                name=sanitize_ident(name),
-                emitted_text=_const_text(name, value),
-                module=SHARED_MODULE,
-            )
-        )
-    for module in sorted(symtabs):
-        for name, value in symtabs[module].macro_constants:
-            if name in emitted_consts or name in emitted_type_names:
-                continue
-            if any(s.name == sanitize_ident(name) for s in statics):
-                continue
-            emitted_consts.add(name)
-            constants.append(
-                NamedConstant(
-                    name=sanitize_ident(name),
-                    emitted_text=_const_text(name, value),
-                    module=module,
-                )
-            )
+    taken = {(s.module, s.name) for s in statics}
+    for module, name, value, ct in planned:
+        ident = sanitize_ident(name)
+        if (module, ident) not in taken:
+            taken.add((module, ident))
+            rust_type = "&str" if ct is None else clayout.lower(ct, resolver)
+            text = f"pub const {ident}: {rust_type} = {clayout.c_value(value, ct, resolver)};"
+            constants.append(NamedConstant(name=ident, emitted_text=text, module=module))
 
     # stubs with storage- and usage-derived visibility
     stubs: list[FunctionStub] = []
@@ -568,7 +490,7 @@ def plan_skeleton(
                 visibility = "public"
             stubs.append(
                 emit_stub(
-                    fn, module, policy, visibility=visibility,
+                    fn, module, resolver, visibility=visibility,
                     address_taken=fn.name in values,
                 )
             )

@@ -308,3 +308,35 @@ def test_type_and_function_namespaces_coexist(tmp_path):
     assert kinds == {"function", "type"}
     assert layers.flatten() == ["crate::m::stat"]
     assert runner.build(workspace.root).ok
+
+
+def test_mini_mix_enumerator_resolves_to_its_constant(tmp_path):
+    """An enumerator is a planned constant, so a body that names one gets a
+    symbol edge to it and sees it in its prompt, not a boundary node."""
+    import shutil
+
+    from conftest import FIXTURES
+    from test_acceptance import FIXTURE_PROJECTS
+
+    from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
+    from rustport.skeleton import plan_skeleton
+    from rustport.translate import assemble_context, build_prompt
+
+    sources, extra_args = FIXTURE_PROJECTS["mini_mix"]
+    proj = tmp_path / "mini_mix"
+    shutil.copytree(FIXTURES / "mini_mix", proj)
+    units = [
+        preprocess_unit(
+            derive_unit_context(CompileCommand(str(proj), rel, ["cc", *extra_args, "-c", rel])),
+            PreprocessorConfig(),
+        )
+        for rel in sources
+    ]
+    project = plan_skeleton(proj, units)
+    index = build_symbol_index(project)
+    graph = build_graph(index, project)
+    assert not [n for n in graph.nodes if n.startswith("boundary::")]
+    assert ("crate::mix::mode_rank", "crate::mix::MODE_AUTO") in graph.symbol_edges
+    ctx = assemble_context("crate::mix::mode_rank", project, graph, index)
+    prompt = build_prompt(ctx, tag="t").user
+    assert "pub const MODE_AUTO: crate::mix::mix_mode = 2;" in prompt

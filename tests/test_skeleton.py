@@ -23,7 +23,6 @@ from rustport.errors import SkeletonError
 from rustport.repair import compile_and_install
 from rustport.skeleton import (
     SkeletonConfig,
-    TypePolicy,
     assemble_and_verify,
     load_project,
     lower_type,
@@ -136,7 +135,7 @@ def test_sanitize_keywords_use_raw_idents():
 
 def test_lower_record_repr_c(tmp_path):
     table = table_for(tmp_path, "struct P { int x; int y; };\n")
-    decl = lower_type(table.types[0], TypePolicy(resolver=resolver_for(table)))
+    decl = lower_type(table.types[0], resolver_for(table))
     assert decl.emitted_text.startswith("#[repr(C)]\n")
     assert "pub x: i32," in decl.emitted_text
     assert "pub y: i32," in decl.emitted_text
@@ -144,13 +143,13 @@ def test_lower_record_repr_c(tmp_path):
 
 def test_lower_alias_plain(tmp_path):
     table = table_for(tmp_path, "typedef unsigned int u32_t;\n")
-    decl = lower_type(table.types[0], TypePolicy(resolver=resolver_for(table)))
+    decl = lower_type(table.types[0], resolver_for(table))
     assert decl.emitted_text == "pub type u32_t = u32;"  # no #[repr(C)]
 
 
 def test_lower_union_with_layout_asserts(tmp_path):
     table = table_for(tmp_path, "union V { int i; float f; };\n")
-    decl = lower_type(table.types[0], TypePolicy(resolver=resolver_for(table)))
+    decl = lower_type(table.types[0], resolver_for(table))
     assert "#[repr(C)]" in decl.emitted_text
     assert "pub union V" in decl.emitted_text
     assert "size_of::<V>() == 4" in decl.emitted_text
@@ -158,26 +157,49 @@ def test_lower_union_with_layout_asserts(tmp_path):
 
 def test_lower_enum_explicit_discriminants(tmp_path):
     table = table_for(tmp_path, "enum Mode { M_OFF, M_ON = 5, M_AUTO };\n")
-    decl = lower_type(table.types[0], TypePolicy(resolver=resolver_for(table)))
-    assert "M_OFF = 0," in decl.emitted_text
-    assert "M_ON = 5," in decl.emitted_text
-    assert "M_AUTO = 6," in decl.emitted_text
+    decl = lower_type(table.types[0], resolver_for(table))
+    assert decl.emitted_text == "pub type Mode = i32;"
+    assert plan_constants(tmp_path / "proj", ["u.c"]) == {
+        "M_OFF": ("crate::u", "pub const M_OFF: crate::u::Mode = 0;"),
+        "M_ON": ("crate::u", "pub const M_ON: crate::u::Mode = 5;"),
+        "M_AUTO": ("crate::u", "pub const M_AUTO: crate::u::Mode = 6;"),
+    }
 
 
-def test_lower_enum_duplicate_discriminants_fall_back(tmp_path):
+def test_lower_enum_duplicate_discriminants_keep_every_name(tmp_path):
     table = table_for(tmp_path, "enum Dup { D_A = 1, D_B = 1 };\n")
-    decl = lower_type(table.types[0], TypePolicy(resolver=resolver_for(table)))
-    assert "pub type Dup = i32;" in decl.emitted_text
-    assert "pub const D_A: Dup = 1;" in decl.emitted_text
+    decl = lower_type(table.types[0], resolver_for(table))
+    assert decl.emitted_text == "pub type Dup = i32;"
+    assert plan_constants(tmp_path / "proj", ["u.c"]) == {
+        "D_A": ("crate::u", "pub const D_A: crate::u::Dup = 1;"),
+        "D_B": ("crate::u", "pub const D_B: crate::u::Dup = 1;"),
+    }
+
+
+@pytest.mark.parametrize(
+    "values, rust, size",
+    [
+        ("A = -1, B = 0x7FFFFFFF", "i32", 4),
+        ("A = 0xFFFFFFFF", "u32", 4),
+        ("A = -1, B = 0xFFFFFFFF", "i64", 8),
+        ("A = 0xFFFFFFFFFFFFFFFF", "u64", 8),
+    ],
+    ids=["int", "unsigned-int", "long", "unsigned-long"],
+)
+def test_enum_is_stored_as_the_integer_gcc_sizes(tmp_path, values, rust, size):
+    c_decls = f"enum E {{ {values} }};"
+    table = table_for(tmp_path, c_decls + "\n")
+    assert lower_type(table.types[0], resolver_for(table)).emitted_text == f"pub type E = {rust};"
+    assert c_sizeof_oracle(tmp_path, c_decls, "enum E") == (size, size)
 
 
 def test_lower_unresolvable_member_strict_errors(tmp_path):
     td = CTypeDef(
         name="Bad", kind="record", members=[("m", CType("struct Nowhere"), None)], source_loc="x:1"
     )
-    policy = TypePolicy(resolver=TypeResolver(lookup=lambda n: None, rust_path=lambda n: None))
+    resolver = TypeResolver(lookup=lambda n: None, rust_path=lambda n: None)
     with pytest.raises(SkeletonError):
-        lower_type(td, policy)
+        lower_type(td, resolver)
 
 
 @pytest.mark.parametrize(
@@ -217,7 +239,7 @@ def test_bitfield_layout_matches_host_compiler(tmp_path):
 
 def test_bitfield_record_emitted_opaque(tmp_path):
     table = table_for(tmp_path, "struct F { unsigned int a : 3; unsigned int b : 5; };\n")
-    decl = lower_type(table.types[0], TypePolicy(resolver=resolver_for(table)))
+    decl = lower_type(table.types[0], resolver_for(table))
     assert "_bits: [u8; 4]" in decl.emitted_text
     assert "pub fn a(&self)" in decl.emitted_text
     assert "pub fn set_b" in decl.emitted_text
@@ -472,6 +494,7 @@ def test_defines_are_read_as_the_preprocessor_sees_them(tmp_path):
         "a.c": "#define N 8 /* eight */\n"
         "#define K \\\n    3\n"
         "#define PERM 0644\n"
+        "#define MSG \"tab\\there \\\"q\\\"\"\n"
         "#define TWICE(x) ((x) * 2)\n"
         "int n(void) { return TWICE(N + K) + PERM; }\n",
     })
@@ -479,7 +502,31 @@ def test_defines_are_read_as_the_preprocessor_sees_them(tmp_path):
         "N": ("crate::a", "pub const N: i32 = 8;"),
         "K": ("crate::a", "pub const K: i32 = 3;"),
         "PERM": ("crate::a", "pub const PERM: i32 = 420;"),
+        "MSG": ("crate::a", 'pub const MSG: &str = "tab\\u{9}here \\u{22}q\\u{22}";'),
     }
+
+
+def test_macro_a_unit_defines_twice_plants_no_constant(tmp_path, caplog):
+    root = make_project(tmp_path, {
+        "a.c": "#define L 3\n#undef L\n#define L 4\n#define M 5\n#undef M\n#define M 5\n"
+        "int l(void) { return L + M; }\n",
+    })
+    assert plan_constants(root, ["a.c"]) == {"M": ("crate::a", "pub const M: i32 = 5;")}
+    assert "macro L has several values in crate::a: no constant planted" in caplog.text
+
+
+def test_header_constant_units_read_differently_goes_to_each_unit(tmp_path):
+    root = make_project(tmp_path, {
+        "cfg.h": BRANCHED_N,
+        "a.c": '#include "cfg.h"\nint na(void) { return N; }\n',
+        "b.c": '#include "cfg.h"\nint nb(void) { return N; }\n',
+    })
+    units = preprocess_all(root, ["a.c"], ("-DBIG",)) + preprocess_all(root, ["b.c"])
+    plan = plan_skeleton(root, units, SkeletonConfig(crate_name="c"))
+    assert [(c.module, c.emitted_text) for c in plan.constants] == [
+        ("crate::a", "pub const N: i32 = 64;"),
+        ("crate::b", "pub const N: i32 = 8;"),
+    ]
 
 
 def test_header_no_unit_includes_plants_no_constant(tmp_path):
@@ -585,6 +632,39 @@ def test_same_name_enums_unify_only_when_their_values_match(tmp_path, b_enum, un
         assert plan.holes == ["type conflict: mode"]
 
 
+def c_object_bytes(tmp_path: Path, decl: str, name: str) -> str:
+    """Independent value oracle: the bytes a gcc-compiled program stores for
+    the global ``name``, in hex."""
+    src = tmp_path / "bytes.c"
+    src.write_text(
+        f"#include <stdio.h>\n{decl}\nint main(void) {{\n"
+        f"    for (unsigned long i = 0; i < sizeof {name}; i++)\n"
+        f'        printf("%02x", ((unsigned char *)&{name})[i]);\n'
+        "    return 0;\n}\n"
+    )
+    exe = tmp_path / "bytes"
+    subprocess.run(["cc", str(src), "-o", str(exe)], check=True, capture_output=True)
+    return subprocess.run([str(exe)], check=True, capture_output=True, text=True).stdout
+
+
+def rust_object_bytes(ws: Path, path: str) -> str:
+    """The bytes a `cargo test` reads from the static at ``path``, in hex."""
+    (ws / "tests").mkdir()
+    (ws / "tests" / "read.rs").write_text(
+        "#[test]\nfn read() {\n"
+        f"    let p = core::ptr::addr_of!({path});\n"
+        "    let bytes = unsafe { core::slice::from_raw_parts(p as *const u8, core::mem::size_of_val(&*p)) };\n"
+        '    let hex: String = bytes.iter().map(|b| format!("{:02x}", b)).collect();\n'
+        '    println!("BYTES={hex}");\n}\n'
+    )
+    proc = RUNNER.run_tests(ws, ["cargo", "test", "-q", "--test", "read", "--", "--nocapture"])
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("BYTES=")[1].split()[0]
+
+
+ENUM_MODE = "enum mode { A, B };\n"
+
+
 @pytest.mark.parametrize(
     "decl, emitted",
     [
@@ -592,13 +672,74 @@ def test_same_name_enums_unify_only_when_their_values_match(tmp_path, b_enum, un
         ("int g = 010;", "pub static mut g: i32 = 8;"),
         ("unsigned g = -1;", "pub static mut g: u32 = -1i64 as u32;"),
         ("char g = '\\xff';", "pub static mut g: i8 = -1;"),
+        ("char *p = 0;", "pub static mut p: *mut i8 = core::ptr::null_mut();"),
+        ("const char *q = 0;", "pub static mut q: *const i8 = core::ptr::null();"),
+        ("double d = 1;", "pub static mut d: f64 = 1.0;"),
+        ("float f = 1;", "pub static mut f: f32 = 1.0;"),
+        ("int x = 1.5;", "pub static mut x: i32 = 1;"),
+        ("_Bool b = 1;", "pub static mut b: bool = true;"),
+        ("char c = 200;", "pub static mut c: i8 = 200i64 as i8;"),
+        (ENUM_MODE + "enum mode m = 1;", "pub static mut m: crate::a::mode = 1;"),
+        (ENUM_MODE + "enum mode m = B;", "pub static mut m: crate::a::mode = 1;"),
+        ("enum { K = 7 };\nint k = K;", "pub static mut k: i32 = 7;"),
+        (
+            "enum big { BIG = 0xFFFFFFFF };\nenum big g = BIG;",
+            "pub static mut g: crate::a::big = 4294967295;",
+        ),
+        ("char name[8] = \"abc\";", "pub static mut name: [i8; 8] = [97, 98, 99, 0, 0, 0, 0, 0];"),
+        ("char s[] = \"abc\";", "pub static mut s: [i8; 4] = [97, 98, 99, 0];"),
+        ("typedef char *str;\nconst str cs = 0;", "pub static mut cs: crate::a::str = core::ptr::null_mut();"),
+        (
+            "struct P { char *p; };\nconst struct P cp = {0};",
+            "pub static mut cp: crate::a::P = unsafe { core::mem::zeroed() };",
+        ),
     ],
-    ids=["negative", "octal", "negative-unsigned", "high-char"],
+    ids=[
+        "negative", "octal", "negative-unsigned", "high-char", "null-pointer",
+        "null-const-pointer", "int-to-double", "int-to-float", "float-to-int", "bool",
+        "wrapping-char", "int-to-enum", "enumerator", "anonymous-enumerator", "unsigned-enum",
+        "string-in-array", "string-sizes-array", "const-pointer-alias", "const-record-with-pointer",
+    ],
 )
 def test_literal_initializer_keeps_its_value(tmp_path, decl, emitted):
-    _, project = build_skeleton(tmp_path, {"a.c": f"{decl}\nint get(void) {{ return g; }}\n"})
+    """Each static builds, and Rust reads the bytes gcc stores for the same
+    declaration."""
+    _, project = build_skeleton(tmp_path, {"a.c": f"{decl}\n"})
     [static] = project.statics
     assert static.emitted_text == emitted
+    name = static.origin.name
+    assert rust_object_bytes(project.workspace_dir, f"skel_test::a::{name}") == c_object_bytes(
+        tmp_path, decl, name
+    )
+
+
+def test_infinite_literal_initializer_is_left_as_a_todo(tmp_path):
+    plan, _ = build_skeleton(tmp_path, {"a.c": "int x = 1e999;\ndouble d = -1e999;\n"})
+    assert [s.emitted_text for s in plan.statics] == [
+        "// TODO: translate non-literal initializer: 1e999\npub static mut x: i32 = 0;",
+        "// TODO: translate non-literal initializer: - 1e999\npub static mut d: f64 = 0.0;",
+    ]
+
+
+def test_incomplete_array_takes_its_size_from_its_initializer(tmp_path):
+    source = 'char s[] = "a\\n";\nint a[] = {1, 2, 3,};\nconst char *names[] = {"x,y", "z"};\n'
+    plan, _ = build_skeleton(tmp_path, {"a.c": source})
+    lines = {s.name: s.emitted_text.splitlines()[-1] for s in plan.statics}
+    types = {name: line.split(": ", 1)[1].split(" = ")[0] for name, line in lines.items()}
+    assert types == {"s": "[i8; 3]", "a": "[i32; 3]", "names": "[*const i8; 2]"}
+
+
+def test_incomplete_array_without_a_sized_initializer_is_a_hole(tmp_path):
+    root = make_project(tmp_path, {"a.c": "int a[];\nint b[] = {[4] = 1};\nint c = 1;\n"})
+    units = preprocess_all(root, ["a.c"])
+    with pytest.raises(SkeletonError, match="incomplete array 'a' without a size"):
+        plan_skeleton(root, units)
+    plan = plan_skeleton(root, units, SkeletonConfig(strict_holes=False))
+    assert [s.name for s in plan.statics] == ["c"]
+    assert plan.holes == [
+        "incomplete array 'a' without a size",
+        "incomplete array 'b' without a size",
+    ]
 
 
 def test_tentative_global_in_two_units_emitted_once(tmp_path):
