@@ -9,6 +9,7 @@ checks them against sizes reported by the host C compiler.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -138,8 +139,10 @@ def c_value(
     """A ``read_literal`` value as a Rust constant of the lowered ``ct``,
     converted as C converts it, or None where C takes no such value: 0 is a
     null pointer, ``_Bool`` is whether the value is nonzero, an integer out of
-    range goes through ``as``, and a string fills a NUL-padded char array or
-    points at its bytes. A string of no C type is a ``&str``."""
+    range goes through ``as``, a float out of a float type's range is an
+    infinity (one out of an integer type's range has no value), and a string
+    fills a NUL-padded char array or points at its bytes. A string of no C
+    type is a ``&str``."""
     if ct is None:
         text = string_bytes(value).decode("utf-8", "replace")
         safe = (c if " " <= c <= "~" and c not in '"\\' else f"\\u{{{ord(c):x}}}" for c in text)
@@ -156,8 +159,6 @@ def c_value(
             return f'b"{"".join(safe)}".as_ptr() as {rust}'
         data = data[: ct.array_dims[0]].ljust(ct.array_dims[0], b"\0")
         return "[" + ", ".join(c_value(b, CType(ct.base), resolver) for b in data) + "]"
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
     if ct.array_dims or not ct.pointer_depth and ct.name not in PRIMITIVES:
         return "unsafe { core::mem::zeroed() }" if value == 0 else None
     if ct.pointer_depth:
@@ -166,12 +167,24 @@ def c_value(
         if ct.func is not None:
             return "None"
         return "core::ptr::null()" if ct.const else "core::ptr::null_mut()"
-    if rust in ("bool", "f32", "f64"):
-        return ("true" if value else "false") if rust == "bool" else repr(float(value))
+    if rust == "bool":
+        return "true" if value else "false"
+    if rust in ("f32", "f64"):
+        value = float(value)
+        # the native pack is C's (float) cast: beyond f32's range, an infinity
+        if rust == "f32" and math.isinf(struct.unpack("f", struct.pack("f", value))[0]):
+            value = math.copysign(math.inf, value)
+        if math.isinf(value):
+            return f"{rust}::{'NEG_' if value < 0 else ''}INFINITY"
+        return repr(value)
     lo, hi = int_range(ct.name)
-    if lo <= int(value) <= hi:
-        return str(int(value))
-    return f"{int(value)}{'i64' if value < 1 << 63 else 'u64'} as {rust}"
+    if isinstance(value, float):
+        if not lo - 1 < value < hi + 1:
+            return None  # C leaves converting a float out of range undefined
+        value = int(value)
+    if lo <= value <= hi:
+        return str(value)
+    return f"{value}{'i64' if value < 1 << 63 else 'u64'} as {rust}"
 
 
 def constant_type(value: int | str) -> Optional[CType]:

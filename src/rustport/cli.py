@@ -156,7 +156,8 @@ def cmd_skeleton(args) -> int:
 
     print(f"skeleton assembled and verified at {out}")
     print(f"modules: {len(project.tree.mapping)}  stubs: {len(project.stubs)}  "
-          f"types: {len(project.types)}  statics: {len(project.statics)}")
+          f"types: {len(project.types)}  statics: {len(project.statics)}  "
+          f"holes: {len(project.holes)}")
     if args.emit_graph:
         graph, _, layers = _load_pipeline(project)
         export_graph(graph, layers, out / "graph.json")

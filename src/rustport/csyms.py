@@ -136,10 +136,8 @@ class SymbolTable:
     types: list[CTypeDef] = field(default_factory=list)
     functions: list[CFunctionDecl] = field(default_factory=list)
     globals: list[CGlobalDecl] = field(default_factory=list)
-    external_refs: set[str] = field(default_factory=set)
-    partial: bool = False
+    # each declaration the parser could not read: "<construct> at <file:line>"
     issues: list[str] = field(default_factory=list)
-    env_types: set[str] = field(default_factory=set)
     # object-like literal macros of the unit's main file: (name, value)
     macro_constants: list[tuple[str, object]] = field(default_factory=list)
     # those of the project headers it included: (resolved header, line, name, value)
@@ -183,22 +181,20 @@ _ENV_TAG_RE = re.compile(r"\b(?:struct|union|enum)\s+(\w+)")
 _ENV_FNPTR_TYPEDEF_RE = re.compile(r"\btypedef\b[^;]*\(\s*\*\s*(\w+)\s*\)")
 
 
-def _harvest_env_names(text_chunk: str, env_types: set[str]) -> None:
-    for m in _ENV_TYPEDEF_RE.finditer(text_chunk):
-        env_types.add(m.group(1))
-    for m in _ENV_FNPTR_TYPEDEF_RE.finditer(text_chunk):
-        env_types.add(m.group(1))
-    for m in _ENV_TAG_RE.finditer(text_chunk):
-        env_types.add(m.group(1))
+def _harvest_env_names(text_chunk: str) -> set[str]:
+    """The type and tag names that system-header text declares."""
+    regexes = (_ENV_TYPEDEF_RE, _ENV_FNPTR_TYPEDEF_RE, _ENV_TAG_RE)
+    return {m.group(1) for r in regexes for m in r.finditer(text_chunk)}
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], table: SymbolTable):
+    def __init__(self, toks: list[_Tok], table: SymbolTable, env_types: set[str]):
         self.toks = toks
         self.pos = 0
         self.table = table
-        self.typedefs: set[str] = set(KNOWN_ENV_TYPEDEFS) | set(table.env_types)
-        self.enum_constants: set[str] = set()
+        self.typedefs: set[str] = KNOWN_ENV_TYPEDEFS | env_types
+        # each enumerator declared so far -> its value
+        self.enum_constants: dict[str, int] = {}
         self.anon_counter = 0
         self._decl_start: Optional[_Tok] = None
         # defined function -> (its first token, its body's closing brace)
@@ -263,18 +259,24 @@ class _Parser:
                 continue
             return
 
-    def recover_to_semicolon(self) -> None:
+    def skip_declaration(self, start: int) -> None:
+        """Skip the declaration that begins at token ``start``: through its
+        ``;``, or through the closing brace of a function body."""
+        self.pos = start
         depth = 0
-        while True:
-            t = self.next()
-            if t is None:
-                return
+        body = False
+        prev = ""
+        while (t := self.next()) is not None:
             if t.text in "({[":
+                body |= depth == 0 and t.text == "{" and prev == ")"
                 depth += 1
             elif t.text in ")}]":
                 depth -= 1
+                if body and depth == 0:
+                    return
             elif t.text == ";" and depth <= 0:
                 return
+            prev = t.text
 
     # --- top level ------------------------------------------------------
 
@@ -285,12 +287,8 @@ class _Parser:
                 self.parse_external_decl()
             except _Unsupported as exc:
                 tok = exc.tok or self.peek(-1)
-                self.table.partial = True
                 self.table.issues.append(f"{exc.construct} at {self.loc(tok)}")
-                logger.warning("unsupported construct: %s at %s", exc.construct, self.loc(tok))
-                if self.pos == start:
-                    self.next()
-                self.recover_to_semicolon()
+                self.skip_declaration(start)
 
     def parse_external_decl(self) -> None:
         self.skip_attributes()
@@ -492,7 +490,7 @@ class _Parser:
                     self.next()
                     value = self.parse_int_literal("enumerator value", (",", "}"))
                 enumerators.append((et.text, value))
-                self.enum_constants.add(et.text)
+                self.enum_constants[et.text] = value
                 next_value = value + 1
                 if self.at(","):
                     self.next()
@@ -512,9 +510,10 @@ class _Parser:
         return f"enum {tag}"
 
     def parse_int_literal(self, what: str, stops: tuple[str, ...]) -> int:
-        """Read the tokens up to one of ``stops`` as an integer literal."""
+        """Read the tokens up to one of ``stops`` as an integer literal or as
+        an enumerator the unit declared earlier."""
         toks = self.capture_expr(stops)
-        value = read_literal(" ".join(t.text for t in toks))
+        value = read_literal(" ".join(t.text for t in toks), self.enum_constants)
         if not isinstance(value, int):
             raise _Unsupported(f"non-literal {what}", toks[0] if toks else self.peek())
         return value
@@ -528,27 +527,26 @@ class _Parser:
 
     # --- declarators ----------------------------------------------------
 
-    def parse_declarator(self, base: str, base_const: bool) -> "_Declarator":
-        ptr = 0
+    def pointers(self) -> int:
+        """Consume each ``*`` with the qualifiers after it; the number of
+        pointer levels read."""
+        depth = 0
         while self.at("*"):
             self.next()
-            ptr += 1
-            while True:
-                t = self.peek()
-                if t is not None and (t.text in TYPE_QUALIFIERS or t.text == "const"):
-                    self.next()
-                else:
-                    break
+            depth += 1
+            while (t := self.peek()) is not None and t.text in TYPE_QUALIFIERS:
+                self.next()
+        return depth
+
+    def parse_declarator(self, base: str, base_const: bool) -> "_Declarator":
+        ptr = self.pointers()
         self.skip_attributes()
 
         name: Optional[str] = None
-        inner_ptr = 0
         t = self.peek()
         if t is not None and t.text == "(" and self._looks_like_fnptr():
             self.next()  # (
-            while self.at("*"):
-                self.next()
-                inner_ptr += 1
+            inner_ptr = self.pointers()
             nt = self.peek()
             if nt is not None and nt.kind == "ident" and nt.text not in C_KEYWORDS:
                 name = nt.text
@@ -780,23 +778,29 @@ def _unparen(text: str) -> str:
     return text
 
 
-def read_literal(text: str) -> int | float | str | None:
-    """The value of one C literal, or None if ``text`` is anything else.
+def read_literal(
+    text: str, enumerators: Optional[dict[str, int]] = None
+) -> int | float | str | None:
+    """The value of one C literal or of one of ``enumerators``, or None if
+    ``text`` is anything else.
 
-    An optional sign and enclosing parentheses are accepted around decimal,
-    hex or octal integers with ``uUlL`` suffixes, character literals (the
-    value of a signed char, as ``char`` lowers to ``i8``; simple, octal and
-    two-digit hex escapes), floats, and string literals (their text between
-    the quotes, escapes as written; never signed).
+    An optional sign and enclosing parentheses are accepted around an
+    enumerator's name, decimal, hex or octal integers with ``uUlL`` suffixes,
+    character literals (the value of a signed char, as ``char`` lowers to
+    ``i8``; simple, octal and two-digit hex escapes), floats, and string
+    literals (their text between the quotes, escapes as written; never signed).
     """
     body = _unparen(text)
     sign = body[:1] if body[:1] in ("-", "+") else ""
-    m = _LITERAL_RE.fullmatch(_unparen(body[len(sign):]))
-    if m is None or sign and m.lastgroup == "str":
+    body = _unparen(body[len(sign):])
+    m = _LITERAL_RE.fullmatch(body)
+    if enumerators and body in enumerators:
+        value = enumerators[body]
+    elif m is None or sign and m.lastgroup == "str":
         return None
-    if m.lastgroup == "str":
+    elif m.lastgroup == "str":
         return m.group("str")
-    if m.lastgroup == "float":
+    elif m.lastgroup == "float":
         value = float(m.group("float").rstrip("fFlL"))
     elif m.lastgroup == "int":
         digits = m.group("int").rstrip("uUlL")
@@ -942,13 +946,13 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
     """Categorize every project-owned top-level declaration in the unit.
 
     Declarations whose origin file lies outside ``project_root`` (system
-    headers) only contribute type names, never emitted symbols. External
-    references are computed as referenced-minus-defined. A defined function's
-    source runs from its first token's line through its closing brace's line:
-    original lines in the unit's main file, preprocessed lines elsewhere. The
-    unit's object-like macros whose replacement is an integer, character or
-    string literal become its main file's ``macro_constants`` and its project
-    headers' ``header_constants``.
+    headers) only contribute type names, never emitted symbols. A declaration
+    the parser cannot read is skipped and listed in ``issues``. A defined
+    function's source runs from its first token's line through its closing
+    brace's line: original lines in the unit's main file, preprocessed lines
+    elsewhere. The unit's object-like macros whose replacement is an integer,
+    character or string literal become its main file's ``macro_constants``
+    and its project headers' ``header_constants``.
     """
     project_root = Path(project_root).resolve()
     main_file = str(unit.origin.command.source_path())
@@ -985,9 +989,7 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
         else:
             for tm in _TOKEN_RE.finditer(raw):
                 toks.append(_Tok(tm.group(0), tm.lastgroup or "punct", file, line, out_no))
-    _harvest_env_names("\n".join(env_lines), table.env_types)
-
-    parser = _Parser(toks, table)
+    parser = _Parser(toks, table, _harvest_env_names("\n".join(env_lines)))
     parser.parse()
 
     for fn in table.functions:
@@ -997,7 +999,6 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
                 fn.source_text = "\n".join(original[first.line - 1 : last.line])
             else:
                 fn.source_text = "\n".join(pre_lines[first.row - 1 : last.row])
-    _compute_external_refs(table, parser)
     return table
 
 
@@ -1020,27 +1021,6 @@ def match_c_brace(text: str, start: int = 0) -> Optional[int]:
             if not depth:
                 return m.start()
     return None
-
-
-def _compute_external_refs(table: SymbolTable, parser: _Parser) -> None:
-    defined: set[str] = set()
-    defined.update(t.name for t in table.types)
-    defined.update(f.name for f in table.functions)
-    defined.update(g.name for g in table.globals)
-    defined.update(parser.enum_constants)
-
-    referenced: set[str] = set()
-    for fn in table.functions:
-        referenced |= fn.calls | fn.value_refs
-    referenced.update(
-        name
-        for ct in declared_types(table)
-        for name in base_names(ct)
-        if not PRIMITIVE_WORDS.issuperset(name.split())
-    )
-    table.external_refs = {
-        r for r in referenced - defined - C_KEYWORDS - KNOWN_ENV_TYPEDEFS if r
-    }
 
 
 def declared_types(table: SymbolTable) -> Iterator[CType]:

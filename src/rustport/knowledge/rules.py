@@ -140,30 +140,16 @@ def align_functions(file_pair) -> list[AlignedFunctionPair]:
 
 # --- deterministic rule extraction ---------------------------------------------
 
-CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
-_METHOD_RE = re.compile(r"\.\s*([A-Za-z_]\w*)\s*\(")
+CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")  # a free call's name or a method's
 _MACRO_RE = re.compile(r"\b([A-Za-z_]\w*)!\s*[\(\[\{]")
 
 
-def _c_callees(text: str) -> list[str]:
+def _callees(text: str, keywords: set[str]) -> list[str]:
+    """Each called name once, in order of first occurrence."""
     seen: list[str] = []
     for m in CALL_RE.finditer(text):
         name = m.group(1)
-        if name in C_KEYWORDS or name in seen:
-            continue
-        seen.append(name)
-    return seen
-
-
-def _rust_callees(text: str) -> list[str]:
-    seen: list[str] = []
-    for m in _METHOD_RE.finditer(text):
-        name = m.group(1)
-        if name not in seen:
-            seen.append(name)
-    for m in CALL_RE.finditer(text):
-        name = m.group(1)
-        if name in RUST_KEYWORDS or name in seen:
+        if name in keywords or name in seen:
             continue
         seen.append(name)
     return seen
@@ -172,8 +158,8 @@ def _rust_callees(text: str) -> list[str]:
 def mine_rules(pair: AlignedFunctionPair) -> list:
     """Extract API-Level and Fragment-Level rules from one aligned pair."""
     rules: list = []
-    c_calls = _c_callees(pair.c_source)
-    rust_calls = _rust_callees(pair.rust_source)
+    c_calls = _callees(pair.c_source, C_KEYWORDS)
+    rust_calls = _callees(pair.rust_source, RUST_KEYWORDS)
     unmatched_c = [c for c in c_calls if c not in set(rust_calls)]
     unmatched_rust = [r for r in rust_calls if r not in set(c_calls)]
     for c_iface, rust_iface in zip(unmatched_c, unmatched_rust):

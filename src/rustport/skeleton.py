@@ -303,7 +303,7 @@ def lift_global(
 
     todo = ""
     init = (g.initializer_text or "").strip()
-    value = 0 if init in ("", "{ 0 }") else enumerators.get(init, read_literal(init))
+    value = 0 if init in ("", "{ 0 }") else read_literal(init, enumerators)
     rust_init = None if value is None else clayout.c_value(value, g.c_type, resolver)
     if rust_init is None:
         rust_init = clayout.c_value(0, g.c_type, resolver)
@@ -359,10 +359,22 @@ def plan_skeleton(
         module = tree.mapping[rel_keys[str(unit.origin.command.source_path().resolve())]]
         symtabs[module] = extract_symbols(unit, project_root=project_root)
 
-    # usage analysis: which modules reference which names
+    # a declaration the parser could not read is a hole, never a silent drop
+    holes: list[str] = []
+    for module in sorted(symtabs):
+        for issue in symtabs[module].issues:
+            _hole(holes, f"unsupported construct: {issue}", config.strict_holes)
+
+    # usage analysis: which modules reference which names. A module uses the
+    # names its functions refer to and the types its declarations name, other
+    # than its own types.
+    named = {
+        module: {name for ct in declared_types(table) for name in base_names(ct)}
+        for module, table in symtabs.items()
+    }
     uses: dict[str, set[str]] = {}
     for module, table in symtabs.items():
-        names: set[str] = set(table.external_refs)
+        names = named[module] - {t.name for t in table.types}
         for fn in table.functions:
             names |= fn.calls | fn.value_refs
         for name in names:
@@ -392,15 +404,8 @@ def plan_skeleton(
             placed_types[name] = SHARED_MODULE
 
     # synthesize opaque types for referenced-but-undefined type names
-    holes: list[str] = []
-    referenced_types = {
-        name
-        for table in symtabs.values()
-        for ct in declared_types(table)
-        for name in base_names(ct)
-    }
     synthesized: list[CTypeDef] = []
-    for name in sorted(referenced_types):
+    for name in sorted(set().union(*named.values())):
         if name in type_defs or name in clayout.PRIMITIVES or name == "void":
             continue
         _hole(holes, f"unresolvable type '{name}'", config.strict_holes)

@@ -50,6 +50,20 @@ def test_skeleton_command_builds_workspace(tmp_path, capsys):
     assert (ws / "tests" / "integration.rs").is_file()  # bundled tests copied
 
 
+def test_skeleton_command_prints_its_hole_count(tmp_path, capsys):
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    (proj / "a.c").write_text("int trace(int m[2][3]) { return m[0][0]; }\nint ok(void) { return 1; }\n")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"strict_holes": False}))
+    rc = run_cli(
+        "skeleton", "--project", proj, "--trace", write_trace(proj, ["a.c"]),
+        "--out", tmp_path / "ws", "--config", config,
+    )
+    assert rc == 0
+    assert "modules: 1  stubs: 1  types: 0  statics: 0  holes: 1" in capsys.readouterr().out
+
+
 def test_skeleton_response_file_cycle_is_an_error(tmp_path, capsys):
     proj = copy_fixture("mini_list", tmp_path / "proj")
     (proj / "loop.rsp").write_text("-DA @loop.rsp\n")

@@ -4,6 +4,8 @@ import pytest
 
 from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
 from rustport.csyms import CFuncSig, CType, extract_symbols, read_literal
+from rustport.graph import build_graph, build_symbol_index
+from rustport.skeleton import plan_skeleton
 
 CPP = PreprocessorConfig()
 
@@ -16,6 +18,17 @@ def extract(tmp_path: Path, source: str, extra_args=(), name="u.c"):
     )
     unit = preprocess_unit(derive_unit_context(cmd), CPP)
     return extract_symbols(unit, project_root=tmp_path), unit
+
+
+def plan_graph(tmp_path: Path, source: str):
+    """The dependency graph planning builds for the one unit ``source``."""
+    _, unit = extract(tmp_path, source)
+    project = plan_skeleton(tmp_path, [unit])
+    return build_graph(build_symbol_index(project), project)
+
+
+def boundary_nodes(graph) -> set[str]:
+    return {n for n, node in graph.nodes.items() if node.kind == "boundary"}
 
 
 def test_struct_members_in_order(tmp_path):
@@ -35,13 +48,14 @@ def test_function_definition_and_extern_global(tmp_path):
     assert g.name == "g" and g.storage == "external" and not g.is_definition
 
 
-def test_external_call_lands_in_external_refs(tmp_path):
+def test_external_call_becomes_a_boundary_node(tmp_path):
     src = "void release(void *buf) { HdfSbufRecycle(buf); }\n"
     table, _ = extract(tmp_path, src)
-    # reference resolution by set subtraction: called but not defined here
-    assert "HdfSbufRecycle" in table.external_refs
     [fn] = table.functions
     assert "HdfSbufRecycle" in fn.calls
+    # called but defined nowhere in the project: the untranslated C world
+    graph = plan_graph(tmp_path, src)
+    assert graph.symbol_edges == {("crate::u::release", "boundary::HdfSbufRecycle")}
 
 
 def test_static_function_is_internal(tmp_path):
@@ -88,6 +102,7 @@ def test_pointers_arrays_and_function_pointers(tmp_path):
         "char buf[16];\n"
         "int (*callback)(int, char *);\n"
         "const char *name(void);\n"
+        "void (*const volatile done)(void) = 0;\n"
     )
     table, _ = extract(tmp_path, src)
     node = next(t for t in table.types if t.name == "Node")
@@ -98,6 +113,8 @@ def test_pointers_arrays_and_function_pointers(tmp_path):
     assert cb.c_type == CType("<fn>", 1, func=CFuncSig([CType("int"), CType("char", 1)], CType("int")))
     fn = next(f for f in table.functions if f.name == "name")
     assert fn.return_type == CType("char", 1, const=True)
+    done = next(g for g in table.globals if g.name == "done")
+    assert done.c_type == CType("<fn>", 1, func=CFuncSig([], CType("void")))
 
 
 def test_function_pointer_type_parses_to_a_ctype(tmp_path):
@@ -177,22 +194,18 @@ def test_call_names_contained_in_defined_or_external(tmp_path):
         "int top(int v) { return helper(v) + mystery(v); }\n"
     )
     table, _ = extract(tmp_path, src)
-    defined = {f.name for f in table.functions}
     top = next(f for f in table.functions if f.name == "top")
-    for callee in top.calls:
-        assert callee in defined or callee in table.external_refs
-    assert "mystery" in table.external_refs
-    assert "helper" not in table.external_refs
+    assert top.calls == {"helper", "mystery"}
+    graph = plan_graph(tmp_path, src)
+    assert graph.call_edges == {("crate::u::top", "crate::u::helper")}
+    assert graph.symbol_edges == {("crate::u::top", "boundary::mystery")}
 
 
 def test_determinism(tmp_path):
     src = "struct A { int x; };\nint f(struct A *a) { return a->x; }\nint g_v = 2;\n"
     t1, _ = extract(tmp_path, src)
     t2, _ = extract(tmp_path, src)
-    assert t1.types == t2.types
-    assert t1.functions == t2.functions
-    assert t1.globals == t2.globals
-    assert t1.external_refs == t2.external_refs
+    assert t1 == t2
 
 
 def test_partial_failure_isolation(tmp_path):
@@ -200,8 +213,8 @@ def test_partial_failure_isolation(tmp_path):
     broken = clean + "int bad_decl[;\n"
     t_clean, _ = extract(tmp_path, clean)
     t_broken, _ = extract(tmp_path, broken, name="u2.c")
-    assert t_broken.partial
-    assert not t_clean.partial
+    assert t_broken.issues == [f"non-literal array dimension at {tmp_path / 'u2.c'}:3"]
+    assert t_clean.issues == []
     assert [t.name for t in t_broken.types] == [t.name for t in t_clean.types]
     assert [f.name for f in t_broken.functions] == [f.name for f in t_clean.functions]
 
@@ -213,16 +226,20 @@ def test_system_headers_not_emitted(tmp_path):
     assert all(not t.name.startswith("__") for t in table.types)
 
 
-def test_defined_functions_never_in_external_refs(tmp_path):
+def test_defined_functions_never_become_boundary_nodes(tmp_path):
     src = "int a(void) { return b(); }\nint b(void) { return a(); }\n"
-    table, _ = extract(tmp_path, src)
-    assert table.external_refs == set()
+    graph = plan_graph(tmp_path, src)
+    assert graph.call_edges == {("crate::u::a", "crate::u::b"), ("crate::u::b", "crate::u::a")}
+    assert boundary_nodes(graph) == set()
 
 
 def test_member_type_reference_goes_external(tmp_path):
-    src = "struct Uses { struct Elsewhere *other; int n; };\n"
-    table, _ = extract(tmp_path, src)
-    assert "Elsewhere" in table.external_refs
+    # a type another unit defines and this one names moves to the shared layer
+    _, uses = extract(tmp_path, "struct Uses { struct Elsewhere *other; int n; };\n")
+    _, defines = extract(tmp_path, "struct Elsewhere { int v; };\n", name="e.c")
+    project = plan_skeleton(tmp_path, [uses, defines])
+    placed = {t.name: t.module for t in project.types}
+    assert placed == {"Elsewhere": "crate::shared", "Uses": "crate::u"}
 
 
 def test_source_text_sliced_from_original(tmp_path):
@@ -294,7 +311,7 @@ def test_source_text_of_a_header_function_is_preprocessed(tmp_path):
 def test_array_of_callbacks(tmp_path):
     src = "int (*handlers[4])(int);\nstruct S { int n; void (*cbs[2])(void); };\n"
     table, _ = extract(tmp_path, src)
-    assert not table.partial
+    assert table.issues == []
     [g] = table.globals
     assert g.c_type == CType("<fn>", 1, [4], func=CFuncSig([CType("int")], CType("int")))
     [s] = table.types
@@ -304,8 +321,7 @@ def test_array_of_callbacks(tmp_path):
 def test_array_of_callbacks_parameter_is_unsupported(tmp_path):
     # C passes a pointer here; a by-value array of callbacks would be the wrong ABI
     table, _ = extract(tmp_path, "void run(int (*cbs[4])(int)) {}\nint ok;\n")
-    assert table.partial
-    assert any(i.startswith("array of function pointers as a parameter") for i in table.issues)
+    assert [i.split(" at ")[0] for i in table.issues] == ["array of function pointers as a parameter"]
     assert [fn.name for fn in table.functions] == []
 
 
@@ -337,7 +353,7 @@ def test_function_pointer_parameter(tmp_path):
     op = CType("<fn>", 1, func=CFuncSig([CType("int")], CType("int")))
     assert fn.params == [("op", op), ("v", CType("int"))]
     assert "op" not in fn.calls  # indirect call site, not a symbol reference
-    assert table.external_refs == set()
+    assert boundary_nodes(plan_graph(tmp_path, src)) == set()
 
 
 def test_source_locations_across_headers(tmp_path):
@@ -361,7 +377,8 @@ def test_source_locations_across_headers(tmp_path):
         "}\n"
         "\n"
         "int shape_dump(FILE *out, struct Shape *s) {\n"
-        '    return fprintf(out, "%d", shape_area(s));\n'
+        "    FILE *sink = out;\n"
+        '    return fprintf(sink, "%d", shape_area(s));\n'
         "}\n"
     )
     table, _ = extract(tmp_path, src)
@@ -369,7 +386,9 @@ def test_source_locations_across_headers(tmp_path):
     assert locs == {"shape_area": f"{tmp_path / 'u.c'}:4", "shape_dump": f"{tmp_path / 'u.c'}:8"}
     [shape] = table.types
     assert (shape.name, shape.source_loc) == ("Shape", f"{tmp_path / 'shapes.h'}:4")
-    assert "FILE" in table.env_types
+    # FILE is a type name the system header declares, so `FILE *sink` is a local
+    dump = next(fn for fn in table.functions if fn.name == "shape_dump")
+    assert dump.value_refs == set()
     assert "FILE" not in {t.name for t in table.types}
 
 
@@ -404,9 +423,9 @@ def test_array_parameter_decays_to_a_pointer(tmp_path):
 def test_multi_dimensional_array_parameter_is_unsupported(tmp_path):
     # C passes a pointer to an int[3] here, which CType cannot express
     table, _ = extract(tmp_path, "int trace(int m[2][3]) { return m[0][0]; }\nint ok;\n")
-    assert table.partial
-    assert any(i.startswith("multi-dimensional array parameter") for i in table.issues)
+    assert table.issues == [f"multi-dimensional array parameter at {tmp_path / 'u.c'}:1"]
     assert [fn.name for fn in table.functions] == []
+    assert [g.name for g in table.globals] == ["ok"]  # skipped through the body's brace
 
 
 @pytest.mark.parametrize(
@@ -423,7 +442,25 @@ def test_multi_dimensional_array_parameter_is_unsupported(tmp_path):
 )
 def test_octal_literals_read_as_octal(tmp_path, source, read):
     table, _ = extract(tmp_path, source)
-    assert not table.partial
+    assert table.issues == []
+    assert read(table)
+
+
+@pytest.mark.parametrize(
+    "source, read",
+    [
+        (
+            "enum { A = 4, B = A, C, D = -(C) };\n",
+            lambda t: t.types[0].enumerators == [("A", 4), ("B", 4), ("C", 5), ("D", -5)],
+        ),
+        ("enum { K = 3 };\nint grid[K][(K)];\n", lambda t: t.globals[0].c_type.array_dims == [3, 3]),
+        ("enum { W = 3 };\nstruct Bits { unsigned a : W; };\n", lambda t: t.types[1].members[0][2] == 3),
+    ],
+    ids=["enumerator", "array-dim", "bit-field-width"],
+)
+def test_constants_read_an_earlier_enumerator(tmp_path, source, read):
+    table, _ = extract(tmp_path, source)
+    assert table.issues == []
     assert read(table)
 
 

@@ -206,6 +206,16 @@ def test_mine_api_rule_from_call_correspondence():
     assert any(r.c_interface == "memcpy" and r.rust_interface == "copy_from_slice" for r in api)
 
 
+def test_mine_api_rules_pair_callees_by_first_occurrence():
+    # a method call and a free call pair with the C calls in text order
+    pair = make_pair(
+        "int run(int x) { int n = c_foo(x); return c_bar(n); }",
+        "pub fn run(x: i32) -> i32 { let n = foo(x); n.bar() }",
+    )
+    api = [r.key() for r in mine_rules(pair) if isinstance(r, ApiRule)]
+    assert api == [("c_foo", "foo"), ("c_bar", "bar")]
+
+
 def test_mine_fragment_rule_offset_idiom():
     pair = make_pair(
         "int off(struct node *n) {\n    return (int)((char *)&n->next - (char *)n);\n}",

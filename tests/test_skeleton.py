@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -693,12 +694,24 @@ ENUM_MODE = "enum mode { A, B };\n"
             "struct P { char *p; };\nconst struct P cp = {0};",
             "pub static mut cp: crate::a::P = unsafe { core::mem::zeroed() };",
         ),
+        ("enum { K = 3 };\nint a[K];", "pub static mut a: [i32; 3] = unsafe { core::mem::zeroed() };"),
+        ("enum { A = 4, B = A };\nint b = B;", "pub static mut b: i32 = 4;"),
+        (
+            "int (*const cb)(int) = 0;",
+            'pub static mut cb: Option<unsafe extern "C" fn(i32) -> i32> = None;',
+        ),
+        ("float f = 1e300;", "pub static mut f: f32 = f32::INFINITY;"),
+        ("float f = -1e300;", "pub static mut f: f32 = f32::NEG_INFINITY;"),
+        ("double d = 1e999;", "pub static mut d: f64 = f64::INFINITY;"),
+        ("double d = -1e999;", "pub static mut d: f64 = f64::NEG_INFINITY;"),
     ],
     ids=[
         "negative", "octal", "negative-unsigned", "high-char", "null-pointer",
         "null-const-pointer", "int-to-double", "int-to-float", "float-to-int", "bool",
         "wrapping-char", "int-to-enum", "enumerator", "anonymous-enumerator", "unsigned-enum",
         "string-in-array", "string-sizes-array", "const-pointer-alias", "const-record-with-pointer",
+        "enumerator-dimension", "enumerator-naming-enumerator", "const-function-pointer",
+        "float-overflow", "float-negative-overflow", "infinite-double", "negative-infinite-double",
     ],
 )
 def test_literal_initializer_keeps_its_value(tmp_path, decl, emitted):
@@ -714,10 +727,11 @@ def test_literal_initializer_keeps_its_value(tmp_path, decl, emitted):
 
 
 def test_infinite_literal_initializer_is_left_as_a_todo(tmp_path):
-    plan, _ = build_skeleton(tmp_path, {"a.c": "int x = 1e999;\ndouble d = -1e999;\n"})
+    # C leaves converting a float beyond an integer type's range undefined
+    plan, _ = build_skeleton(tmp_path, {"a.c": "int x = 1e999;\nlong y = -1e300;\n"})
     assert [s.emitted_text for s in plan.statics] == [
         "// TODO: translate non-literal initializer: 1e999\npub static mut x: i32 = 0;",
-        "// TODO: translate non-literal initializer: - 1e999\npub static mut d: f64 = 0.0;",
+        "// TODO: translate non-literal initializer: - 1e300\npub static mut y: i64 = 0;",
     ]
 
 
@@ -740,6 +754,17 @@ def test_incomplete_array_without_a_sized_initializer_is_a_hole(tmp_path):
         "incomplete array 'a' without a size",
         "incomplete array 'b' without a size",
     ]
+
+
+def test_unsupported_construct_is_a_hole(tmp_path):
+    root = make_project(tmp_path, {"a.c": "int trace(int m[2][3]) { return m[0][0]; }\nint ok;\n"})
+    units = preprocess_all(root, ["a.c"])
+    hole = f"unsupported construct: multi-dimensional array parameter at {root / 'a.c'}:1"
+    with pytest.raises(SkeletonError, match=re.escape(hole)):
+        plan_skeleton(root, units)
+    plan = plan_skeleton(root, units, SkeletonConfig(strict_holes=False))
+    assert plan.holes == [hole]
+    assert ([s.name for s in plan.statics], plan.stubs) == (["ok"], [])
 
 
 def test_tentative_global_in_two_units_emitted_once(tmp_path):
