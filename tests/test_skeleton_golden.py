@@ -2,9 +2,10 @@
 
 For each fixture in ``FIXTURE_PROJECTS`` the test preprocesses its sources
 under the fixture's flags, plans the skeleton, and compares every module's
-``render_module`` text and the planned constants with
-``fixtures/skeleton_golden.json``. A change that claims to keep the skeleton
-byte-identical is checked here.
+``render_module`` text, the planned constants, the graph's sorted call and
+symbol edges, and every function's rendered translation context with
+``fixtures/skeleton_golden.json``. A change that claims to keep the skeleton,
+its graph or its prompts byte-identical is checked here.
 
 Regenerate the golden file only for an intended output change, from the
 repository root::
@@ -21,13 +22,16 @@ from conftest import FIXTURES
 from test_acceptance import FIXTURE_PROJECTS
 
 from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
+from rustport.graph import build_graph, build_symbol_index
 from rustport.skeleton import SHARED_MODULE, plan_skeleton, render_module
+from rustport.translate import assemble_context
 
 GOLDEN = FIXTURES / "skeleton_golden.json"
 
 
 def planned_fixture(tmp_path: Path, name: str) -> dict:
-    """The fixture's rendered modules and planned constants, as JSON values."""
+    """The fixture's rendered modules, planned constants, graph edges and
+    translation contexts, as JSON values."""
     sources, extra_args = FIXTURE_PROJECTS[name]
     proj = tmp_path / name
     shutil.copytree(FIXTURES / name, proj)
@@ -42,9 +46,17 @@ def planned_fixture(tmp_path: Path, name: str) -> dict:
     ]
     project = plan_skeleton(proj, units)
     modules = sorted(set(project.tree.mapping.values()) | {SHARED_MODULE})
+    index = build_symbol_index(project)
+    graph = build_graph(index, project)
     return {
         "modules": {m: render_module(project, m) for m in modules},
         "constants": [[c.name, c.emitted_text, c.module] for c in project.constants],
+        "call_edges": [list(e) for e in sorted(graph.call_edges)],
+        "symbol_edges": [list(e) for e in sorted(graph.symbol_edges)],
+        "contexts": {
+            fn: assemble_context(fn, project, graph, index).render()
+            for fn in graph.function_nodes()
+        },
     }
 
 
