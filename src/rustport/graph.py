@@ -1,24 +1,29 @@
 """Skeleton graph: global symbol index, dependency edges, and scheduling.
 
-Function-call edges drive the bottom-up translation order; type and symbol
-reference edges are recorded for context assembly but never constrain
-scheduling, since all declarations already exist in the skeleton. Mutually
-recursive functions go wholly into the final layer and are translated against
-each other's placeholder signatures.
+The graph's edges are the one resolution of each function's references:
+scheduling reads its call edges, and context assembly reads all of its
+out-edges, so ``graph.json`` names exactly what a prompt shows. Function-call
+edges drive the bottom-up translation order; type and symbol reference edges
+never constrain scheduling, since all declarations already exist in the
+skeleton. Mutually recursive functions go wholly into the final layer and are
+translated against each other's placeholder signatures.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DuplicateDefinitionError
-from .skeleton import SkeletonProject
+from .skeleton import FunctionStub, SkeletonProject
 
 logger = logging.getLogger(__name__)
+
+_IDENT = re.compile(r"[A-Za-z_]\w*")
 
 PENDING = "pending"
 TRANSLATED = "translated"
@@ -127,6 +132,7 @@ class GraphNode:
     kind: str  # function | type | static | constant | boundary
     module: str = ""
     state: str = PENDING
+    path: str = ""  # the Rust path; empty for a boundary node
 
 
 @dataclass
@@ -149,7 +155,7 @@ def build_graph(
     index: GlobalSymbolIndex,
     skeleton: SkeletonProject,
 ) -> SkeletonGraph:
-    """Edges from each stub's harvested call and value references.
+    """Edges from each stub to everything it refers to, each name resolved once.
 
     References that resolve nowhere become boundary nodes (the untranslated C
     world) and never constrain scheduling.
@@ -157,31 +163,39 @@ def build_graph(
     graph = SkeletonGraph()
     # node ids are index keys, so edges and nodes can never disagree
     for key, entry in index.entries.items():
-        graph.nodes[key] = GraphNode(node_id=key, kind=entry.kind, module=entry.module)
-
-    def boundary(name: str) -> str:
-        qid = f"boundary::{name}"
-        if qid not in graph.nodes:
-            graph.nodes[qid] = GraphNode(node_id=qid, kind="boundary")
-        return qid
+        graph.nodes[key] = GraphNode(
+            node_id=key, kind=entry.kind, module=entry.module, path=entry.path
+        )
 
     for stub in skeleton.stubs:
         caller = stub.qualified_name
-        for callee in sorted(stub.origin.calls):
-            target = index.resolve(callee, stub.module, kind="function")
-            if target is not None:
+        for name, target in _references(stub, index):
+            if target is None:
+                target = f"boundary::{name}"
+                graph.nodes.setdefault(target, GraphNode(node_id=target, kind="boundary"))
+            if graph.nodes[target].kind == "function":
                 graph.call_edges.add((caller, target))
             else:
-                graph.symbol_edges.add((caller, boundary(callee)))
-        for ref in sorted(stub.origin.value_refs):
-            target = index.resolve(ref, stub.module)
-            if target is not None and index.entries[target].kind != "function":
                 graph.symbol_edges.add((caller, target))
-            elif target is not None:
-                graph.call_edges.add((caller, target))
-            else:
-                graph.symbol_edges.add((caller, boundary(ref)))
     return graph
+
+
+def _references(
+    stub: FunctionStub, index: GlobalSymbolIndex
+) -> Iterator[tuple[str, Optional[str]]]:
+    """(name, index key or None) for each name the stub calls or reads, then
+    for each constant its C text names (the preprocessor erased those). A call
+    prefers a function and otherwise takes any kind, so a call through a
+    function-pointer static reaches the static."""
+    calls, values = stub.origin.calls, stub.origin.value_refs
+    for name in sorted(calls | values):
+        target = index.resolve(name, stub.module, kind="function") if name in calls else None
+        yield name, target or index.resolve(name, stub.module)
+    named = set(_IDENT.findall(stub.origin.source_text or "")) - calls - values
+    for name in sorted(named):
+        target = index.resolve(name, stub.module, kind="constant")
+        if target is not None:
+            yield name, target
 
 
 @dataclass

@@ -147,7 +147,7 @@ class TranslationRun:
         """Assemble contexts and run initial generation for a wave's functions,
         possibly in parallel: each function's context and initial body."""
         def prepare(fn_id: str):
-            ctx = assemble_context(fn_id, self.skeleton, self.graph, self.index)
+            ctx = assemble_context(fn_id, self.skeleton, self.graph)
             examples, api_rules, frag_rules = [], [], []
             if self.kb is not None and self.retrieval_depth > 0:
                 examples, api_rules, frag_rules = self.kb.retrieve(

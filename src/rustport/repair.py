@@ -279,9 +279,6 @@ def rule_based_fix(
                 continue
             name = m.group(1)
             target = index.resolve(name, from_module)
-            if target is None:
-                candidates = index.by_bare.get(name, [])
-                target = candidates[0] if len(candidates) == 1 else None
             if target is not None and diag.byte_start is not None:
                 add(
                     diag.file,

@@ -384,7 +384,6 @@ def plan_skeleton(
     # shared when seen or referenced from more than one module
     placed_types: dict[str, str] = {}
     type_defs: dict[str, CTypeDef] = {}
-    type_conflicts: list[str] = []
     for module in sorted(symtabs):
         for t in symtabs[module].types:
             prior = type_defs.get(t.name)
@@ -397,8 +396,7 @@ def plan_skeleton(
             ):
                 placed_types[t.name] = SHARED_MODULE
             else:
-                type_conflicts.append(t.name)
-                logger.warning("type %s defined differently in multiple units", t.name)
+                _hole(holes, f"type conflict: {t.name}", config.strict_holes)
     for name, module in list(placed_types.items()):
         if uses.get(name, set()) - {module, SHARED_MODULE}:
             placed_types[name] = SHARED_MODULE
@@ -506,7 +504,7 @@ def plan_skeleton(
         stubs=stubs,
         statics=statics,
         constants=constants,
-        holes=holes + [f"type conflict: {n}" for n in type_conflicts],
+        holes=holes,
         config=config,
     )
 

@@ -1,7 +1,10 @@
 """Per-function translation: context assembly, prompt rendering, body extraction.
 
 The context holds exactly the declarations the function's signature and C body
-reference, resolved through the global symbol index; retrieval examples and
+reference. The body's references are the function's out-edges in the skeleton
+graph, the one place they resolve (a call prefers a function, then any kind),
+so a prompt shows what ``graph.json`` records; the signature's types and
+their member types close over the parsed C types. Retrieval examples and
 compact rule bullets are injected as separate prompt sections and omitted
 entirely when retrieval comes back empty.
 """
@@ -18,7 +21,7 @@ from . import rustlex
 from .backends import GenerationRequest
 from .csyms import base_names
 from .errors import SkeletonError
-from .graph import GlobalSymbolIndex, SkeletonGraph
+from .graph import SkeletonGraph
 from .knowledge.rules import ApiRule, FragmentRule
 from .skeleton import SHARED_MODULE, SkeletonProject
 
@@ -61,7 +64,6 @@ def assemble_context(
     fn_id: str,
     skeleton: SkeletonProject,
     graph: SkeletonGraph,
-    index: GlobalSymbolIndex,
 ) -> TranslationContext:
     """Close over every declaration the function's signature and body touch.
 
@@ -73,100 +75,61 @@ def assemble_context(
     if stub is None:
         raise SkeletonError(f"no stub for {fn_id}")
 
-    types_by_qid = {f"{t.module}::{t.name}": t for t in skeleton.types}
-    statics_by_qid = {f"{s.module}::{s.name}": s for s in skeleton.statics}
-    consts_by_qid = {f"{c.module}::{c.name}": c for c in skeleton.constants}
-    origins_by_name = {t.origin.name: t for t in skeleton.types}
+    types_by_name = {t.origin.name: t for t in skeleton.types}
+    decls = {
+        (kind, _qid(d)): d
+        for kind, items in (
+            ("type", skeleton.types),
+            ("static", skeleton.statics),
+            ("constant", skeleton.constants),
+        )
+        for d in items
+    }
 
-    type_qids: list[str] = []
-    global_qids: list[str] = []
-    callee_qids: list[str] = []
+    # qid -> emitted text, in closure order
+    types: dict[str, str] = {}
 
-    def add_type_closure(qid: str) -> None:
-        if qid in type_qids:
+    def add_type_closure(decl) -> None:
+        if _qid(decl) in types:
             return
-        decl = types_by_qid.get(qid)
-        if decl is None:
-            return
-        type_qids.append(qid)
-        # member types referenced by this type join the closure
-        for member_name in re.findall(r"crate::[\w:]+", decl.emitted_text):
-            if member_name != qid and member_name in types_by_qid:
-                add_type_closure(member_name)
+        types[_qid(decl)] = decl.emitted_text
         for _mn, mtype, _w in decl.origin.members:
-            for m in base_names(mtype):
-                inner = origins_by_name.get(m)
-                if inner is not None:
-                    add_type_closure(f"{inner.module}::{inner.name}")
+            for name in base_names(mtype):
+                if name in types_by_name:
+                    add_type_closure(types_by_name[name])
 
-    # signature types
-    sig_names = set(re.findall(r"crate::[\w:]+", stub.signature_text))
-    for qid in sorted(sig_names):
-        add_type_closure(qid)
-    for _pname, ptype in stub.origin.params:
-        for name in base_names(ptype):
-            decl = origins_by_name.get(name)
-            if decl is not None:
-                add_type_closure(f"{decl.module}::{decl.name}")
+    # signature types, in path order
+    signature = [*(ptype for _pname, ptype in stub.origin.params), stub.origin.return_type]
+    named = [types_by_name[n] for ct in signature for n in base_names(ct) if n in types_by_name]
+    for decl in sorted(named, key=_qid):
+        add_type_closure(decl)
 
-    # constants referenced in the original (un-preprocessed) body text: the
-    # preprocessor erased these names, but the skeleton re-emits them
-    source_idents = set(re.findall(r"[A-Za-z_]\w*", stub.origin.source_text or ""))
-    body_refs = set(stub.origin.calls | stub.origin.value_refs)
-    for name in source_idents:
-        target = index.resolve(name, stub.module, kind="constant")
-        if target is not None:
-            body_refs.add(name)
-
-    # body references resolved through the index
-    for ref in sorted(body_refs):
-        target = index.resolve(ref, stub.module)
-        if target is None:
-            boundary = f"boundary::{ref}"
-            if boundary not in graph.nodes:
-                raise SkeletonError(
-                    f"{fn_id} references {ref!r}, absent from the index and not a boundary"
-                )
-            continue
-        entry = index.entries[target]
-        path = entry.path
-        if entry.kind == "type":
-            add_type_closure(path)
-        elif entry.kind in ("static", "constant"):
-            if path not in global_qids:
-                global_qids.append(path)
-        elif entry.kind == "function" and path != fn_id:
-            if path not in callee_qids:
-                callee_qids.append(path)
-
-    type_decls = [types_by_qid[q].emitted_text for q in type_qids]
-    global_decls = []
-    shared_excerpts = []
-    for qid in global_qids:
-        if qid in statics_by_qid:
-            item = statics_by_qid[qid]
-            line = f"// at {qid}\n{item.emitted_text}"
+    # body references: the function's out-edges, by target name
+    targets = [t for edges in (graph.call_edges, graph.symbol_edges) for c, t in edges if c == fn_id]
+    global_decls: list[str] = []
+    shared_excerpts: list[str] = []
+    callee_sigs: list[str] = []
+    for target in sorted(targets, key=lambda t: (t.rpartition("::")[2], t)):
+        kind, path = graph.nodes[target].kind, graph.nodes[target].path
+        if kind == "type":
+            add_type_closure(decls["type", path])
+        elif kind in ("static", "constant"):
+            item = decls[kind, path]
+            line = f"// at {path}\n{item.emitted_text}"
             if item.module == SHARED_MODULE:
                 shared_excerpts.append(line)
-                if item.accessor_text:
+                if kind == "static" and item.accessor_text:
                     shared_excerpts.append(item.accessor_text)
             else:
                 global_decls.append(line)
-        elif qid in consts_by_qid:
-            item = consts_by_qid[qid]
-            line = f"// at {qid}\n{item.emitted_text}"
-            (shared_excerpts if item.module == SHARED_MODULE else global_decls).append(line)
-    callee_sigs = []
-    for qid in callee_qids:
-        callee = skeleton.stub_by_name(qid)
-        if callee is not None:
-            callee_sigs.append(f"// at {qid}\n{callee.signature_text};")
+        elif kind == "function" and path != fn_id:
+            callee_sigs.append(f"// at {path}\n{skeleton.stub_by_name(path).signature_text};")
 
     ctx = TranslationContext(
         fn_id=fn_id,
         c_source=stub.origin.source_text or "",
         signature=stub.signature_text,
-        type_decls=type_decls,
+        type_decls=list(types.values()),
         global_decls=global_decls,
         callee_signatures=callee_sigs,
         shared_excerpts=shared_excerpts,
@@ -181,6 +144,10 @@ def assemble_context(
             dropped = bucket.pop()
             logger.info("context for %s over budget; dropped %.40r", fn_id, dropped)
     return ctx
+
+
+def _qid(decl) -> str:
+    return f"{decl.module}::{decl.name}"
 
 
 def _rule_bullet(rule) -> str:

@@ -202,7 +202,7 @@ def test_criterion_6_repair_accounting(tmp_path):
         outcomes = {}
         for fn_id in layers.flatten():
             stub = project.stub_by_name(fn_id)
-            ctx = assemble_context(fn_id, project, graph, index)
+            ctx = assemble_context(fn_id, project, graph)
             from rustport.backends import GenerationRequest
 
             initial = backend.generate(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
 from rustport.csyms import CFunctionDecl, CGlobalDecl, CType
 from rustport.errors import DuplicateDefinitionError
 from rustport.graph import (
@@ -20,6 +21,7 @@ from rustport.skeleton import (
     ModuleTree,
     SkeletonConfig,
     SkeletonProject,
+    plan_skeleton,
 )
 
 
@@ -130,6 +132,61 @@ def test_same_module_resolution_beats_global():
     graph = build_graph(build_symbol_index(project), project)
     assert ("crate::a::top", "crate::a::helper") in graph.call_edges
     assert ("crate::a::top", "crate::b::helper") not in graph.call_edges
+
+
+def plan_units(tmp_path, files):
+    """The planned (unbuilt) skeleton of the C ``files`` and its graph."""
+    units = []
+    for rel, text in sorted(files.items()):
+        (tmp_path / rel).write_text(text)
+        cmd = CompileCommand(str(tmp_path), rel, ["cc", "-c", rel])
+        units.append(preprocess_unit(derive_unit_context(cmd), PreprocessorConfig()))
+    project = plan_skeleton(tmp_path, units)
+    return project, build_graph(build_symbol_index(project), project)
+
+
+@pytest.mark.parametrize(
+    "files, fn_id, edge, bucket",
+    [
+        pytest.param(
+            {
+                "a.c": "struct stat { int mode; };\nint stat(struct stat *s);\n"
+                "int use(struct stat *s) { return stat(s); }\n",
+                "b.c": "struct stat { int mode; };\n"
+                "int stat(struct stat *s) { return s->mode; }\n",
+            },
+            "crate::a::r#use",
+            ("call", "crate::b::stat"),
+            "callee_signatures",
+            id="call-beside-a-same-name-type",
+        ),
+        pytest.param(
+            {"a.c": "int (*hook)(int) = 0;\nint apply(int v) { return hook(v); }\n"},
+            "crate::a::apply",
+            ("symbol", "crate::a::hook"),
+            "global_decls",
+            id="call-through-a-function-pointer-static",
+        ),
+        pytest.param(
+            {"a.c": "#define LIMIT 9\nint clamp(int v) { return v > LIMIT ? LIMIT : v; }\n"},
+            "crate::a::clamp",
+            ("symbol", "crate::a::LIMIT"),
+            "global_decls",
+            id="constant-named-in-the-body",
+        ),
+    ],
+)
+def test_a_reference_resolves_once_for_graph_and_prompt(tmp_path, files, fn_id, edge, bucket):
+    """The graph's edge is what the prompt shows, and no reference that
+    resolves becomes a boundary node."""
+    from rustport.translate import assemble_context
+
+    project, graph = plan_units(tmp_path, files)
+    kind, target = edge
+    assert (fn_id, target) in (graph.call_edges if kind == "call" else graph.symbol_edges)
+    assert not [n for n in graph.nodes if n.startswith("boundary::")]
+    ctx = assemble_context(fn_id, project, graph)
+    assert [d for d in getattr(ctx, bucket) if d.startswith(f"// at {target}\n")]
 
 
 # --- scheduling -----------------------------------------------------------------
@@ -337,6 +394,6 @@ def test_mini_mix_enumerator_resolves_to_its_constant(tmp_path):
     graph = build_graph(index, project)
     assert not [n for n in graph.nodes if n.startswith("boundary::")]
     assert ("crate::mix::mode_rank", "crate::mix::MODE_AUTO") in graph.symbol_edges
-    ctx = assemble_context("crate::mix::mode_rank", project, graph, index)
+    ctx = assemble_context("crate::mix::mode_rank", project, graph)
     prompt = build_prompt(ctx, tag="t").user
     assert "pub const MODE_AUTO: crate::mix::mix_mode = 2;" in prompt

@@ -40,7 +40,7 @@ def pipe(tmp_path):
 
 def ctx_for(pipe, fn_id):
     project, _, graph, index, _, _ = pipe
-    return assemble_context(fn_id, project, graph, index)
+    return assemble_context(fn_id, project, graph)
 
 
 # --- compile_and_install ----------------------------------------------------------
@@ -172,7 +172,7 @@ def test_rule_fix_declines_outside_closed_set(pipe):
 def run_loop(pipe, fn_id, backend, budget=5):
     project, workspace, graph, index, layers, runner = pipe
     stub = project.stub_by_name(fn_id)
-    ctx = assemble_context(fn_id, project, graph, index)
+    ctx = assemble_context(fn_id, project, graph)
     initial = backend.generate(
         __import__("rustport.backends", fromlist=["GenerationRequest"]).GenerationRequest(
             system="s", user="u", tag=f"{fn_id}#1"

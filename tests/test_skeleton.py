@@ -623,12 +623,18 @@ def test_same_name_enums_unify_only_when_their_values_match(tmp_path, b_enum, un
         "b.c": f"enum mode {{ {b_enum} }};\nint fb(enum mode m) {{ return m == M_A; }}\n",
     }
     root = make_project(tmp_path, files)
-    plan = plan_skeleton(root, preprocess_all(root, ["a.c", "b.c"]), SkeletonConfig("enum_crate"))
-    [mode] = [t for t in plan.types if t.name == "mode"]
+    units = preprocess_all(root, ["a.c", "b.c"])
     if unified:
+        plan = plan_skeleton(root, units, SkeletonConfig("enum_crate"))
+        [mode] = [t for t in plan.types if t.name == "mode"]
         assert mode.module == "crate::shared"
         assert plan.holes == []
     else:
+        # the strict hole policy refuses a conflict, as it refuses any hole
+        with pytest.raises(SkeletonError, match="type conflict: mode"):
+            plan_skeleton(root, units, SkeletonConfig("enum_crate"))
+        plan = plan_skeleton(root, units, SkeletonConfig("enum_crate", strict_holes=False))
+        [mode] = [t for t in plan.types if t.name == "mode"]
         assert mode.module == "crate::a"
         assert plan.holes == ["type conflict: mode"]
 

@@ -54,7 +54,7 @@ def planned_fixture(tmp_path: Path, name: str) -> dict:
         "call_edges": [list(e) for e in sorted(graph.call_edges)],
         "symbol_edges": [list(e) for e in sorted(graph.symbol_edges)],
         "contexts": {
-            fn: assemble_context(fn, project, graph, index).render()
+            fn: assemble_context(fn, project, graph).render()
             for fn in graph.function_nodes()
         },
     }

@@ -53,7 +53,7 @@ def pipe(tmp_path_factory):
 
 def test_context_primitives_only(pipe):
     project, _, graph, index, _, _ = pipe
-    ctx = assemble_context("crate::items::bump_seen", project, graph, index)
+    ctx = assemble_context("crate::items::bump_seen", project, graph)
     assert ctx.signature.startswith("pub ")
     assert ctx.type_decls == []
     assert any("g_seen" in g for g in ctx.global_decls)
@@ -62,7 +62,7 @@ def test_context_primitives_only(pipe):
 
 def test_context_includes_callee_and_types(pipe):
     project, _, graph, index, _, _ = pipe
-    ctx = assemble_context("crate::items::both", project, graph, index)
+    ctx = assemble_context("crate::items::both", project, graph)
     assert any("chain_weight" in sig for sig in ctx.callee_signatures)
     assert any("bump_seen" in sig for sig in ctx.callee_signatures)
     assert any("struct item" in t for t in ctx.type_decls)
@@ -70,7 +70,7 @@ def test_context_includes_callee_and_types(pipe):
 
 def test_context_closure_over_signature_identifiers(pipe):
     project, _, graph, index, _, _ = pipe
-    ctx = assemble_context("crate::items::chain_weight", project, graph, index)
+    ctx = assemble_context("crate::items::chain_weight", project, graph)
     rendered = ctx.render()
     # every crate-path identifier in the signature is declared in the context
     assert "pub struct item" in rendered
@@ -78,9 +78,9 @@ def test_context_closure_over_signature_identifiers(pipe):
 
 def test_context_budget_truncates_callees_first(pipe, monkeypatch):
     project, _, graph, index, _, _ = pipe
-    full = assemble_context("crate::items::both", project, graph, index)
+    full = assemble_context("crate::items::both", project, graph)
     monkeypatch.setattr(translate, "CONTEXT_BUDGET", 40)
-    tight = assemble_context("crate::items::both", project, graph, index)
+    tight = assemble_context("crate::items::both", project, graph)
     assert len(tight.callee_signatures) < len(full.callee_signatures)
     assert tight.type_decls == full.type_decls  # types retained to the last
 
@@ -90,7 +90,7 @@ def test_context_budget_truncates_callees_first(pipe, monkeypatch):
 
 def test_prompt_without_retrieval_omits_sections(pipe):
     project, _, graph, index, _, _ = pipe
-    ctx = assemble_context("crate::items::bump_seen", project, graph, index)
+    ctx = assemble_context("crate::items::bump_seen", project, graph)
     prompt = build_prompt(ctx, tag=f"{ctx.fn_id}#1", examples=[], rules=[])
     assert "## Examples" not in prompt.user
     assert "## Reuse rules" not in prompt.user
@@ -98,7 +98,7 @@ def test_prompt_without_retrieval_omits_sections(pipe):
 
 def test_prompt_fragment_rule_bullet(pipe):
     project, _, graph, index, _, _ = pipe
-    ctx = assemble_context("crate::items::bump_seen", project, graph, index)
+    ctx = assemble_context("crate::items::bump_seen", project, graph)
     rule = FragmentRule(
         c_idiom="(char*)&s->f - (char*)s",
         rust_idiom="core::mem::offset_of!(S, f)",
@@ -111,7 +111,7 @@ def test_prompt_fragment_rule_bullet(pipe):
 
 def test_prompt_examples_capped_at_three(pipe):
     project, _, graph, index, _, _ = pipe
-    ctx = assemble_context("crate::items::bump_seen", project, graph, index)
+    ctx = assemble_context("crate::items::bump_seen", project, graph)
     pairs = [
         AlignedFunctionPair(c_name=f"c{i}", c_source="int c(void);", rust_name=f"r{i}",
                             rust_source=f"pub fn r{i}() {{}}")
@@ -126,7 +126,7 @@ def test_prompt_examples_capped_at_three(pipe):
 
 def test_prompt_deterministic(pipe):
     project, _, graph, index, _, _ = pipe
-    ctx = assemble_context("crate::items::both", project, graph, index)
+    ctx = assemble_context("crate::items::both", project, graph)
     rules = [ApiRule(c_interface="memcpy", rust_interface="copy_from_slice")]
     one = build_prompt(ctx, tag=f"{ctx.fn_id}#1", examples=[], rules=rules).render()
     two = build_prompt(ctx, tag=f"{ctx.fn_id}#1", examples=[], rules=rules).render()
