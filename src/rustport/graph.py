@@ -34,7 +34,7 @@ FALLBACK = "fallback"
 class IndexEntry:
     module: str
     kind: str  # function | type | static | constant
-    bare_name: str
+    bare_name: str  # the name in C, which references carry
     path: str = ""  # the real Rust path (keys may be disambiguated)
 
 
@@ -42,7 +42,7 @@ class IndexEntry:
 class GlobalSymbolIndex:
     # index key (usually the qualified Rust path) -> entry
     entries: dict[str, IndexEntry] = field(default_factory=dict)
-    # bare name -> index keys defining it
+    # C name -> index keys defining it
     by_bare: dict[str, list[str]] = field(default_factory=dict)
 
     def add(self, qualified: str, entry: IndexEntry) -> None:
@@ -66,12 +66,21 @@ class GlobalSymbolIndex:
         self.by_bare.setdefault(entry.bare_name, []).append(key)
 
     def resolve(self, bare: str, from_module: str, kind: Optional[str] = None) -> Optional[str]:
-        """Bare-name resolution: same module first, then a unique global match."""
-        candidates = [
-            q
-            for q in self.by_bare.get(bare, [])
-            if kind is None or self.entries[q].kind == kind
-        ]
+        """C-name resolution: same module first, then a unique global match."""
+        return self._pick(
+            [q for q in self.by_bare.get(bare, []) if kind is None or self.entries[q].kind == kind],
+            from_module,
+        )
+
+    def resolve_rust(self, ident: str, from_module: str) -> Optional[str]:
+        """The same for a name as rustc reports it, the last segment of a
+        Rust path (``self_`` for C's ``self``)."""
+        return self._pick(
+            [q for q, e in self.entries.items() if e.path.rsplit("::", 1)[1] == ident],
+            from_module,
+        )
+
+    def _pick(self, candidates: list[str], from_module: str) -> Optional[str]:
         local = [q for q in candidates if self.entries[q].module == from_module]
         if local:
             return local[0]
@@ -84,7 +93,9 @@ class GlobalSymbolIndex:
 
 
 def build_symbol_index(skeleton: SkeletonProject) -> GlobalSymbolIndex:
-    """Index every stub, type, static, and constant; duplicates are errors.
+    """Index every stub, type, static, and constant under its C name, the name
+    C references carry (a keyword-named ``use`` lives at ``r#use``);
+    duplicates are errors.
 
     Internal-linkage duplicates are fine (distinct qualified names); two
     externally-linked definitions of one bare name are a construction error.
@@ -94,11 +105,7 @@ def build_symbol_index(skeleton: SkeletonProject) -> GlobalSymbolIndex:
     for stub in skeleton.stubs:
         index.add(
             stub.qualified_name,
-            IndexEntry(
-                module=stub.module,
-                kind="function",
-                bare_name=stub.qualified_name.rsplit("::", 1)[1],
-            ),
+            IndexEntry(module=stub.module, kind="function", bare_name=stub.origin.name),
         )
         if stub.origin.storage == "external":
             bare = stub.origin.name
@@ -111,17 +118,17 @@ def build_symbol_index(skeleton: SkeletonProject) -> GlobalSymbolIndex:
     for t in skeleton.types:
         index.add(
             f"{t.module}::{t.name}",
-            IndexEntry(module=t.module, kind="type", bare_name=t.name),
+            IndexEntry(module=t.module, kind="type", bare_name=t.origin.name),
         )
     for s in skeleton.statics:
         index.add(
             f"{s.module}::{s.name}",
-            IndexEntry(module=s.module, kind="static", bare_name=s.name),
+            IndexEntry(module=s.module, kind="static", bare_name=s.origin.name),
         )
     for c in skeleton.constants:
         index.add(
             f"{c.module}::{c.name}",
-            IndexEntry(module=c.module, kind="constant", bare_name=c.name),
+            IndexEntry(module=c.module, kind="constant", bare_name=c.c_name),
         )
     return index
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import rustlex
 from .cargo import BuildRunner
 from .errors import HarnessTimeoutError, MetricsError
-from .repair import FunctionOutcome, compile_batch
+from .repair import FunctionOutcome, settle_bodies
 from .repair import compile_and_install  # noqa: F401  (the benchmark's tracer wraps it under this name)
 from .skeleton import FALLBACK_MARK
 from .workspace import Workspace
@@ -104,10 +104,13 @@ def incremental_comp_rate(
 ) -> tuple[float, list[LedgerEntry]]:
     """Restore bodies in schedule order, rolling back failures.
 
-    All bodies are restored through one ``compile_batch``. Body locality
-    makes the result the same as one build per body, and the ledger keeps
-    schedule order. Fallback-marked bodies are counted as failures without
-    restoration. The skeleton must build clean before evaluation starts.
+    All bodies are restored together in ``compile_batch`` steps until none
+    is held (``repair.settle_bodies``): usually one build, plus one that
+    confirms the unblamed bodies when it fails partly, and one more for each
+    step a body blamed late waited. Body locality makes the result the same
+    as one build per body, and the ledger keeps schedule order.
+    Fallback-marked bodies are counted as failures without restoration. The
+    skeleton must build clean before evaluation starts.
     """
     runner = runner or BuildRunner()
     workspace = Workspace(skeleton_workspace)
@@ -119,7 +122,7 @@ def incremental_comp_rate(
     placed = set(ordered)
     ordered += [fn for fn in sorted(bodies) if fn not in placed]
     candidates = {fn: bodies[fn] for fn in ordered if FALLBACK_MARK not in bodies[fn]}
-    results = compile_batch(workspace, candidates, runner)
+    results = settle_bodies(workspace, candidates, runner)
 
     ledger: list[LedgerEntry] = []
     restored = 0

@@ -10,16 +10,21 @@ most budget + 2 candidates (initial, one per round, at most one extra for a
 successful rule fix or the fallback install).
 
 Build bounds. Serially (``repair_loop``), compile invocations per function
-stay within budget + 2. In a wave (``repair_layer``: one schedule layer, or the
-whole schedule when no knowledge flows between layers) the functions advance
-in lockstep, one step per candidate, so a wave takes at most budget + 2 steps.
-A batched step costs one build plus one rebuild when some but not all of its
-candidates fail, so a wave costs at most 2 * (budget + 2) builds plus one per
-fixed-point rebuild (a rebuild that itself fails, because an error only shows
-once others are rolled back). A step that cannot be batched pays the serial
-price, one build per candidate, on top. Every unsettled function of the wave
-is in each step, so one unattributable error sends the whole wave down the
-serial path for that step.
+stay within budget + 2. In a wave (``repair_layer``: one schedule layer, or
+the whole schedule when no knowledge flows between layers) the functions
+advance in lockstep, one candidate each per step, and a step costs at most one
+batched build (``compile_batch``) plus one build per candidate built one by
+one. When a step's build fails, only the candidates it blames roll back; the
+others stay installed and uncommitted (*held*) and ride in the next step's
+build, which commits them if it is clean and blames each one in whose function
+an error then shows up (rustc reports some errors, such as deny-by-default
+lints, only once no other error remains). A candidate built one by one never
+shares its build with a held body, whose error it would take for its own:
+while bodies are held, it waits. A function proposes at most budget + 2
+candidates, so a wave takes at most budget + 2 steps, plus the steps by which
+waiting delays a function's later candidates (a body blamed late, or one that
+waited to be built on its own), plus one step to confirm what its last step
+leaves held (beside a fallback shim that failed).
 
 The batched path rests on body locality: the skeleton fixes every signature,
 so rustc checks each body against fixed interfaces and reports each error at
@@ -37,7 +42,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Optional, TypeVar
 
 from . import rustlex
 from .cargo import BuildRunner, Diagnostic, render_diagnostics
@@ -76,6 +81,7 @@ class FunctionOutcome:
 
 
 Compiled = tuple[bool, list[Diagnostic], str]  # (ok, diagnostics, file snapshot)
+T = TypeVar("T")
 
 
 def _diag_tuples(diags: list[Diagnostic]) -> list[tuple[Optional[str], str, str]]:
@@ -175,37 +181,46 @@ def compile_batch(
     candidates: dict[str, str],
     runner: BuildRunner,
 ) -> dict[str, Compiled]:
-    """Compile many candidate bodies, building them together where it is safe,
-    and return each one's result like ``compile_and_install``'s.
+    """One step of compiling candidate bodies: at most one batched build, then
+    one build per candidate that is not batched. Returns the result, like
+    ``compile_and_install``'s, of each candidate the step decides.
 
-    The candidates whose effects stay inside their own function are installed
-    (the rollback store is written once, before any segment) and built. Each
-    error is blamed on the candidate whose function holds its primary span;
-    those roll back, and the others are rebuilt until a build is clean, which
-    commits them. If any error cannot be blamed on an installed candidate,
-    the whole batch rolls back. Every candidate left over then, the others
-    and a lone candidate included, is compiled one by one with
-    ``compile_and_install`` in the candidates' order.
+    The candidates still held from an earlier step (installed and
+    uncommitted, so their rollback entries are pending) ride in the build
+    beside the new candidates whose effects stay inside their own function,
+    installed with the rollback store written once, before any segment. A
+    clean build commits everything live. Each error is blamed on the
+    candidate whose function holds its primary span; those roll back and the
+    rest stay held, with no result until a later step's build confirms or
+    blames them. If any error cannot be blamed on a live candidate,
+    everything live rolls back. Once nothing is held, every candidate left
+    (one that is not local, a lone candidate, all of them after an
+    unattributable error) is compiled one by one with ``compile_and_install``
+    in the candidates' order; while bodies are held, those candidates wait
+    for a later step.
     """
-    batch = {fn_id: body for fn_id, body in candidates.items() if _stays_local(body)}
+    held = workspace.uncommitted(candidates)
+    fresh = {
+        fn_id: body
+        for fn_id, body in candidates.items()
+        if fn_id not in held and _stays_local(body)
+    }
     results: dict[str, Compiled] = {}
-    if len(batch) > 1:
-        workspace.install_bodies(batch)
-        live = list(batch)
-        while live:
-            outcome = runner.build(workspace.root)
-            if outcome.ok:
-                workspace.commit_installs(live)
-                results.update((fn_id, (True, [], "")) for fn_id in live)
-                break
+    if held or len(fresh) > 1:
+        if fresh:
+            workspace.install_bodies(fresh)
+        live = [fn_id for fn_id in candidates if fn_id in held or fn_id in fresh]
+        outcome = runner.build(workspace.root)
+        if outcome.ok:
+            workspace.commit_installs(live)
+            results = {fn_id: (True, [], "") for fn_id in live}
+        else:
             blamed = _attribute(workspace, live, outcome.errors)
-            if blamed is None:
-                workspace.rollback_bodies(live)
-                results.clear()
-                break
-            workspace.rollback_bodies(blamed)
-            results.update(blamed)
-            live = [fn_id for fn_id in live if fn_id not in blamed]
+            workspace.rollback_bodies(live if blamed is None else blamed)
+            if blamed is not None:
+                results = blamed
+                if len(blamed) < len(live):
+                    return results  # the others are held
     for fn_id, body in candidates.items():
         if fn_id not in results:
             results[fn_id] = compile_and_install(workspace, fn_id, body, runner)
@@ -278,7 +293,7 @@ def rule_based_fix(
             if not m:
                 continue
             name = m.group(1)
-            target = index.resolve(name, from_module)
+            target = index.resolve_rust(name, from_module)
             if target is not None and diag.byte_start is not None:
                 add(
                     diag.file,
@@ -445,24 +460,48 @@ def repair_steps(
 
 
 def _settle(
-    machines: dict[str, Generator[str, Compiled, FunctionOutcome]],
+    machines: dict[str, Generator[str, Compiled, T]],
     compile_step: Callable[[dict[str, str]], dict[str, Compiled]],
-) -> dict[str, FunctionOutcome]:
-    """Drive step machines in lockstep: every step compiles the next candidate
-    of each unsettled function together, and hands the results back in the
-    machines' order."""
-    outcomes: dict[str, FunctionOutcome] = {}
-    pending = {fn_id: next(machine) for fn_id, machine in machines.items()}
-    while pending:
-        results = compile_step(pending)
+) -> dict[str, T]:
+    """Drive step machines in lockstep: every step compiles the waiting
+    candidate of each unsettled function together, and hands the results it
+    decides back in the machines' order. A candidate the step leaves
+    undecided (held, or waiting to be built on its own) is offered again in
+    the next step."""
+    outcomes: dict[str, T] = {}
+    waiting = {fn_id: next(machine) for fn_id, machine in machines.items()}
+    while waiting:
+        results = compile_step(waiting)
         following = {}
-        for fn_id in pending:
+        for fn_id, body in waiting.items():
+            if fn_id not in results:
+                following[fn_id] = body
+                continue
             try:
                 following[fn_id] = machines[fn_id].send(results[fn_id])
             except StopIteration as done:
                 outcomes[fn_id] = done.value
-        pending = following
+        waiting = following
     return {fn_id: outcomes[fn_id] for fn_id in machines}
+
+
+def _proposal(body: str) -> Generator[str, Compiled, Compiled]:
+    """A step machine that proposes one body and returns its result."""
+    return (yield body)
+
+
+def settle_bodies(
+    workspace: Workspace,
+    bodies: dict[str, str],
+    runner: BuildRunner,
+) -> dict[str, Compiled]:
+    """Compile bodies that get no repair (ICompRate's restores) in
+    ``compile_batch`` steps until none is held: usually one build, and one
+    more to confirm the survivors when it fails partly."""
+    return _settle(
+        {fn_id: _proposal(body) for fn_id, body in bodies.items()},
+        lambda step: compile_batch(workspace, step, runner),
+    )
 
 
 def repair_loop(
@@ -493,5 +532,5 @@ def repair_layer(
 ) -> dict[str, FunctionOutcome]:
     """Settle one wave of the schedule: the step machines of its functions
     advance in lockstep, each step's candidates compiled through
-    ``compile_batch``."""
+    ``compile_batch`` (see the module doc's build bounds)."""
     return _settle(machines, lambda step: compile_batch(workspace, step, runner))

@@ -112,6 +112,7 @@ class NamedConstant:
     name: str
     emitted_text: str
     module: str
+    c_name: str  # the enumerator's or macro's name in C
 
 
 @dataclass
@@ -474,7 +475,9 @@ def plan_skeleton(
             taken.add((module, ident))
             rust_type = "&str" if ct is None else clayout.lower(ct, resolver)
             text = f"pub const {ident}: {rust_type} = {clayout.c_value(value, ct, resolver)};"
-            constants.append(NamedConstant(name=ident, emitted_text=text, module=module))
+            constants.append(
+                NamedConstant(name=ident, emitted_text=text, module=module, c_name=name)
+            )
 
     # stubs with storage- and usage-derived visibility
     stubs: list[FunctionStub] = []
@@ -644,7 +647,7 @@ def assemble_and_verify(
 # --- persistence across CLI invocations --------------------------------------
 
 
-SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 4}
+SKELETON_FORMAT = {"format": "rustport-skeleton", "version": 5}
 
 _field_types = functools.cache(get_type_hints)  # one entry per record class
 

@@ -201,6 +201,12 @@ class Workspace:
                 store[fn_id].pop()
         self._save_store(store)
 
+    def uncommitted(self, fn_ids: Iterable[str]) -> set[str]:
+        """Those of ``fn_ids`` installed but neither committed nor rolled
+        back: their rollback entries are pending."""
+        store = self._load_store()
+        return {fn_id for fn_id in fn_ids if store.get(fn_id)}
+
     def install_body(self, fn_id: str, body: str) -> None:
         """Replace the segment, keeping the prior content for rollback."""
         self.install_bodies({fn_id: body})

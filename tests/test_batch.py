@@ -29,7 +29,7 @@ from rustport.graph import build_graph, build_symbol_index, schedule
 from rustport.knowledge import KnowledgeBase
 from rustport.metrics import LedgerEntry, incremental_comp_rate
 from rustport.pipeline import RunArtifacts, TranslationRun
-from rustport.repair import compile_and_install, compile_batch, repair_loop
+from rustport.repair import compile_and_install, compile_batch, repair_loop, settle_bodies
 from rustport.skeleton import FALLBACK_MARK, load_project
 from rustport.workspace import Workspace
 
@@ -253,12 +253,12 @@ def test_batched_driver_matches_serial_reference(tmp_path, skeletons, caplog, na
     assert saved_prompts(tmp_path / "batched_run") == saved_prompts(tmp_path / "serial_run")
 
     # no knowledge base: the whole schedule settles as one wave, within the
-    # bound of one (no rebuild here fails, no step falls back to one build
-    # per candidate)
+    # bound of one: one build per step (no body here is blamed late, no
+    # fallback shim fails and no candidate is built one by one)
     last = len(batched.layers.layers) - 1
     [line] = wave_lines(caplog)
     assert line.startswith(f"wave 0 (layers 0-{last}): " if last else "layer 0: ")
-    assert batched.runner.invocations <= 2 * (batched.repair_budget + 2)
+    assert batched.runner.invocations <= batched.repair_budget + 2
 
     # ICompRate over the final bodies and over the first-attempt bodies,
     # which include failures
@@ -327,9 +327,9 @@ def test_scripted_layer_build_count_bound(tmp_path, skeletons, caplog):
     with caplog.at_level(logging.INFO, logger="rustport.pipeline"):
         outcomes = run.execute()
     builds = run.runner.invocations
-    # no error here only shows once others are rolled back (no fixed-point
-    # rebuild), and no step falls back to one build per candidate
-    assert builds <= 2 * (budget + 2)
+    # one build per step: no body here is blamed late, no fallback shim
+    # fails and no candidate is built one by one
+    assert builds <= budget + 2
     states = {fn: o.final_state for fn, o in outcomes.items()}
     assert states["crate::w1::w1_f1"] == states["crate::w1::w1_f2"] == "fallback"
     assert run.runner.build_seconds > 0
@@ -343,8 +343,9 @@ def test_parse_error_shares_file_with_type_error_and_good_bodies(tmp_path):
     )
     path = workspace.module_file("crate::shared_file::sh_0")
     before = runner.invocations
-    results = compile_batch(workspace, SHARED_BODIES, runner)
-    assert runner.invocations - before == 2  # the batch, then one clean rebuild
+    results = settle_bodies(workspace, SHARED_BODIES, runner)
+    # the batch, then one clean build of the two it held
+    assert runner.invocations - before == 2
     assert {fn: ok for fn, (ok, _, _) in results.items()} == {
         "crate::shared_file::sh_0": True,
         "crate::shared_file::sh_1": False,
@@ -433,8 +434,9 @@ def test_error_at_signature_is_blamed_on_its_function(tmp_path):
         "crate::shared_file::sh_3": "a * b + 3",
     }
     before = runner.invocations
-    results = compile_batch(workspace, candidates, runner)
-    assert runner.invocations - before == 2  # the batch, then one clean rebuild
+    results = settle_bodies(workspace, candidates, runner)
+    # the batch, then one clean build of the two it held
+    assert runner.invocations - before == 2
     assert {fn: ok for fn, (ok, _, _) in results.items()} == {
         "crate::shared_file::sh_0": True,
         "crate::shared_file::sh_1": False,
@@ -491,3 +493,121 @@ def test_crate_wide_word_inside_a_literal_builds_in_the_batch(tmp_path):
     assert all(ok for ok, _, _ in results.values())
     path = workspace.module_file("crate::shared_file::sh_1")
     assert path.read_bytes() == serial.module_file("crate::shared_file::sh_1").read_bytes()
+
+
+# one function per file, so a batch build and a one-body build quote the
+# same source positions and attempts can be compared whole
+LATE_FILES = {
+    f"late_{x}.c": f"int late_{x}(int a, int b) {{\n    return a + b;\n}}\n" for x in "abc"
+}
+# rustc reports the deny-by-default `overflowing_literals` lint only once no
+# other error remains, so a batch build that fails elsewhere hides it
+LINTED = "let y: u8 = 256;\ny as i32"
+TYPE_ERROR = 'let s: i32 = "not a number";\ns + a'
+IMPL_BODY = "struct Local;\nimpl Local {\n    fn get(&self) -> i32 { 7 }\n}\nLocal.get() + a"
+
+
+@pytest.mark.parametrize(
+    "repaired, builds",
+    [
+        # late_a is blamed at step 1 and repaired; late_b is held at step 1,
+        # blamed at step 2 and repaired twice in vain, and its fallback shim
+        # compiles at step 5 beside late_a and late_c, held since: budget + 2
+        # steps plus the one step late_b waited
+        ("a + b", 5),
+        # late_a's repair reaches past its function, so it is built on its
+        # own, and only once nothing is held: after step 5, one build more
+        (IMPL_BODY, 6),
+    ],
+    ids=["local-repair", "repair-built-alone"],
+)
+def test_late_blame_matches_serial_reference(tmp_path, repaired, builds):
+    project, *_ = build_pipeline(tmp_path / "late", LATE_FILES, crate="late_crate")
+
+    def backend():
+        return ScriptedFailureBackend(
+            failures={"crate::late_a::late_a": 1},
+            bodies={
+                "crate::late_a::late_a": repaired,
+                "crate::late_b::late_b": LINTED,
+                "crate::late_c::late_c": "a + b",
+            },
+            invalid_body=TYPE_ERROR,
+        )
+
+    batched, serial = (
+        make_run(
+            clone_pipeline(project.workspace_dir, tmp_path / label), backend(), budget=2,
+            run_dir=tmp_path / f"{label}_run",
+        )
+        for label in ("batched", "serial")
+    )
+    got = batched.execute()
+    want = serial_execute(serial)
+    assert got == want  # every attempt, its diagnostics included
+    assert [d[0] for d in got["crate::late_b::late_b"].attempts[0].diagnostics] == [
+        "overflowing_literals"
+    ]
+    assert summary(got)["crate::late_b::late_b"][0] == "fallback"
+    assert batched.runner.invocations == builds
+    assert saved_prompts(tmp_path / "batched_run") == saved_prompts(tmp_path / "serial_run")
+    store = batched.workspace.root / ".rustport" / "rollback.json"
+    assert not any(json.loads(store.read_text()).values())
+
+    # ICompRate over the first attempts holds late_b and late_c after its
+    # first build, blames late_b in the next and confirms late_c in a third
+    order = batched.layers.flatten()
+    first = {
+        "crate::late_a::late_a": TYPE_ERROR, "crate::late_b::late_b": LINTED,
+        "crate::late_c::late_c": "a + b",
+    }
+    for label, bodies in (("final", {fn: o.final_body for fn, o in got.items()}), ("first", first)):
+        runner = BuildRunner()
+        _rate, ledger = incremental_comp_rate(
+            clone_pipeline(project.workspace_dir, tmp_path / f"icomp_{label}")[1].root,
+            bodies, order, runner,
+        )
+        assert ledger == serial_icomp(
+            clone_pipeline(project.workspace_dir, tmp_path / f"icomp_ref_{label}")[1].root,
+            bodies, order, BuildRunner(),
+        ), label
+        if label == "first":
+            assert runner.invocations == 1 + 3  # the baseline, then three steps
+
+
+class Killed(Exception):
+    pass
+
+
+class CrashOnBuild:
+    """A build runner whose build number ``crash_at`` raises, leaving the
+    workspace as a process killed mid-build would."""
+
+    def __init__(self, inner, crash_at):
+        self.inner = inner
+        self.crash_at = crash_at
+
+    def build(self, root):
+        if self.inner.invocations + 1 == self.crash_at:
+            raise Killed
+        return self.inner.build(root)
+
+
+def test_crash_while_bodies_are_held_restores_them(tmp_path):
+    project, workspace, graph, index, layers, runner = build_pipeline(
+        tmp_path, {"shared_file.c": SHARED_C}, crate="shared_crate"
+    )
+    path = workspace.module_file("crate::shared_file::sh_0")
+    skeleton_text = path.read_bytes()
+    crashing = CrashOnBuild(runner, crash_at=runner.invocations + 2)
+    with pytest.raises(Killed):
+        settle_bodies(workspace, SHARED_BODIES, crashing)
+    # the first build blamed sh_1 and sh_2 and held sh_0 and sh_3
+    assert workspace.read_body("crate::shared_file::sh_0") == "a + b"
+    assert workspace.uncommitted(SHARED_BODIES) == {
+        "crate::shared_file::sh_0", "crate::shared_file::sh_3",
+    }
+
+    Workspace(workspace.root)
+    assert path.read_bytes() == skeleton_text
+    assert json.loads((workspace.root / ".rustport" / "rollback.json").read_text()) == {}

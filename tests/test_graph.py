@@ -189,6 +189,39 @@ def test_a_reference_resolves_once_for_graph_and_prompt(tmp_path, files, fn_id, 
     assert [d for d in getattr(ctx, bucket) if d.startswith(f"// at {target}\n")]
 
 
+def test_keyword_named_c_symbols_resolve(tmp_path):
+    """A C name that is a Rust keyword lives at a raw or renamed Rust path,
+    but C references carry the C name, which the index keys on."""
+    from rustport.translate import assemble_context
+
+    src = (
+        "enum { loop = 2 };\n"
+        "int match = 1;\n"
+        "static int use(int v) { return v; }\n"
+        "static int self(int v) { return v; }\n"
+        "int top(int v) { return use(v) + self(v) + loop + match; }\n"
+    )
+    project, graph = plan_units(tmp_path, {"a.c": src})
+    assert {("crate::a::top", "crate::a::r#use"), ("crate::a::top", "crate::a::self_")} <= (
+        graph.call_edges
+    )
+    assert {("crate::a::top", "crate::a::r#loop"), ("crate::a::top", "crate::a::r#match")} <= (
+        graph.symbol_edges
+    )
+    assert not [n for n in graph.nodes if n.startswith("boundary::")]
+    assert schedule(graph).layers == [["crate::a::r#use", "crate::a::self_"], ["crate::a::top"]]
+    ctx = assemble_context("crate::a::top", project, graph)
+    for callee in ("crate::a::r#use", "crate::a::self_"):
+        assert [d for d in ctx.callee_signatures if d.startswith(f"// at {callee}\n")]
+    for symbol in ("crate::a::r#loop", "crate::a::r#match"):
+        assert [d for d in ctx.global_decls if d.startswith(f"// at {symbol}\n")]
+    # a rule fix reads the name rustc reports, which is the Rust one
+    index = build_symbol_index(project)
+    assert index.resolve_rust("self_", "crate::b") == index.resolve("self", "crate::b") == (
+        "crate::a::self_"
+    )
+
+
 # --- scheduling -----------------------------------------------------------------
 
 

@@ -849,7 +849,7 @@ def test_saved_project_loads_back_equal(tmp_path, name):
     assert copy.stubs == project.stubs and copy.statics == project.statics
 
 
-SKELETON_HEADER = {"format": "rustport-skeleton", "version": 4}
+SKELETON_HEADER = {"format": "rustport-skeleton", "version": 5}
 
 
 @pytest.mark.parametrize(
@@ -861,13 +861,14 @@ SKELETON_HEADER = {"format": "rustport-skeleton", "version": 4}
         json.dumps({**SKELETON_HEADER, "version": 1, "project": {}}),
         json.dumps({**SKELETON_HEADER, "version": 2, "project": {}}),
         json.dumps({**SKELETON_HEADER, "version": 3, "project": {}}),
-        json.dumps({**SKELETON_HEADER, "version": 5, "project": {}}),
+        json.dumps({**SKELETON_HEADER, "version": 4, "project": {}}),
+        json.dumps({**SKELETON_HEADER, "version": 6, "project": {}}),
         json.dumps({**SKELETON_HEADER, "project": None}),
         json.dumps({**SKELETON_HEADER, "project": {"tree": [], "types": []}}),
         json.dumps({**SKELETON_HEADER, "project": {"no_such_field": 1}}),
     ],
     ids=["not-json", "not-an-object", "headerless", "version-1", "version-2", "version-3",
-         "future-version",
+         "version-4", "future-version",
          "null-project", "wrong-shape", "unknown-field"],
 )
 def test_unreadable_skeleton_metadata_is_a_skeleton_error(tmp_path, text):
