@@ -241,13 +241,15 @@ def test_fc_timeout_is_a_failure_with_a_note(tmp_path, monkeypatch):
 
 def test_build_timeout_is_a_build_tool_error(tmp_path, monkeypatch):
     monkeypatch.setattr(cargo, "BUILD_TIMEOUT_S", 0.5)
-    stub = tmp_path / "slow-cargo"
-    stub.write_text("#!/bin/sh\nsleep 30\n")
+    ws = make_workspace(tmp_path, "pub fn fine() -> i32 { 5 }\n")
+    stub = tmp_path / "slow-rustc"
+    # answers the version query at once, then hangs on the compile
+    stub.write_text('#!/bin/sh\n[ "$1" = -vV ] && exec rustc -vV\nsleep 30\n')
     stub.chmod(0o755)
-    runner = BuildRunner(cargo=str(stub))
+    runner = BuildRunner(rustc=str(stub))
     start = time.monotonic()
     with pytest.raises(BuildToolError, match="timed out"):
-        runner.build(tmp_path)
+        runner.build(ws)
     assert time.monotonic() - start < 10
     assert runner.invocations == 1 and runner.build_seconds >= 0.5
 
