@@ -15,11 +15,17 @@ inputs, ``RUSTFLAGS`` and ``.cargo/config.toml``, do not reach these builds.
 When ``rustc`` is a rustup proxy, the runner asks it once for the toolchain's
 sysroot and then runs that toolchain's rustc, as cargo does under rustup.
 
-Outputs go to ``target/rustport/``. After a clean build a stamp there records
-the compiler arguments and environment, the toolchain's ``rustc -vV``, the
-sha256 of every file and the value of every environment variable the build's
-dep-info lists, and the warnings. A later build whose inputs all match returns
-that outcome without starting rustc; any other build first deletes the stamp.
+Outputs go to ``target/rustport/``. A caller asks for rustc's incremental
+cache (``-C incremental``, kept in ``target/rustport/incremental``) only when
+few items changed since the last clean build: rustc saves no incremental
+state after a failing build, and hashing and saving the cache costs more than
+it saves when most items changed (``repair`` decides). After a clean build a
+stamp there records the compiler arguments other than the cache's (the
+outcome does not depend on it, so either mode hits the other's stamp) and the
+environment, the toolchain's ``rustc -vV``, the sha256 of every file and the
+value of every environment variable the build's dep-info lists, and the
+warnings. A later build whose inputs all match returns that outcome without
+starting rustc; any other build first deletes the stamp.
 ``cargo`` runs only as the default test command.
 
 Every invocation runs under a time limit: a build that outlives
@@ -302,26 +308,31 @@ def _write_stamp(
 class BuildRunner:
     """Serializes compiler invocations over a workspace and parses their JSON
     diagnostics. ``invocations`` counts every build and test request, stamp
-    hits included."""
+    hits included; ``incremental_builds`` the rustc runs that used the
+    incremental cache."""
 
     def __init__(self, rustc: str = "rustc"):
         self.rustc = rustc
         self._lock = threading.Lock()
         self._toolchain_info: Optional[tuple[str, str]] = None
         self.invocations = 0
+        self.incremental_builds = 0
         self.build_seconds = 0.0
 
-    def build(self, workspace_dir) -> BuildOutcome:
+    def build(self, workspace_dir, incremental: bool = False) -> BuildOutcome:
+        """Compile the workspace's library, with rustc's incremental cache
+        when ``incremental`` is set; either way a stamp of the same inputs
+        answers without starting rustc."""
         workspace_dir = Path(workspace_dir)
         with self._lock:
             self.invocations += 1
             start = time.perf_counter()
             try:
-                return self._build(workspace_dir)
+                return self._build(workspace_dir, incremental)
             finally:
                 self.build_seconds += time.perf_counter() - start
 
-    def _build(self, workspace_dir: Path) -> BuildOutcome:
+    def _build(self, workspace_dir: Path, incremental: bool) -> BuildOutcome:
         name, version, edition = _read_manifest(workspace_dir)
         crate = name.replace("-", "_")
         program, version_text = self._toolchain(workspace_dir)
@@ -330,7 +341,7 @@ class BuildRunner:
             "--error-format=json", "--crate-type", "lib", "--emit=dep-info,link",
             "-C", "embed-bitcode=no", "-C", "debuginfo=2",
             "--check-cfg", "cfg(docsrs,test)", "--check-cfg", "cfg(feature, values())",
-            "--out-dir", OUT_DIR, "-C", f"incremental={OUT_DIR}/incremental",
+            "--out-dir", OUT_DIR,
         ]
         # CARGO_MANIFEST_DIR is absolute, so it stays out of the stamp's key:
         # a copied workspace keeps its stamp unless the source reads the
@@ -347,6 +358,9 @@ class BuildRunner:
             return cached
         stamp_path.unlink(missing_ok=True)
         out_dir.mkdir(parents=True, exist_ok=True)
+        if incremental:
+            argv = [*argv, "-C", f"incremental={OUT_DIR}/incremental"]
+            self.incremental_builds += 1
         try:
             proc = _run(argv, workspace_dir, BUILD_TIMEOUT_S, env)
         except subprocess.TimeoutExpired as exc:

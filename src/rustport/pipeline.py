@@ -10,7 +10,8 @@ otherwise one wave per layer.
 Within a wave, initial generation may fan out across worker threads; the
 wave's functions then settle together, each repair step built as one batch
 (see ``repair``), and results are reduced in canonical schedule order so runs
-are reproducible. One line per wave is logged with its builds and times.
+are reproducible. One line per wave is logged with its builds (and how many
+used rustc's incremental cache) and times.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ class TranslationRun:
         for name, wave in self._waves():
             start = time.perf_counter()
             builds, build_s = self.runner.invocations, self.runner.build_seconds
+            incremental = self.runner.incremental_builds
             prepared = self._prepare_layer(wave)
             stubs = {fn_id: self.skeleton.stub_by_name(fn_id) for fn_id in wave}
             machines = {}
@@ -137,8 +139,9 @@ class TranslationRun:
                         rust_source=f"{stub.signature_text} {{\n{outcome.final_body}\n}}",
                     )
             logger.info(
-                "%s: %d functions, %d builds, %.2f s building, %.2f s wall",
+                "%s: %d functions, %d builds (%d incremental), %.2f s building, %.2f s wall",
                 name, len(wave), self.runner.invocations - builds,
+                self.runner.incremental_builds - incremental,
                 self.runner.build_seconds - build_s, time.perf_counter() - start,
             )
         return self.outcomes

@@ -10,6 +10,7 @@ run left pending, so no unverified body survives a crash.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -207,6 +208,11 @@ class Workspace:
         store = self._load_store()
         return {fn_id for fn_id in fn_ids if store.get(fn_id)}
 
+    def pending_count(self) -> int:
+        """How many bodies are installed but neither committed nor rolled
+        back: those that differ from the last build that committed."""
+        return sum(1 for stack in self._load_store().values() if stack)
+
     def install_body(self, fn_id: str, body: str) -> None:
         """Replace the segment, keeping the prior content for rollback."""
         self.install_bodies({fn_id: body})
@@ -216,6 +222,12 @@ class Workspace:
 
     def commit_install(self, fn_id: str) -> None:
         self.commit_installs([fn_id])
+
+    @functools.cached_property
+    def body_count(self) -> int:
+        """How many marked body segments the workspace holds, counted once:
+        installs replace segments but never add or remove one."""
+        return len(self.body_ids())
 
     def body_ids(self) -> list[str]:
         """Every function id that has a marked body segment under src/."""

@@ -10,8 +10,11 @@ from pathlib import Path
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def build_pipeline(tmp_path: Path, files: dict[str, str], crate: str = "fixture_crate"):
-    """C sources -> verified skeleton workspace + graph + index + layers."""
+def build_pipeline(
+    tmp_path: Path, files: dict[str, str], crate: str = "fixture_crate", runner=None
+):
+    """C sources -> verified skeleton workspace + graph + index + layers,
+    built with ``runner`` (a new ``BuildRunner`` by default)."""
     from rustport.buildctx import (
         CompileCommand,
         PreprocessorConfig,
@@ -32,7 +35,7 @@ def build_pipeline(tmp_path: Path, files: dict[str, str], crate: str = "fixture_
     for rel in sorted(files):
         cmd = CompileCommand(directory=str(root), source_file=rel, arguments=["cc", "-c", rel])
         units.append(preprocess_unit(derive_unit_context(cmd), PreprocessorConfig()))
-    runner = BuildRunner()
+    runner = runner or BuildRunner()
     plan = plan_skeleton(root, units, SkeletonConfig(crate_name=crate))
     project = assemble_and_verify(plan, tmp_path / "ws", runner)
     index = build_symbol_index(project)

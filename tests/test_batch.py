@@ -22,6 +22,7 @@ import pytest
 
 from conftest import FIXTURES, build_pipeline, write_trace
 from test_acceptance import FIXTURE_PROJECTS, run_cli
+from test_cargo import compile_lines, logging_rustc
 
 from rustport.backends import OracleBackend, ScriptedFailureBackend
 from rustport.cargo import BuildRunner
@@ -334,7 +335,49 @@ def test_scripted_layer_build_count_bound(tmp_path, skeletons, caplog):
     assert states["crate::w1::w1_f1"] == states["crate::w1::w1_f2"] == "fallback"
     assert run.runner.build_seconds > 0
     lines = wave_lines(caplog)
-    assert lines == [lines[0]] and lines[0].startswith(f"layer 0: 6 functions, {builds} builds, ")
+    assert lines == [lines[0]] and lines[0].startswith(
+        f"layer 0: 6 functions, {builds} builds (0 incremental), "
+    )
+
+
+# twelve functions in two files, so one changed body is under a tenth of them
+TWELVE_FILES = {
+    f"tw{u}.c": "\n".join(
+        f"int tw{u}_f{i}(int a, int b) {{\n    return a + b + {i};\n}}\n" for i in range(6)
+    )
+    for u in range(2)
+}
+
+
+def test_only_a_step_changing_few_bodies_uses_the_incremental_cache(tmp_path):
+    """rustc keeps no incremental state from a failing build, and saving it
+    costs more than it saves when most bodies changed, so only a step whose
+    build changes fewer than one body in ten since the last clean build asks
+    for the cache."""
+    rustc, log, _ = logging_rustc(tmp_path)
+    runner = BuildRunner(rustc=rustc)
+    project, workspace, _graph, _index, layers, _ = build_pipeline(
+        tmp_path, TWELVE_FILES, crate="twelve_crate", runner=runner
+    )
+    shutil.copytree(
+        project.workspace_dir, tmp_path / "icomp", ignore=shutil.ignore_patterns("target")
+    )
+    bodies = {fn_id: "a - b" for fn_id in workspace.body_ids()}
+    assert len(bodies) == 12
+
+    def cached_since(seen):
+        return ["-C incremental=" in line for line in compile_lines(log)[seen:]]
+
+    assert cached_since(0) == [False]  # assemble_and_verify
+    assert all(ok for ok, _, _ in compile_batch(workspace, bodies, runner).values())
+    assert cached_since(1) == [False]  # a step installing every body
+    fn_id = next(iter(bodies))
+    assert compile_batch(workspace, {fn_id: "a * b"}, runner)[fn_id][0]
+    assert cached_since(2) == [True]  # one body of twelve
+    rate, _ = incremental_comp_rate(tmp_path / "icomp", bodies, layers.flatten(), runner)
+    assert rate == 100.0
+    assert cached_since(3) == [False, False]  # ICompRate's baseline and restore
+    assert runner.incremental_builds == 1
 
 
 def test_parse_error_shares_file_with_type_error_and_good_bodies(tmp_path):
@@ -380,8 +423,8 @@ class SpanMover:
     def invocations(self):
         return self.inner.invocations
 
-    def build(self, root):
-        outcome = self.inner.build(root)
+    def build(self, root, incremental=False):
+        outcome = self.inner.build(root, incremental)
         if not outcome.ok and not self.moved:
             self.moved = True
             outcome.errors[0] = replace(outcome.errors[0], file="src/lib.rs", line=1)
@@ -587,10 +630,10 @@ class CrashOnBuild:
         self.inner = inner
         self.crash_at = crash_at
 
-    def build(self, root):
+    def build(self, root, incremental=False):
         if self.inner.invocations + 1 == self.crash_at:
             raise Killed
-        return self.inner.build(root)
+        return self.inner.build(root, incremental)
 
 
 def test_crash_while_bodies_are_held_restores_them(tmp_path):

@@ -102,11 +102,15 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_direct_build_matches_cargo_build(tmp_path, case):
+@pytest.mark.parametrize(
+    "case, incremental",
+    [pytest.param(case, False, id=case) for case in sorted(CASES)]
+    + [pytest.param(case, True, id=f"{case}-incremental") for case in sorted(CASES)],
+)
+def test_direct_build_matches_cargo_build(tmp_path, case, incremental):
     ok, files = CASES[case]
     expected = reference_build(make_crate(tmp_path / "cargo", files))
-    got = BuildRunner().build(make_crate(tmp_path / "direct", files))
+    got = BuildRunner().build(make_crate(tmp_path / "direct", files), incremental)
     assert expected.ok is ok
     assert got.ok == expected.ok
     assert got.errors == expected.errors
@@ -135,8 +139,12 @@ def logging_rustc(tmp_path: Path) -> tuple[str, Path, Path]:
     return str(wrapper), log, extra
 
 
+def compile_lines(log: Path) -> list[str]:
+    return [line for line in log.read_text().splitlines() if line != "-vV"]
+
+
 def compiles(log: Path) -> int:
-    return sum(1 for line in log.read_text().splitlines() if line != "-vV")
+    return len(compile_lines(log))
 
 
 WARNED = {
@@ -156,6 +164,21 @@ def test_unchanged_workspace_starts_no_rustc(tmp_path):
     assert first.ok and second.ok and len(first.warnings) == 1
     assert log.read_text() == logged  # not even `-vV`
     assert second == first
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["incremental-first", "plain-first"])
+def test_either_mode_hits_the_stamp_of_the_other(tmp_path, first):
+    """The incremental cache does not change a build's outcome, so it stays
+    out of the stamp's key: a clean build in one mode answers the other."""
+    rustc, log, _ = logging_rustc(tmp_path)
+    ws = make_crate(tmp_path / "ws", WARNED)
+    runner = BuildRunner(rustc=rustc)
+    written = runner.build(ws, incremental=first)
+    assert written.ok and len(written.warnings) == 1
+    assert ["-C incremental=" in line for line in compile_lines(log)] == [first]
+    assert runner.build(ws, incremental=not first) == written
+    assert compiles(log) == 1
+    assert runner.incremental_builds == int(first)
 
 
 def _edit_module(ws, extra):
