@@ -24,13 +24,18 @@ while bodies are held, it waits. A function proposes at most budget + 2
 candidates, so a wave takes at most budget + 2 steps, plus the steps by which
 waiting delays a function's later candidates (a body blamed late, or one that
 waited to be built on its own), plus one step to confirm what its last step
-leaves held (beside a fallback shim that failed). A step's build, batched or
-one by one, uses rustc's incremental cache only when fewer than one body in
-``INCREMENTAL_SHARE`` differs from the last clean build (its pending rollback
-entries, this step's installs included): a step in a broad wave compiles
-without it, one that changes a few bodies of a large crate with it. Every
-other build (the skeleton check, ICompRate's baseline, warnings, the FC gate)
-compiles without it.
+leaves held (beside a fallback shim that failed).
+
+rustc's incremental cache holds the crate as the last clean build that used
+it compiled it. A step's build, batched or one by one, uses the cache when
+fewer than one body in ``INCREMENTAL_SHARE`` was written since that build
+(``Workspace.uncached_count``). The first step of a narrow wave, one that
+installs fewer than one body in ``INCREMENTAL_SHARE``, uses it however much
+the cache lags, so that its build, if clean, brings a missing or stale cache
+up to date for the steps and narrow waves that follow; the later steps of a
+broad wave, and every step until such a build, compile without it. So does
+every other build: the skeleton check, ICompRate's baseline and restore,
+warnings and the FC gate.
 
 The batched path rests on body locality: the skeleton fixes every signature,
 so rustc checks each body against fixed interfaces and reports each error at
@@ -76,7 +81,8 @@ DIAG_PROMPT_LIMIT = 20
 #   100%             540 / 413     288 / 213
 # With loop-heavy bodies the cache still won at 25% (521 / 590, 272 / 445) and
 # lost at 100% (872 / 726, 521 / 345): one body in ten is below both
-# crossovers. A step build uses the cache below one changed body in this many.
+# crossovers. A step build uses the cache while fewer than one body in this
+# many differs from the crate the cache holds (see the module doc).
 INCREMENTAL_SHARE = 10
 
 _INT_TYPES = {"i8", "i16", "i32", "i64", "i128", "u8", "u16", "u32", "u64", "u128", "usize", "isize"}
@@ -112,12 +118,18 @@ def _diag_tuples(diags: list[Diagnostic]) -> list[tuple[Optional[str], str, str]
     ]
 
 
-def _build_step(workspace: Workspace, runner: BuildRunner) -> BuildOutcome:
+def _build_step(workspace: Workspace, runner: BuildRunner, opens_wave: bool) -> BuildOutcome:
     """Build the workspace after a step's installs, with rustc's incremental
-    cache when fewer than one body in ``INCREMENTAL_SHARE`` changed since the
-    last clean build: the bodies whose rollback entries are pending."""
-    few = workspace.pending_count() * INCREMENTAL_SHARE < workspace.body_count
-    return runner.build(workspace.root, incremental=few)
+    cache when fewer than one body in ``INCREMENTAL_SHARE`` differs from the
+    crate the cache holds or, for a wave's first step, when the step installs
+    fewer than that (its pending rollback entries); see the module doc."""
+    changed = workspace.pending_count() if opens_wave else workspace.uncached_count()
+    outcome = runner.build(
+        workspace.root, incremental=changed * INCREMENTAL_SHARE < workspace.body_count
+    )
+    if outcome.ok and outcome.used_cache:
+        workspace.cache_written()
+    return outcome
 
 
 def compile_and_install(
@@ -125,15 +137,17 @@ def compile_and_install(
     fn_id: str,
     body: str,
     runner: BuildRunner,
+    opens_wave: bool = False,
 ) -> Compiled:
-    """Install the body and build the whole project.
+    """Install the body and build the whole project, ``opens_wave`` when the
+    build belongs to a wave's first step (see the module doc).
 
     Success leaves the body installed; failure rolls the module file back
     byte-identically and returns the diagnostics plus a snapshot of the file
     as it looked with the failing body (rule fixes edit that snapshot).
     """
     workspace.install_body(fn_id, body)
-    outcome = _build_step(workspace, runner)
+    outcome = _build_step(workspace, runner, opens_wave)
     if outcome.ok:
         workspace.commit_install(fn_id)
         return True, [], ""
@@ -209,10 +223,12 @@ def compile_batch(
     workspace: Workspace,
     candidates: dict[str, str],
     runner: BuildRunner,
+    opens_wave: bool = False,
 ) -> dict[str, Compiled]:
     """One step of compiling candidate bodies: at most one batched build, then
     one build per candidate that is not batched. Returns the result, like
     ``compile_and_install``'s, of each candidate the step decides.
+    ``opens_wave`` marks a wave's first step (see the module doc).
 
     The candidates still held from an earlier step (installed and
     uncommitted, so their rollback entries are pending) ride in the build
@@ -239,7 +255,7 @@ def compile_batch(
         if fresh:
             workspace.install_bodies(fresh)
         live = [fn_id for fn_id in candidates if fn_id in held or fn_id in fresh]
-        outcome = _build_step(workspace, runner)
+        outcome = _build_step(workspace, runner, opens_wave)
         if outcome.ok:
             workspace.commit_installs(live)
             results = {fn_id: (True, [], "") for fn_id in live}
@@ -252,7 +268,7 @@ def compile_batch(
                     return results  # the others are held
     for fn_id, body in candidates.items():
         if fn_id not in results:
-            results[fn_id] = compile_and_install(workspace, fn_id, body, runner)
+            results[fn_id] = compile_and_install(workspace, fn_id, body, runner, opens_wave)
     return results
 
 
@@ -561,5 +577,10 @@ def repair_layer(
 ) -> dict[str, FunctionOutcome]:
     """Settle one wave of the schedule: the step machines of its functions
     advance in lockstep, each step's candidates compiled through
-    ``compile_batch`` (see the module doc's build bounds)."""
-    return _settle(machines, lambda step: compile_batch(workspace, step, runner))
+    ``compile_batch`` (see the module doc's build bounds), the first as the
+    step that opens the wave."""
+    first = iter([True])
+    return _settle(
+        machines,
+        lambda step: compile_batch(workspace, step, runner, opens_wave=next(first, False)),
+    )

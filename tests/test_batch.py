@@ -30,7 +30,13 @@ from rustport.graph import build_graph, build_symbol_index, schedule
 from rustport.knowledge import KnowledgeBase
 from rustport.metrics import LedgerEntry, incremental_comp_rate
 from rustport.pipeline import RunArtifacts, TranslationRun
-from rustport.repair import compile_and_install, compile_batch, repair_loop, settle_bodies
+from rustport.repair import (
+    compile_and_install,
+    compile_batch,
+    repair_layer,
+    repair_loop,
+    settle_bodies,
+)
 from rustport.skeleton import FALLBACK_MARK, load_project
 from rustport.workspace import Workspace
 
@@ -349,11 +355,16 @@ TWELVE_FILES = {
 }
 
 
-def test_only_a_step_changing_few_bodies_uses_the_incremental_cache(tmp_path):
-    """rustc keeps no incremental state from a failing build, and saving it
-    costs more than it saves when most bodies changed, so only a step whose
-    build changes fewer than one body in ten since the last clean build asks
-    for the cache."""
+def _proposal(body):
+    """A step machine that proposes one body and returns its result."""
+    return (yield body)
+
+
+def test_a_step_uses_the_incremental_cache_only_near_the_crate_it_holds(tmp_path):
+    """rustc's cache holds the crate as the last clean build that used it saw
+    it, and saving it costs more than it saves when most bodies differ, so a
+    step asks for it only while fewer than one body in ten was written since
+    that build, or when it opens a wave that installs fewer than that."""
     rustc, log, _ = logging_rustc(tmp_path)
     runner = BuildRunner(rustc=rustc)
     project, workspace, _graph, _index, layers, _ = build_pipeline(
@@ -364,20 +375,49 @@ def test_only_a_step_changing_few_bodies_uses_the_incremental_cache(tmp_path):
     )
     bodies = {fn_id: "a - b" for fn_id in workspace.body_ids()}
     assert len(bodies) == 12
+    first, second = list(bodies)[:2]
+    seen = 0
 
-    def cached_since(seen):
-        return ["-C incremental=" in line for line in compile_lines(log)[seen:]]
+    def cached():
+        """Whether each rustc run since the last call used the cache."""
+        nonlocal seen
+        lines = compile_lines(log)[seen:]
+        seen += len(lines)
+        return ["-C incremental=" in line for line in lines]
 
-    assert cached_since(0) == [False]  # assemble_and_verify
-    assert all(ok for ok, _, _ in compile_batch(workspace, bodies, runner).values())
-    assert cached_since(1) == [False]  # a step installing every body
-    fn_id = next(iter(bodies))
-    assert compile_batch(workspace, {fn_id: "a * b"}, runner)[fn_id][0]
-    assert cached_since(2) == [True]  # one body of twelve
+    def ok(results):
+        return {fn_id: result[0] for fn_id, result in results.items()}
+
+    assert cached() == [False]  # assemble_and_verify
+    assert all(ok(compile_batch(workspace, bodies, runner)).values())
+    assert cached() == [False]  # a step installing every body
+    # one body of twelve, but no clean build has written the cache yet
+    assert ok(compile_batch(workspace, {first: "a +"}, runner)) == {first: False}
+    assert cached() == [False]
+    # a wave of one body of twelve opens with it, and its clean build writes it
+    assert ok(repair_layer(workspace, {first: _proposal("a * b")}, runner)) == {first: True}
+    assert cached() == [True]
+    # so the steps after it that change one body use it, failing or clean
+    assert ok(compile_batch(workspace, {first: "a +"}, runner)) == {first: False}
+    assert ok(compile_batch(workspace, {second: "b - a"}, runner)) == {second: True}
+    assert cached() == [True, True]
+    # a broad wave leaves the cache behind: its first step, and its second
+    # that confirms the eleven bodies held beside the one that failed
+    broad = {fn_id: _proposal("a + b") for fn_id in bodies}
+    broad[first] = _proposal("a +")
+    assert ok(repair_layer(workspace, broad, runner)) == {
+        fn_id: fn_id != first for fn_id in bodies
+    }
+    assert cached() == [False, False]
+    assert ok(compile_batch(workspace, {first: "a - b"}, runner)) == {first: True}
+    assert cached() == [False]
+    # until a narrow wave opens
+    assert ok(repair_layer(workspace, {second: _proposal("a * b")}, runner)) == {second: True}
+    assert cached() == [True]
     rate, _ = incremental_comp_rate(tmp_path / "icomp", bodies, layers.flatten(), runner)
     assert rate == 100.0
-    assert cached_since(3) == [False, False]  # ICompRate's baseline and restore
-    assert runner.incremental_builds == 1
+    assert cached() == [False, False]  # ICompRate's baseline and restore
+    assert runner.incremental_builds == 4
 
 
 def test_parse_error_shares_file_with_type_error_and_good_bodies(tmp_path):

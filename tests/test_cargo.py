@@ -174,9 +174,10 @@ def test_either_mode_hits_the_stamp_of_the_other(tmp_path, first):
     ws = make_crate(tmp_path / "ws", WARNED)
     runner = BuildRunner(rustc=rustc)
     written = runner.build(ws, incremental=first)
-    assert written.ok and len(written.warnings) == 1
+    assert written.ok and len(written.warnings) == 1 and written.used_cache is first
     assert ["-C incremental=" in line for line in compile_lines(log)] == [first]
-    assert runner.build(ws, incremental=not first) == written
+    hit = runner.build(ws, incremental=not first)
+    assert hit == written and not hit.used_cache
     assert compiles(log) == 1
     assert runner.incremental_builds == int(first)
 
