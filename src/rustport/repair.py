@@ -27,8 +27,8 @@ waited to be built on its own), plus one step to confirm what its last step
 leaves held (beside a fallback shim that failed).
 
 rustc's incremental cache holds the crate as the last clean build that used
-it compiled it. A step's build, batched or one by one, uses the cache when
-fewer than one body in ``INCREMENTAL_SHARE`` was written since that build
+it compiled it. A step's build, batched or one by one, uses the cache while
+fewer than one body in ``INCREMENTAL_SHARE`` differs from that crate
 (``Workspace.uncached_count``). The first step of a narrow wave, one that
 installs fewer than one body in ``INCREMENTAL_SHARE``, uses it however much
 the cache lags, so that its build, if clean, brings a missing or stale cache
@@ -70,10 +70,10 @@ DEFAULT_REPAIR_BUDGET = 5
 DIAG_PROMPT_LIMIT = 20
 
 # rustc saves no incremental state after a failing build, so its cache pays
-# off only while few bodies differ from the last clean build, and costs more
-# than it saves when most do. One rustc run after editing k random bodies of a
-# translated 1000-function crate (40 modules), median of 3, ms with / without
-# the cache, rustc 1.95 on 2 vCPUs:
+# off only while few bodies differ from the crate the last clean build that
+# used it compiled, and costs more than it saves when most do. One rustc run
+# after editing k random bodies of a translated 1000-function crate (40
+# modules), median of 3, ms with / without the cache, rustc 1.95 on 2 vCPUs:
 #   bodies changed   clean build   failing build
 #   1%               249 / 501     121 / 202
 #   10%              350 / 342     170 / 205
