@@ -20,9 +20,8 @@ cache (``-C incremental``, kept in ``target/rustport/incremental``) only when
 few items differ from the crate as the cache holds it, which is as the last
 clean build that used the cache saw it: rustc saves no incremental state
 after a failing build, and hashing and saving the cache costs more than it
-saves when most items changed (``repair`` decides, and ``BuildOutcome``
-says whether rustc ran with the cache). After a clean build a stamp there
-records the compiler arguments other than the cache's (the
+saves when most items changed (``repair`` decides). After a clean build a
+stamp there records the compiler arguments other than the cache's (the
 outcome does not depend on it, so either mode hits the other's stamp) and the
 environment, the toolchain's ``rustc -vV``, the sha256 of every file and the
 value of every environment variable the build's dep-info lists, and the
@@ -91,9 +90,6 @@ class BuildOutcome:
     ok: bool
     errors: list[Diagnostic]
     warnings: list[Diagnostic]
-    # rustc ran with the incremental cache (never on a stamp hit); a clean
-    # such build leaves the cache holding the crate as it compiled it
-    used_cache: bool = field(default=False, compare=False)
 
 
 def _parse_message(msg: dict) -> Diagnostic:
@@ -396,11 +392,9 @@ class BuildRunner:
                     f"{program} failed (exit {proc.returncode}) without diagnostics:\n"
                     + proc.stderr[-2000:]
                 )
-            return BuildOutcome(
-                ok=False, errors=errors, warnings=warnings, used_cache=incremental
-            )
+            return BuildOutcome(ok=False, errors=errors, warnings=warnings)
         _write_stamp(workspace_dir, stamp_path, key, crate, raw_warnings)
-        return BuildOutcome(ok=True, errors=errors, warnings=warnings, used_cache=incremental)
+        return BuildOutcome(ok=True, errors=errors, warnings=warnings)
 
     def _toolchain(self, workspace_dir: Path) -> tuple[str, str]:
         """The rustc program to run and its ``-vV`` text, found once per

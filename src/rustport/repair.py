@@ -26,16 +26,13 @@ waiting delays a function's later candidates (a body blamed late, or one that
 waited to be built on its own), plus one step to confirm what its last step
 leaves held (beside a fallback shim that failed).
 
-rustc's incremental cache holds the crate as the last clean build that used
-it compiled it. A step's build, batched or one by one, uses the cache while
-fewer than one body in ``INCREMENTAL_SHARE`` differs from that crate
-(``Workspace.uncached_count``). The first step of a narrow wave, one that
-installs fewer than one body in ``INCREMENTAL_SHARE``, uses it however much
-the cache lags, so that its build, if clean, brings a missing or stale cache
-up to date for the steps and narrow waves that follow; the later steps of a
-broad wave, and every step until such a build, compile without it. So does
-every other build: the skeleton check, ICompRate's baseline and restore,
-warnings and the FC gate.
+A narrow wave, one holding fewer than one function in ``INCREMENTAL_SHARE``
+of the crate's bodies, builds every step with rustc's incremental cache;
+nothing else does: not a broad wave, the skeleton check, ICompRate's baseline
+and restore, warnings, the FC gate or the serial ``repair_loop``. A wave's
+steps change only its own bodies, so after a narrow wave's first clean build
+writes the cache, every later build of that wave and of the narrow waves that
+follow differs from the crate the cache holds in few bodies.
 
 The batched path rests on body locality: the skeleton fixes every signature,
 so rustc checks each body against fixed interfaces and reports each error at
@@ -56,7 +53,7 @@ from pathlib import Path
 from typing import Callable, Generator, Optional, TypeVar
 
 from . import rustlex
-from .cargo import BuildOutcome, BuildRunner, Diagnostic, render_diagnostics
+from .cargo import BuildRunner, Diagnostic, render_diagnostics
 from .errors import WorkspaceError
 from .graph import GlobalSymbolIndex
 from .skeleton import FALLBACK_MARK, FunctionStub
@@ -81,8 +78,8 @@ DIAG_PROMPT_LIMIT = 20
 #   100%             540 / 413     288 / 213
 # With loop-heavy bodies the cache still won at 25% (521 / 590, 272 / 445) and
 # lost at 100% (872 / 726, 521 / 345): one body in ten is below both
-# crossovers. A step build uses the cache while fewer than one body in this
-# many differs from the crate the cache holds (see the module doc).
+# crossovers. A wave uses the cache when it holds fewer than one function in
+# this many of the crate's bodies (see the module doc).
 INCREMENTAL_SHARE = 10
 
 _INT_TYPES = {"i8", "i16", "i32", "i64", "i128", "u8", "u16", "u32", "u64", "u128", "usize", "isize"}
@@ -118,36 +115,22 @@ def _diag_tuples(diags: list[Diagnostic]) -> list[tuple[Optional[str], str, str]
     ]
 
 
-def _build_step(workspace: Workspace, runner: BuildRunner, opens_wave: bool) -> BuildOutcome:
-    """Build the workspace after a step's installs, with rustc's incremental
-    cache when fewer than one body in ``INCREMENTAL_SHARE`` differs from the
-    crate the cache holds or, for a wave's first step, when the step installs
-    fewer than that (its pending rollback entries); see the module doc."""
-    changed = workspace.pending_count() if opens_wave else workspace.uncached_count()
-    outcome = runner.build(
-        workspace.root, incremental=changed * INCREMENTAL_SHARE < workspace.body_count
-    )
-    if outcome.ok and outcome.used_cache:
-        workspace.cache_written()
-    return outcome
-
-
 def compile_and_install(
     workspace: Workspace,
     fn_id: str,
     body: str,
     runner: BuildRunner,
-    opens_wave: bool = False,
+    incremental: bool = False,
 ) -> Compiled:
-    """Install the body and build the whole project, ``opens_wave`` when the
-    build belongs to a wave's first step (see the module doc).
+    """Install the body and build the whole project, with rustc's incremental
+    cache when ``incremental`` is set (see the module doc).
 
     Success leaves the body installed; failure rolls the module file back
     byte-identically and returns the diagnostics plus a snapshot of the file
     as it looked with the failing body (rule fixes edit that snapshot).
     """
     workspace.install_body(fn_id, body)
-    outcome = _build_step(workspace, runner, opens_wave)
+    outcome = runner.build(workspace.root, incremental)
     if outcome.ok:
         workspace.commit_install(fn_id)
         return True, [], ""
@@ -223,12 +206,12 @@ def compile_batch(
     workspace: Workspace,
     candidates: dict[str, str],
     runner: BuildRunner,
-    opens_wave: bool = False,
+    incremental: bool = False,
 ) -> dict[str, Compiled]:
     """One step of compiling candidate bodies: at most one batched build, then
-    one build per candidate that is not batched. Returns the result, like
+    one build per candidate that is not batched, each with rustc's
+    incremental cache when ``incremental`` is set. Returns the result, like
     ``compile_and_install``'s, of each candidate the step decides.
-    ``opens_wave`` marks a wave's first step (see the module doc).
 
     The candidates still held from an earlier step (installed and
     uncommitted, so their rollback entries are pending) ride in the build
@@ -255,7 +238,7 @@ def compile_batch(
         if fresh:
             workspace.install_bodies(fresh)
         live = [fn_id for fn_id in candidates if fn_id in held or fn_id in fresh]
-        outcome = _build_step(workspace, runner, opens_wave)
+        outcome = runner.build(workspace.root, incremental)
         if outcome.ok:
             workspace.commit_installs(live)
             results = {fn_id: (True, [], "") for fn_id in live}
@@ -268,7 +251,7 @@ def compile_batch(
                     return results  # the others are held
     for fn_id, body in candidates.items():
         if fn_id not in results:
-            results[fn_id] = compile_and_install(workspace, fn_id, body, runner, opens_wave)
+            results[fn_id] = compile_and_install(workspace, fn_id, body, runner, incremental)
     return results
 
 
@@ -577,10 +560,9 @@ def repair_layer(
 ) -> dict[str, FunctionOutcome]:
     """Settle one wave of the schedule: the step machines of its functions
     advance in lockstep, each step's candidates compiled through
-    ``compile_batch`` (see the module doc's build bounds), the first as the
-    step that opens the wave."""
-    first = iter([True])
+    ``compile_batch`` (see the module doc's build bounds), every step with
+    rustc's incremental cache when the wave is narrow."""
+    incremental = len(machines) * INCREMENTAL_SHARE < workspace.body_count
     return _settle(
-        machines,
-        lambda step: compile_batch(workspace, step, runner, opens_wave=next(first, False)),
+        machines, lambda step: compile_batch(workspace, step, runner, incremental)
     )

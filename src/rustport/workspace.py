@@ -16,7 +16,7 @@ import logging
 import os
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import WorkspaceError
 from .skeleton import BODY_BEGIN, BODY_END, module_rel_file
@@ -96,11 +96,6 @@ class Workspace:
         self.root = Path(root)
         self._meta = self.root / ".rustport"
         self._rollback_file = self._meta / "rollback.json"
-        # each body written since the last clean build that used rustc's
-        # incremental cache, with its segment as that build compiled it (None
-        # while this object has seen no such build), and those that differ
-        self._cached: Optional[dict[str, str]] = None
-        self._uncached: set[str] = set()
         self._recover()
 
     def module_file(self, fn_id: str) -> Path:
@@ -142,12 +137,6 @@ class Workspace:
             # bottom-up, so splicing one segment leaves the others' indices valid
             for fn_id in sorted(spans, key=lambda f: spans[f][0], reverse=True):
                 begin, end = spans[fn_id]
-                if self._cached is not None:
-                    cached = self._cached.setdefault(fn_id, "".join(lines[begin + 1 : end]))
-                    if raws[fn_id] == cached:
-                        self._uncached.discard(fn_id)
-                    else:
-                        self._uncached.add(fn_id)
                 lines[begin + 1 : end] = [raws[fn_id]]
             _replace_file(path, "".join(lines))
 
@@ -218,22 +207,6 @@ class Workspace:
         back: their rollback entries are pending."""
         store = self._load_store()
         return {fn_id for fn_id in fn_ids if store.get(fn_id)}
-
-    def pending_count(self) -> int:
-        """How many bodies are installed but neither committed nor rolled
-        back: those that differ from the last build that committed."""
-        return sum(1 for stack in self._load_store().values() if stack)
-
-    def uncached_count(self) -> int:
-        """How many bodies differ from the crate as rustc's incremental cache
-        holds it, as the last clean build that used the cache compiled it:
-        every body until this object has seen such a build."""
-        return self.body_count if self._cached is None else len(self._uncached)
-
-    def cache_written(self) -> None:
-        """Note a clean build that used rustc's incremental cache: the cache
-        now holds every body as it stands."""
-        self._cached, self._uncached = {}, set()
 
     def install_body(self, fn_id: str, body: str) -> None:
         """Replace the segment, keeping the prior content for rollback."""

@@ -355,16 +355,20 @@ TWELVE_FILES = {
 }
 
 
-def _proposal(body):
-    """A step machine that proposes one body and returns its result."""
-    return (yield body)
+def _candidates(*bodies):
+    """A step machine that proposes each body in turn until one compiles,
+    and returns the last result."""
+    for body in bodies:
+        result = yield body
+        if result[0]:
+            break
+    return result
 
 
-def test_a_step_uses_the_incremental_cache_only_near_the_crate_it_holds(tmp_path):
-    """rustc's cache holds the crate as the last clean build that used it saw
-    it, and saving it costs more than it saves when most bodies differ, so a
-    step asks for it only while fewer than one body in ten was written since
-    that build, or when it opens a wave that installs fewer than that."""
+def test_only_a_narrow_wave_uses_the_incremental_cache(tmp_path):
+    """Saving rustc's cache costs more than it saves when most bodies changed,
+    so only a wave holding fewer than one function in ten of the crate's
+    bodies asks for it, at every step; nothing else does."""
     rustc, log, _ = logging_rustc(tmp_path)
     runner = BuildRunner(rustc=rustc)
     project, workspace, _graph, _index, layers, _ = build_pipeline(
@@ -389,35 +393,27 @@ def test_a_step_uses_the_incremental_cache_only_near_the_crate_it_holds(tmp_path
         return {fn_id: result[0] for fn_id, result in results.items()}
 
     assert cached() == [False]  # assemble_and_verify
-    assert all(ok(compile_batch(workspace, bodies, runner)).values())
-    assert cached() == [False]  # a step installing every body
-    # one body of twelve, but no clean build has written the cache yet
-    assert ok(compile_batch(workspace, {first: "a +"}, runner)) == {first: False}
-    assert cached() == [False]
-    # a wave of one body of twelve opens with it, and its clean build writes it
-    assert ok(repair_layer(workspace, {first: _proposal("a * b")}, runner)) == {first: True}
-    assert cached() == [True]
-    # so the steps after it that change one body use it, failing or clean
-    assert ok(compile_batch(workspace, {first: "a +"}, runner)) == {first: False}
-    assert ok(compile_batch(workspace, {second: "b - a"}, runner)) == {second: True}
-    assert cached() == [True, True]
-    # a broad wave leaves the cache behind: its first step, and its second
-    # that confirms the eleven bodies held beside the one that failed
-    broad = {fn_id: _proposal("a + b") for fn_id in bodies}
-    broad[first] = _proposal("a +")
+    # a broad wave: its first step, and its second that confirms the eleven
+    # bodies held beside the one that failed
+    broad = {fn_id: _candidates("a - b") for fn_id in bodies}
+    broad[first] = _candidates("a +")
     assert ok(repair_layer(workspace, broad, runner)) == {
         fn_id: fn_id != first for fn_id in bodies
     }
     assert cached() == [False, False]
-    assert ok(compile_batch(workspace, {first: "a - b"}, runner)) == {first: True}
-    assert cached() == [False]
-    # until a narrow wave opens
-    assert ok(repair_layer(workspace, {second: _proposal("a * b")}, runner)) == {second: True}
-    assert cached() == [True]
+    # one body, but outside a wave
+    assert ok(compile_batch(workspace, {first: "a * b"}, runner)) == {first: True}
+    assert ok(settle_bodies(workspace, {second: "b - a"}, runner)) == {second: True}
+    assert cached() == [False, False]
     rate, _ = incremental_comp_rate(tmp_path / "icomp", bodies, layers.flatten(), runner)
     assert rate == 100.0
     assert cached() == [False, False]  # ICompRate's baseline and restore
-    assert runner.incremental_builds == 4
+    # a wave of one function of twelve: its failing first step and the clean
+    # second step, although no build has written the cache before
+    narrow = {first: _candidates("a +", "a - b")}
+    assert ok(repair_layer(workspace, narrow, runner)) == {first: True}
+    assert cached() == [True, True]
+    assert runner.incremental_builds == 2
 
 
 def test_parse_error_shares_file_with_type_error_and_good_bodies(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 
 import pytest
@@ -157,7 +158,9 @@ def synthetic_project(n_dirs=3, fns_per_file=4):
     return files, bodies
 
 
-def test_layered_synthetic_project_translates_fully(tmp_path):
+def _translate_layered(tmp_path, caplog, kb):
+    """Translate the synthetic project fully, check that its final bodies
+    restore with ICompRate 100, and return the per-wave log lines."""
     files, bodies = synthetic_project()
     root = tmp_path / "cproj"
     for rel, text in files.items():
@@ -199,8 +202,10 @@ def test_layered_synthetic_project_translates_fully(tmp_path):
     run = TranslationRun(
         skeleton=project, workspace=Workspace(project.workspace_dir), graph=graph,
         index=index, layers=layers, backend=OracleBackend(bodies), runner=runner,
+        kb=kb,
     )
-    outcomes = run.execute()
+    with caplog.at_level(logging.INFO, logger="rustport.pipeline"):
+        outcomes = run.execute()
     assert len(outcomes) == 12
     assert all(o.final_state == "translated" for o in outcomes.values())
 
@@ -210,6 +215,23 @@ def test_layered_synthetic_project_translates_fully(tmp_path):
     final_bodies = {fn: o.final_body for fn, o in outcomes.items()}
     rate, ledger = incremental_comp_rate(fresh.workspace_dir, final_bodies, order, runner)
     assert rate == 100.0
+    return [r.getMessage() for r in caplog.records if r.name == "rustport.pipeline"]
+
+
+def test_layered_synthetic_project_translates_fully(tmp_path, caplog):
+    """With no knowledge flowing between layers the 12 functions settle in one
+    broad wave, which builds without rustc's incremental cache."""
+    lines = _translate_layered(tmp_path, caplog, kb=None)
+    assert lines == [lines[0]] and "12 functions, 1 builds (0 incremental)" in lines[0]
+
+
+def test_layered_synthetic_project_with_a_knowledge_base_uses_the_cache(tmp_path, caplog):
+    """An accumulating knowledge base makes 12 one-function waves, each
+    narrow enough to build with rustc's incremental cache."""
+    lines = _translate_layered(tmp_path, caplog, kb=KnowledgeBase())
+    assert [line.split(": ", 1)[1].split(", ")[:2] for line in lines] == [
+        ["1 functions", "1 builds (1 incremental)"]
+    ] * 12
 
 
 def test_parallel_generation_same_outcomes(tmp_path):
