@@ -30,9 +30,9 @@ A narrow wave, one holding fewer than one function in ``INCREMENTAL_SHARE``
 of the crate's bodies, builds every step with rustc's incremental cache;
 nothing else does: not a broad wave, the skeleton check, ICompRate's baseline
 and restore, warnings, the FC gate or the serial ``repair_loop``. A wave's
-steps change only its own bodies, so after a narrow wave's first clean build
-writes the cache, every later build of that wave and of the narrow waves that
-follow differs from the crate the cache holds in few bodies.
+steps change only its own bodies, so once a narrow wave's first clean build
+writes the cache, the later builds of that wave, and of the narrow waves
+straight after it, differ from the crate the cache holds in few bodies.
 
 The batched path rests on body locality: the skeleton fixes every signature,
 so rustc checks each body against fixed interfaces and reports each error at
