@@ -4,6 +4,12 @@ Loads ``compile_commands.json``-shaped traces, keeps each unit's
 preprocessing flags from the recorded argv in their recorded order, and
 preprocesses each translation unit with the host preprocessor under exactly
 those flags, so later stages see the declarations the real build saw.
+
+Lines are counted as the preprocessor counts them (``split_lines``): a unit's
+``line_map`` row and origin line, and the function source later cut from its
+main file, never shift at a form feed or U+2028. Each unit is preprocessed on
+its own; what its build's units share is reused at planning time
+(``csyms.SharedHeaders``).
 """
 
 from __future__ import annotations
@@ -181,6 +187,18 @@ _LINE_MARKER = re.compile(r'^#\s+(\d+)\s+"([^"]*)"')
 _OBJECT_DEFINE = re.compile(r"#define (\w+) (.+)$")
 
 
+def split_lines(text: str) -> list[str]:
+    """``text`` cut where the C preprocessor ends a line: at LF, CR LF and a
+    lone CR, never at the other breaks ``str.splitlines`` knows (form feed,
+    U+2028, ...); a final line end opens no further line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) -> PreprocessedUnit:
     """Run the external preprocessor under the unit's exact flags.
 
@@ -188,49 +206,54 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
     in force; ``line_map`` is reconstructed from the markers so every line
     that is neither blank nor a directive maps back to one original
     file:line, and ``defines`` lists the object-like definitions where they
-    stood.
+    stood. Lines are counted as the preprocessor counts them (see
+    ``split_lines``), and output that is not UTF-8 is a ``PreprocessError``.
     """
     cmd = ctx.command
     # -dD keeps every #define in place in the output
     argv = [*toolchain.executable, *toolchain.base_flags, "-dD", *ctx.flags, str(cmd.source_path())]
 
     try:
-        proc = subprocess.run(
-            argv,
-            cwd=cmd.directory,
-            capture_output=True,
-            text=True,
-            check=False,
-        )
+        proc = subprocess.run(argv, cwd=cmd.directory, capture_output=True, check=False)
     except OSError as exc:
         raise PreprocessError(f"cannot invoke preprocessor {argv[0]}: {exc}") from exc
     if proc.returncode != 0:
         raise PreprocessError(
             f"preprocessor failed on {cmd.source_file} (exit {proc.returncode})",
-            diagnostics=proc.stderr,
+            diagnostics=proc.stderr.decode("utf-8", "replace"),
         )
+    try:
+        output = proc.stdout.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PreprocessError(f"{cmd.source_file}: preprocessed text is not UTF-8: {exc}") from exc
 
-    lines = proc.stdout.splitlines()
+    lines = split_lines(output)
     line_map: dict[int, tuple[str, int]] = {}
     defines: list[tuple[str, str, str, int]] = []
     current_file = str(cmd.source_path())
-    current_line = 1
-    for out_line_no, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            lines[out_line_no - 1] = ""
+    # each output row after a marker is one origin line further on, so a
+    # row's origin line is its row plus the offset the last marker set
+    offset = 0
+    for row, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        if line[0] != "#":
+            if not line.isspace():
+                line_map[row] = (current_file, row + offset)
+            continue
+        lines[row - 1] = ""
+        if line[1:2].isspace():
             m = _LINE_MARKER.match(line)
             if m:
-                current_line = int(m.group(1))
+                # the marker names the origin line of the row after it
+                offset = int(m.group(1)) - row - 1
                 current_file = m.group(2)
-                continue
+        elif line.startswith("#define ") and not current_file.startswith("<"):
             m = _OBJECT_DEFINE.match(line)
-            if m and not current_file.startswith("<"):
+            if m:
                 # the units of one build share most system-header macros
                 name, replacement = map(sys.intern, m.groups())
-                defines.append((name, replacement, current_file, current_line))
-        elif line and not line.isspace():
-            line_map[out_line_no] = (current_file, current_line)
-        current_line += 1
+                defines.append((name, replacement, current_file, row + offset))
 
     lines.append("")  # the output's final newline
     return PreprocessedUnit(origin=ctx, text="\n".join(lines), line_map=line_map, defines=defines)

@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import shlex
 import shutil
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .backends import OracleBackend, RemoteBackend, ReplayBackend, ScriptedFailureBackend
@@ -138,7 +140,10 @@ def cmd_skeleton(args) -> int:
     cpp = PreprocessorConfig(
         executable=list(config.preprocessor), base_flags=list(config.preprocessor_flags)
     )
-    units = [preprocess_unit(derive_unit_context(cmd), cpp) for cmd in commands]
+    # each unit waits on its own preprocessor process; map keeps trace order,
+    # and so raises the error of the first failing unit in that order
+    with ThreadPoolExecutor(max_workers=min(len(commands), os.cpu_count() or 1)) as pool:
+        units = list(pool.map(lambda cmd: preprocess_unit(derive_unit_context(cmd), cpp), commands))
 
     skel_config = SkeletonConfig(
         crate_name=config.crate_name or project_root.name.replace("-", "_"),

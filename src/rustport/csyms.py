@@ -6,6 +6,11 @@ globals. Expression parsing is limited to identifier harvesting, which is all
 reference collection needs. Declarations originating outside the project root
 (system headers pulled in by the real build) are not emitted; only their type
 names are harvested so project declarations referring to them still parse.
+
+The units of one build include the same headers. ``SharedHeaders`` does the
+work that depends only on those headers once for all of a build's units:
+classifying each line-marker file as project or system, and harvesting each
+distinct system-header text. ``skeleton.plan_skeleton`` owns one per plan.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .buildctx import PreprocessedUnit
+from .buildctx import PreprocessedUnit, split_lines
+from .errors import PreprocessError
 
 logger = logging.getLogger(__name__)
 
@@ -181,14 +187,42 @@ _ENV_TAG_RE = re.compile(r"\b(?:struct|union|enum)\s+(\w+)")
 _ENV_FNPTR_TYPEDEF_RE = re.compile(r"\btypedef\b[^;]*\(\s*\*\s*(\w+)\s*\)")
 
 
-def _harvest_env_names(text_chunk: str) -> set[str]:
+def _harvest_env_names(text_chunk: str) -> frozenset[str]:
     """The type and tag names that system-header text declares."""
     regexes = (_ENV_TYPEDEF_RE, _ENV_FNPTR_TYPEDEF_RE, _ENV_TAG_RE)
-    return {m.group(1) for r in regexes for m in r.finditer(text_chunk)}
+    return frozenset(m.group(1) for r in regexes for m in r.finditer(text_chunk))
+
+
+class SharedHeaders:
+    """The work on a build's shared headers, done once for all its units.
+
+    The units of one build include the same system and project headers, so
+    the same line-marker files recur in every unit and the same system-header
+    text reaches every unit's type-name harvest. One instance remembers each
+    (compiler directory, marker file) classification and each harvested text
+    for as long as its owner keeps it: ``plan_skeleton`` makes one per plan.
+    """
+
+    def __init__(self) -> None:
+        self._paths: dict[tuple[str, str, str], Optional[Path]] = {}
+        self._env_names: dict[str, frozenset[str]] = {}
+
+    def project_path(self, file: str, project_root: Path, base_dir: Path) -> Optional[Path]:
+        """``_project_path`` of the arguments, resolved once per instance."""
+        key = (str(project_root), str(base_dir), file)
+        if key not in self._paths:
+            self._paths[key] = _project_path(file, project_root, base_dir)
+        return self._paths[key]
+
+    def env_names(self, text: str) -> frozenset[str]:
+        """The names ``text`` declares, harvested once per instance."""
+        if text not in self._env_names:
+            self._env_names[text] = _harvest_env_names(text)
+        return self._env_names[text]
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], table: SymbolTable, env_types: set[str]):
+    def __init__(self, toks: list[_Tok], table: SymbolTable, env_types: frozenset[str]):
         self.toks = toks
         self.pos = 0
         self.table = table
@@ -942,7 +976,9 @@ def _consume_local_declaration(
     return i
 
 
-def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
+def extract_symbols(
+    unit: PreprocessedUnit, project_root, shared: Optional[SharedHeaders] = None
+) -> SymbolTable:
     """Categorize every project-owned top-level declaration in the unit.
 
     Declarations whose origin file lies outside ``project_root`` (system
@@ -950,20 +986,29 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
     the parser cannot read is skipped and listed in ``issues``. A defined
     function's source runs from its first token's line through its closing
     brace's line: original lines in the unit's main file, preprocessed lines
-    elsewhere. The unit's object-like macros whose replacement is an integer,
-    character or string literal become its main file's ``macro_constants``
-    and its project headers' ``header_constants``.
+    elsewhere; both are counted as the preprocessor counts them
+    (``buildctx.split_lines``). The unit's object-like macros whose
+    replacement is an integer, character or string literal become its main
+    file's ``macro_constants`` and its project headers' ``header_constants``.
+
+    ``shared`` carries the header work of the unit's build across its units;
+    without one, the unit's header work is done for it alone. A main file
+    that is not UTF-8 is a ``PreprocessError``.
     """
     project_root = Path(project_root).resolve()
+    shared = shared or SharedHeaders()
     main_file = str(unit.origin.command.source_path())
     try:
-        original = Path(main_file).read_text(encoding="utf-8").splitlines()
+        original = split_lines(Path(main_file).read_text(encoding="utf-8"))
     except OSError:
         original = []
+    except UnicodeDecodeError as exc:
+        source = unit.origin.command.source_file
+        raise PreprocessError(f"{source}: source is not UTF-8: {exc}") from exc
     table = SymbolTable()
 
     base_dir = Path(unit.origin.command.directory)
-    project_path = functools.cache(lambda file: _project_path(file, project_root, base_dir))
+    project_path = functools.cache(lambda file: shared.project_path(file, project_root, base_dir))
 
     for name, replacement, file, line in unit.defines:
         header = project_path(file)
@@ -981,7 +1026,7 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
     # project (system headers) only feed type-name harvesting
     toks: list[_Tok] = []
     env_lines: list[str] = []
-    pre_lines = unit.text.splitlines()
+    pre_lines = split_lines(unit.text)
     for out_no, (file, line) in unit.line_map.items():
         raw = pre_lines[out_no - 1]
         if project_path(file) is None:
@@ -989,7 +1034,7 @@ def extract_symbols(unit: PreprocessedUnit, project_root) -> SymbolTable:
         else:
             for tm in _TOKEN_RE.finditer(raw):
                 toks.append(_Tok(tm.group(0), tm.lastgroup or "punct", file, line, out_no))
-    parser = _Parser(toks, table, _harvest_env_names("\n".join(env_lines)))
+    parser = _Parser(toks, table, shared.env_names("\n".join(env_lines)))
     parser.parse()
 
     for fn in table.functions:

@@ -25,6 +25,7 @@ from .csyms import (
     CGlobalDecl,
     CType,
     CTypeDef,
+    SharedHeaders,
     SymbolTable,
     base_names,
     declared_types,
@@ -356,9 +357,12 @@ def plan_skeleton(
 
     rel_keys = _relative_keys(project_root, unit_paths)
     symtabs: dict[str, SymbolTable] = {}
+    # the units share their headers' work for this plan only: a later plan
+    # may read other files under the same names
+    shared = SharedHeaders()
     for unit in units:
         module = tree.mapping[rel_keys[str(unit.origin.command.source_path().resolve())]]
-        symtabs[module] = extract_symbols(unit, project_root=project_root)
+        symtabs[module] = extract_symbols(unit, project_root=project_root, shared=shared)
 
     # a declaration the parser could not read is a hole, never a silent drop
     holes: list[str] = []

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -207,6 +208,37 @@ def test_line_map_totality_and_origins(tmp_path):
         unit.line_map[no] for no, line in enumerate(lines, start=1) if "int first" in line
     }
     assert (str(src), 1) in declared
+
+
+def test_line_map_counts_lines_as_the_preprocessor_does(tmp_path):
+    # gcc ends a line at LF, CR LF and a lone CR, never at a form feed,
+    # vertical tab or U+2028; each `__LINE__` is gcc's own count of its line
+    source = (
+        "int a = __LINE__;\r\n"
+        "int b = __LINE__;\r"
+        "int c = __LINE__;\n\r\n\f\n"
+        "int d = __LINE__;\v\n"
+        'const char *s = "\u2028\x1c\x85"; int e = __LINE__;\n'
+        '#include "h.h"\r'
+        "int f = __LINE__;\n"
+    )
+    (tmp_path / "h.h").write_text("int in_header;\n")
+    unit = unit_for(tmp_path, source)
+    rows = unit.text.split("\n")
+    seen = {}
+    for row, (file, line) in unit.line_map.items():
+        m = re.search(r"int (\w) = (\d+);", rows[row - 1])
+        if m and file == str(tmp_path / "u.c"):
+            assert line == int(m.group(2)), m.group(1)
+            seen[m.group(1)] = line
+    assert seen == {"a": 1, "b": 2, "c": 3, "d": 6, "e": 7, "f": 9}
+
+
+def test_undecodable_preprocessed_text_is_an_error_naming_the_unit(tmp_path):
+    (tmp_path / "u.c").write_bytes(b'const char *g = "caf\xe9";\n')
+    cmd = CompileCommand(directory=str(tmp_path), source_file="u.c", arguments=["cc", "-c", "u.c"])
+    with pytest.raises(PreprocessError, match="u.c"):
+        preprocess_unit(derive_unit_context(cmd), CPP)
 
 
 def test_preprocess_failure_captures_diagnostics(tmp_path):

@@ -75,6 +75,27 @@ def test_skeleton_response_file_cycle_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "ws").exists()
 
 
+@pytest.mark.parametrize(
+    "order", [["a.c", "latin1.c", "missing.c"], ["a.c", "missing.c", "latin1.c"]]
+)
+def test_skeleton_reports_the_first_failing_unit_in_trace_order(tmp_path, capsys, order):
+    # the units are preprocessed concurrently; the error stays the one of the
+    # first unit in trace order that fails
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    (proj / "a.c").write_text("int ok(void) { return 1; }\n")
+    (proj / "latin1.c").write_bytes(b'const char *g = "caf\xe9";\n')
+    (proj / "missing.c").write_text('#include "no_such_header.h"\n')
+    rc = run_cli(
+        "skeleton", "--project", proj, "--trace", write_trace(proj, order), "--out", tmp_path / "ws"
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    first_bad, other_bad = order[1:]
+    assert first_bad in err and other_bad not in err
+
+
 def test_skeleton_missing_trace_nonzero(tmp_path, capsys):
     proj, _ = setup_mini_list(tmp_path)
     rc = run_cli(
@@ -485,6 +506,7 @@ def test_translate_prompts_equal_an_in_memory_run(tmp_path):
         "skeleton", "--project", proj, "--trace", trace, "--out", ws,
         "--config", proj / "project.json",
     ) == 0
+    cli_skeleton = tree_digest(ws / "src")
     assert run_cli(
         "translate", "--workspace", ws, "--backend", "oracle",
         "--oracle-bodies", proj / "oracle_bodies.json", "--run-id", "cli",
@@ -500,6 +522,8 @@ def test_translate_prompts_equal_an_in_memory_run(tmp_path):
     project = assemble_and_verify(
         plan_skeleton(proj, units, SkeletonConfig(crate_name="mini_cycle")), tmp_path / "mem_ws"
     )
+    # the CLI preprocesses its units concurrently, this run one after another
+    assert tree_digest(tmp_path / "mem_ws" / "src") == cli_skeleton
     index = build_symbol_index(project)
     graph = build_graph(index, project)
     TranslationRun(

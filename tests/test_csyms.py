@@ -4,6 +4,7 @@ import pytest
 
 from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
 from rustport.csyms import CFuncSig, CType, extract_symbols, read_literal
+from rustport.errors import PreprocessError
 from rustport.graph import build_graph, build_symbol_index
 from rustport.skeleton import plan_skeleton
 
@@ -292,6 +293,32 @@ def test_source_text_keeps_conditional_braces_and_directives(tmp_path):
     table, _ = extract(tmp_path, src)
     [fn] = table.functions
     assert fn.source_text == src.rstrip("\n")
+
+
+def test_source_text_and_locations_count_lines_as_the_preprocessor_does(tmp_path):
+    # a form feed or U+2028 ends no line for gcc; CR LF and a lone CR do
+    src = (
+        'const char *s = "\u2028";\n'
+        "int a(int x)\r\n{\r\n    return x;\r\n}\r\n\f\r"
+        "int b(int y)\n{\n    return y * 2;\n}\n"
+    )
+    (tmp_path / "u.c").write_bytes(src.encode("utf-8"))
+    cmd = CompileCommand(str(tmp_path), "u.c", ["cc", "-c", "u.c"])
+    table = extract_symbols(preprocess_unit(derive_unit_context(cmd), CPP), tmp_path)
+    fns = {fn.name: (fn.source_loc, fn.source_text) for fn in table.functions}
+    assert fns == {
+        "a": (f"{tmp_path / 'u.c'}:2", "int a(int x)\n{\n    return x;\n}"),
+        "b": (f"{tmp_path / 'u.c'}:7", "int b(int y)\n{\n    return y * 2;\n}"),
+    }
+
+
+def test_undecodable_main_file_is_an_error_naming_the_unit(tmp_path):
+    # the preprocessor drops the comment, so only the main file's own read fails
+    (tmp_path / "u.c").write_bytes(b"/* caf\xe9 */\nint f(void) { return 1; }\n")
+    cmd = CompileCommand(str(tmp_path), "u.c", ["cc", "-c", "u.c"])
+    unit = preprocess_unit(derive_unit_context(cmd), CPP)
+    with pytest.raises(PreprocessError, match="u.c"):
+        extract_symbols(unit, tmp_path)
 
 
 def test_source_text_of_a_header_function_is_preprocessed(tmp_path):
