@@ -12,8 +12,9 @@ crate layout that a direct compile cannot honour (any other table or package
 key, a ``build.rs``, a binary target) is a ``BuildToolError``. Cargo's own
 inputs, ``RUSTFLAGS`` and ``.cargo/config.toml``, do not reach these builds.
 
-When ``rustc`` is a rustup proxy, the runner asks it once for the toolchain's
-sysroot and then runs that toolchain's rustc, as cargo does under rustup.
+When ``rustc`` is a rustup proxy, the runner asks ``rustup which rustc`` once,
+in the workspace, and then runs that toolchain's rustc, as cargo does under
+rustup.
 
 Outputs go to ``target/rustport/``. A caller asks for rustc's incremental
 cache (``-C incremental``, kept in ``target/rustport/incremental``) only when
@@ -27,7 +28,10 @@ environment, the toolchain's ``rustc -vV``, the sha256 of every file and the
 value of every environment variable the build's dep-info lists, and the
 warnings. A later build whose inputs all match returns that outcome without
 starting rustc; any other build first deletes the stamp.
-``cargo`` runs only as the default test command.
+``cargo`` runs only as the default test command, with ``CARGO_INCREMENTAL=0``
+unless the caller's environment sets it: the test command runs once per
+evaluation, after translation changed the crate, so hashing and saving an
+incremental cache costs more than a later run would gain from it.
 
 Every invocation runs under a time limit: a build that outlives
 ``BUILD_TIMEOUT_S`` is an infrastructure failure, a test command that outlives
@@ -147,6 +151,7 @@ def _run(argv: list[str], cwd, timeout: float, env: Optional[dict] = None) -> su
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            errors="replace",  # a test may print any bytes
             start_new_session=True,
         )
     except OSError as exc:
@@ -400,24 +405,31 @@ class BuildRunner:
         """The rustc program to run and its ``-vV`` text, found once per
         runner. A rustup proxy picks the toolchain anew on every call, one
         more process start per compile; as cargo does under rustup, the
-        runner calls the picked toolchain's own rustc instead."""
+        runner calls the picked toolchain's own rustc instead. ``rustup
+        which`` runs in the workspace, so a toolchain file there counts, as
+        does ``RUSTUP_TOOLCHAIN``."""
         if self._toolchain_info is None:
             program = self.rustc
             found = shutil.which(program)
             if found is not None and _is_rustup_proxy(Path(found)):
-                sysroot = _query([program, "--print", "sysroot"], workspace_dir)
-                direct = Path(sysroot.strip()) / "bin" / "rustc"
+                proxy = Path(found)
+                rustup = str(proxy.with_name("rustup"))
+                direct = Path(_query([rustup, "which", proxy.name], workspace_dir).strip())
                 if direct.is_file():
                     program = str(direct)
             self._toolchain_info = (program, _query([program, "-vV"], workspace_dir))
         return self._toolchain_info
 
     def run_tests(self, workspace_dir, command: Optional[list[str]] = None) -> subprocess.CompletedProcess:
+        """Run the test command (``cargo test`` by default) in the workspace,
+        with cargo's incremental cache off unless the caller's environment
+        sets ``CARGO_INCREMENTAL``."""
         argv = command or ["cargo", "test"]
+        env = {"CARGO_INCREMENTAL": "0", **os.environ}
         with self._lock:
             self.invocations += 1
             try:
-                return _run(argv, workspace_dir, TEST_TIMEOUT_S)
+                return _run(argv, workspace_dir, TEST_TIMEOUT_S, env)
             except subprocess.TimeoutExpired as exc:
                 raise HarnessTimeoutError(
                     f"test command {' '.join(argv)!r} timed out after {TEST_TIMEOUT_S:g} s"

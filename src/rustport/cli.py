@@ -390,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="compute the metric suite")
     p.add_argument("--workspace", required=True, help="translated workspace")
     p.add_argument("--skeleton", default=None, help="clean skeleton workspace for ICompRate")
-    p.add_argument("--tests", default=None, help="test command (quoted)")
+    p.add_argument(
+        "--tests", default=None,
+        help="test command (quoted); FC is 0 when it exits non-zero with no failed test counted",
+    )
     p.add_argument("--run-id", dest="run_id", default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--force", action="store_true")

@@ -272,8 +272,16 @@ def functional_correctness(
     test_command: Optional[list[str]] = None,
     runner: Optional[BuildRunner] = None,
 ) -> tuple[Optional[float], str]:
-    """Project-level test pass rate; (None, note) when not run, (0.0, note)
-    when the test command times out."""
+    """Project-level test pass rate, summed over the ``N passed; M failed``
+    summaries of the test command's output (``cargo test`` by default, run
+    with cargo's incremental cache off unless the caller sets
+    ``CARGO_INCREMENTAL``).
+
+    (None, note) when the workspace does not build or no test is discovered.
+    (0.0, note) when the test command times out, or exits non-zero while its
+    summaries count no failed test: a test binary that aborts or crashes
+    prints no summary of its own. A zero exit with no summary is a
+    ``MetricsError``."""
     runner = runner or BuildRunner()
     build = runner.build(workspace_dir)
     if not build.ok:
@@ -284,13 +292,15 @@ def functional_correctness(
         return 0.0, str(exc)
     output = proc.stdout + "\n" + proc.stderr
     matches = _TEST_SUMMARY_RE.findall(output)
+    passed = sum(int(p) for p, _ in matches)
+    failed = sum(int(f) for _, f in matches)
+    if proc.returncode != 0 and failed == 0:
+        return 0.0, f"test command exited {proc.returncode} with no failed test in its summaries"
     if not matches:
         raise MetricsError(
             f"test harness output had no parsable summary (exit {proc.returncode}):\n"
             + output[-2000:]
         )
-    passed = sum(int(p) for p, _ in matches)
-    failed = sum(int(f) for _, f in matches)
     total = passed + failed
     if total == 0:
         return None, "no tests discovered"

@@ -270,20 +270,20 @@ def test_manifest_a_direct_build_cannot_honour_is_refused(tmp_path, extra, name)
 
 
 def test_rustup_proxy_is_resolved_once_per_runner(tmp_path):
-    """A proxy (a link to `rustup`) is asked for the toolchain's sysroot once;
-    version queries and compiles then go to the sysroot's own rustc."""
+    """`rustup which rustc` is asked once, beside a proxy (a link to
+    `rustup`); version queries and compiles then go to the rustc it names."""
     log = tmp_path / "calls.log"
-    sysroot = tmp_path / "toolchain"
-    (sysroot / "bin").mkdir(parents=True)
-    direct = sysroot / "bin" / "rustc"
+    toolchain = tmp_path / "toolchain"
+    (toolchain / "bin").mkdir(parents=True)
+    direct = toolchain / "bin" / "rustc"
     direct.write_text(f'#!/bin/sh\necho "direct $1" >> "{log}"\nexec rustc "$@"\n')
     direct.chmod(0o755)
     proxy_dir = tmp_path / "proxy"
     proxy_dir.mkdir()
     rustup = proxy_dir / "rustup"
     rustup.write_text(
-        f'#!/bin/sh\necho "proxy $1" >> "{log}"\n'
-        f'[ "$1" = --print ] && {{ echo "{sysroot}"; exit 0; }}\nexec rustc "$@"\n'
+        f'#!/bin/sh\necho "proxy $*" >> "{log}"\n'
+        f'[ "$1" = which ] && {{ echo "{direct}"; exit 0; }}\nexec rustc "$@"\n'
     )
     rustup.chmod(0o755)
     (proxy_dir / "rustc").symlink_to("rustup")
@@ -293,5 +293,5 @@ def test_rustup_proxy_is_resolved_once_per_runner(tmp_path):
     (ws / "src/a.rs").write_text("pub fn f() {}\n")
     assert runner.build(ws).ok
     assert log.read_text().splitlines() == [
-        "proxy --print", "direct -vV", "direct --crate-name", "direct --crate-name",
+        "proxy which rustc", "direct -vV", "direct --crate-name", "direct --crate-name",
     ]

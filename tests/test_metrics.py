@@ -200,18 +200,83 @@ def test_warning_count_not_available_on_broken_build(tmp_path):
 # --- functional correctness ----------------------------------------------------------
 
 
-def test_fc_three_of_four(tmp_path):
-    ws = make_workspace(tmp_path, "pub fn add(a: i32, b: i32) -> i32 { a + b }\n", crate="fc_case")
+def make_test_crate(tmp_path, crate: str, tests: dict[str, str]) -> Path:
+    ws = make_workspace(tmp_path, "pub fn add(a: i32, b: i32) -> i32 { a + b }\n", crate=crate)
     (ws / "tests").mkdir()
-    (ws / "tests" / "suite.rs").write_text(
-        "use fc_case::add;\n"
-        "#[test]\nfn t1() { assert_eq!(add(1, 1), 2); }\n"
-        "#[test]\nfn t2() { assert_eq!(add(2, 2), 4); }\n"
-        "#[test]\nfn t3() { assert_eq!(add(3, 3), 6); }\n"
-        "#[test]\nfn t4() { assert_eq!(add(1, 1), 3); }\n"
-    )
-    rate, note = functional_correctness(ws, ["cargo", "test", "--test", "suite"], BuildRunner())
+    for name, text in tests.items():
+        (ws / "tests" / name).write_text(text)
+    return ws
+
+
+THREE_OF_FOUR = {
+    "suite.rs": "use fc_case::add;\n"
+    "#[test]\nfn t1() { assert_eq!(add(1, 1), 2); }\n"
+    "#[test]\nfn t2() { assert_eq!(add(2, 2), 4); }\n"
+    "#[test]\nfn t3() { assert_eq!(add(3, 3), 6); }\n"
+    "#[test]\nfn t4() { assert_eq!(add(1, 1), 3); }\n"
+}
+SUITE = ["cargo", "test", "--test", "suite"]
+
+
+def test_fc_three_of_four(tmp_path):
+    ws = make_test_crate(tmp_path, "fc_case", THREE_OF_FOUR)
+    rate, note = functional_correctness(ws, SUITE, BuildRunner())
     assert rate == pytest.approx(75.0)
+
+
+def test_test_command_runs_without_cargo_incremental_unless_set(tmp_path, monkeypatch):
+    ws = make_workspace(tmp_path, "pub fn fine() -> i32 { 5 }\n")
+    show = ["sh", "-c", 'printf %s "$CARGO_INCREMENTAL"']
+    assert BuildRunner().run_tests(ws, show).stdout == "0"
+    monkeypatch.setenv("CARGO_INCREMENTAL", "1")
+    assert BuildRunner().run_tests(ws, show).stdout == "1"
+
+
+def test_fc_writes_no_incremental_cache(tmp_path):
+    ws = make_test_crate(tmp_path, "fc_case", THREE_OF_FOUR)
+    functional_correctness(ws, SUITE, BuildRunner())
+    assert list((ws / "target" / "debug" / "incremental").glob("*")) == []
+
+
+def test_fc_is_the_same_with_cargo_incremental_on(tmp_path, monkeypatch):
+    off = functional_correctness(
+        make_test_crate(tmp_path / "off", "fc_case", THREE_OF_FOUR), SUITE, BuildRunner()
+    )
+    monkeypatch.setenv("CARGO_INCREMENTAL", "1")
+    ws = make_test_crate(tmp_path / "on", "fc_case", THREE_OF_FOUR)
+    on = functional_correctness(ws, SUITE, BuildRunner())
+    assert list((ws / "target" / "debug" / "incremental").glob("*")) != []
+    assert on == off == (pytest.approx(75.0), "")
+
+
+def test_fc_aborted_test_binary_is_zero_with_a_note(tmp_path):
+    # cargo exits non-zero, and the aborted binary prints no summary, so the
+    # summaries alone would read 1 passed, 0 failed
+    ws = make_test_crate(tmp_path, "fc_abort", {
+        "a.rs": "#[test]\nfn passes() {}\n",
+        "t.rs": "#[test]\nfn passes() {}\n#[test]\nfn aborts() { std::process::abort(); }\n",
+    })
+    rate, note = functional_correctness(ws, ["cargo", "test"], BuildRunner())
+    assert rate == 0.0
+    assert "exited 101" in note
+
+
+def test_fc_exit_zero_without_a_summary_is_an_error(tmp_path):
+    ws = make_workspace(tmp_path, "pub fn fine() -> i32 { 5 }\n")
+    with pytest.raises(MetricsError, match="no parsable summary"):
+        functional_correctness(ws, ["true"], BuildRunner())
+
+
+def test_fc_reads_test_output_that_is_not_utf8(tmp_path):
+    ws = make_test_crate(tmp_path, "fc_bytes", {
+        "suite.rs": "use std::io::Write;\n"
+        "#[test]\nfn passes() {}\n"
+        "#[test]\nfn fails() {\n"
+        "    std::io::stdout().write_all(b\"\\xff\\xfe\").unwrap();\n"
+        "    panic!();\n}\n",
+    })
+    rate, note = functional_correctness(ws, SUITE, BuildRunner())
+    assert (rate, note) == (pytest.approx(50.0), "")
 
 
 def test_fc_not_run_when_build_fails(tmp_path):
