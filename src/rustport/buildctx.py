@@ -5,21 +5,19 @@ preprocessing flags from the recorded argv in their recorded order, and
 preprocesses each translation unit with the host preprocessor under exactly
 those flags, so later stages see the declarations the real build saw.
 
-Lines are counted as the preprocessor counts them (``split_lines``): a unit's
-``line_map`` row and origin line, and the function source later cut from its
-main file, never shift at a form feed or U+2028. Each unit is preprocessed on
-its own; what its build's units share is reused at planning time
-(``csyms.SharedHeaders``).
+A unit keeps the preprocessor's output exactly as printed: its line markers,
+its ``-dD`` definitions and its other directives stay in place, and
+``csyms.extract_symbols`` reads them all in its one scan of the text. Each
+unit is preprocessed on its own; what its build's units share is reused at
+planning time (``csyms.SharedHeaders``).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import re
 import shlex
 import subprocess
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,19 +51,12 @@ class TranslationUnitContext:
 
 @dataclass
 class PreprocessedUnit:
-    """Fully expanded translation unit plus a line-origin map."""
+    """A fully expanded translation unit: the preprocessor's output under the
+    unit's flags, exactly as printed, line markers and ``-dD`` definitions
+    included; ``csyms.extract_symbols`` is its one reader."""
 
     origin: TranslationUnitContext
-    # the output with its marker and directive lines blanked, each line in its
-    # row: a build's units are held at once, and line_map and defines hold
-    # what those lines said
     text: str
-    # preprocessed line number (1-based) -> (origin file, origin line), for
-    # every line that is neither blank nor a directive
-    line_map: dict[int, tuple[str, int]]
-    # (name, replacement, file, line) of each object-like macro with a
-    # replacement in force under the unit's flags, in the order defined
-    defines: list[tuple[str, str, str, int]]
 
 
 @dataclass
@@ -179,38 +170,14 @@ def derive_unit_context(cmd: CompileCommand) -> TranslationUnitContext:
     return TranslationUnitContext(command=cmd, flags=flags)
 
 
-# GNU-style line marker: `# <line> "<file>" [flags]`
-_LINE_MARKER = re.compile(r'^#\s+(\d+)\s+"([^"]*)"')
-# `-dD` prints each definition as `#define NAME REPLACEMENT`, comments
-# stripped and continuations joined; a `(` right after the name makes it
-# function-like, and an empty replacement defines no value
-_OBJECT_DEFINE = re.compile(r"#define (\w+) (.+)$")
-
-
-def split_lines(text: str) -> list[str]:
-    """``text`` cut where the C preprocessor ends a line: at LF, CR LF and a
-    lone CR, never at the other breaks ``str.splitlines`` knows (form feed,
-    U+2028, ...); a final line end opens no further line."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) -> PreprocessedUnit:
     """Run the external preprocessor under the unit's exact flags.
 
-    The output keeps line markers and, through ``-dD``, the macro definitions
-    in force; ``line_map`` is reconstructed from the markers so every line
-    that is neither blank nor a directive maps back to one original
-    file:line, and ``defines`` lists the object-like definitions where they
-    stood. Lines are counted as the preprocessor counts them (see
-    ``split_lines``), and output that is not UTF-8 is a ``PreprocessError``.
+    ``-dD`` keeps every macro definition in force in the output, in place
+    under the line marker of its file. Output that is not UTF-8 is a
+    ``PreprocessError``.
     """
     cmd = ctx.command
-    # -dD keeps every #define in place in the output
     argv = [*toolchain.executable, *toolchain.base_flags, "-dD", *ctx.flags, str(cmd.source_path())]
 
     try:
@@ -223,40 +190,10 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
             diagnostics=proc.stderr.decode("utf-8", "replace"),
         )
     try:
-        output = proc.stdout.decode("utf-8")
+        text = proc.stdout.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PreprocessError(f"{cmd.source_file}: preprocessed text is not UTF-8: {exc}") from exc
-
-    lines = split_lines(output)
-    line_map: dict[int, tuple[str, int]] = {}
-    defines: list[tuple[str, str, str, int]] = []
-    current_file = str(cmd.source_path())
-    # each output row after a marker is one origin line further on, so a
-    # row's origin line is its row plus the offset the last marker set
-    offset = 0
-    for row, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        if line[0] != "#":
-            if not line.isspace():
-                line_map[row] = (current_file, row + offset)
-            continue
-        lines[row - 1] = ""
-        if line[1:2].isspace():
-            m = _LINE_MARKER.match(line)
-            if m:
-                # the marker names the origin line of the row after it
-                offset = int(m.group(1)) - row - 1
-                current_file = m.group(2)
-        elif line.startswith("#define ") and not current_file.startswith("<"):
-            m = _OBJECT_DEFINE.match(line)
-            if m:
-                # the units of one build share most system-header macros
-                name, replacement = map(sys.intern, m.groups())
-                defines.append((name, replacement, current_file, row + offset))
-
-    lines.append("")  # the output's final newline
-    return PreprocessedUnit(origin=ctx, text="\n".join(lines), line_map=line_map, defines=defines)
+    return PreprocessedUnit(origin=ctx, text=text)
 
 
 def dedupe_by_source(commands: list[CompileCommand]) -> list[CompileCommand]:

@@ -421,10 +421,11 @@ class BuildRunner:
         return self._toolchain_info
 
     def run_tests(self, workspace_dir, command: Optional[list[str]] = None) -> subprocess.CompletedProcess:
-        """Run the test command (``cargo test`` by default) in the workspace,
-        with cargo's incremental cache off unless the caller's environment
-        sets ``CARGO_INCREMENTAL``."""
-        argv = command or ["cargo", "test"]
+        """Run the test command in the workspace, with cargo's incremental
+        cache off unless the caller's environment sets ``CARGO_INCREMENTAL``.
+        A given command runs as given; the default, ``cargo test
+        --no-fail-fast``, runs every test binary past a failing one."""
+        argv = command or ["cargo", "test", "--no-fail-fast"]
         env = {"CARGO_INCREMENTAL": "0", **os.environ}
         with self._lock:
             self.invocations += 1

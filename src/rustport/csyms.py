@@ -7,6 +7,12 @@ reference collection needs. Declarations originating outside the project root
 (system headers pulled in by the real build) are not emitted; only their type
 names are harvested so project declarations referring to them still parse.
 
+``extract_symbols`` is the one reader of the preprocessor's output. It walks
+the rows once: a line marker sets the file and line the rows after it come
+from, a ``-dD`` definition in a project file may give a named constant, and a
+code row is either tokenized for the parser or, from a system header, kept for
+the type-name harvest.
+
 The units of one build include the same headers. ``SharedHeaders`` does the
 work that depends only on those headers once for all of a build's units:
 classifying each line-marker file as project or system, and harvesting each
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .buildctx import PreprocessedUnit, split_lines
+from .buildctx import PreprocessedUnit
 from .errors import PreprocessError
 
 logger = logging.getLogger(__name__)
@@ -144,10 +150,9 @@ class SymbolTable:
     globals: list[CGlobalDecl] = field(default_factory=list)
     # each declaration the parser could not read: "<construct> at <file:line>"
     issues: list[str] = field(default_factory=list)
-    # object-like literal macros of the unit's main file: (name, value)
-    macro_constants: list[tuple[str, object]] = field(default_factory=list)
-    # those of the project headers it included: (resolved header, line, name, value)
-    header_constants: list[tuple[Path, int, str, object]] = field(default_factory=list)
+    # object-like literal macros of its project files, in the order defined:
+    # (resolved project header, or None in the unit's main file, line, name, value)
+    constants: list[tuple[Optional[Path], int, str, object]] = field(default_factory=list)
 
 
 @dataclass
@@ -169,6 +174,26 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+# GNU-style line marker: `# <line> "<file>" [flags]`
+_LINE_MARKER = re.compile(r'^#\s+(\d+)\s+"([^"]*)"')
+# `-dD` prints each definition as `#define NAME REPLACEMENT`, comments
+# stripped and continuations joined; a `(` right after the name makes it
+# function-like, and an empty replacement defines no value
+_OBJECT_DEFINE = re.compile(r"#define (\w+) (.+)$")
+
+
+def split_lines(text: str) -> list[str]:
+    """``text`` cut where the C preprocessor ends a line: at LF, CR LF and a
+    lone CR, never at the other breaks ``str.splitlines`` knows (form feed,
+    U+2028, ...); a final line end opens no further line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
 
 def _project_path(file: str, project_root: Path, base_dir: Path) -> Optional[Path]:
     """The resolved path of ``file`` if it lies inside ``project_root``."""
@@ -233,6 +258,8 @@ class _Parser:
         self._decl_start: Optional[_Tok] = None
         # defined function -> (its first token, its body's closing brace)
         self.extents: dict[str, tuple[_Tok, _Tok]] = {}
+        # the names in table.functions
+        self.function_names: set[str] = set()
 
     # --- token helpers -------------------------------------------------
 
@@ -704,12 +731,18 @@ class _Parser:
             fn.calls = calls - {decl.name} - param_names
             fn.value_refs = values - param_names - {decl.name}
             self.extents[fn.name] = (tok, body[-1])
-        # a definition supersedes any earlier prototype of the same name
-        if defined:
+        self.add_function(fn)
+
+    def add_function(self, fn: CFunctionDecl) -> None:
+        """List ``fn`` once per name: a definition takes the place of an
+        earlier declaration of its name, at the end of the list; any other
+        redeclaration is dropped."""
+        if fn.name in self.function_names:
+            if not fn.defined_here:
+                return
             self.table.functions = [f for f in self.table.functions if f.name != fn.name]
-            self.table.functions.append(fn)
-        elif not any(f.name == fn.name for f in self.table.functions):
-            self.table.functions.append(fn)
+        self.function_names.add(fn.name)
+        self.table.functions.append(fn)
 
     def make_global(
         self,
@@ -981,15 +1014,17 @@ def extract_symbols(
 ) -> SymbolTable:
     """Categorize every project-owned top-level declaration in the unit.
 
-    Declarations whose origin file lies outside ``project_root`` (system
-    headers) only contribute type names, never emitted symbols. A declaration
-    the parser cannot read is skipped and listed in ``issues``. A defined
-    function's source runs from its first token's line through its closing
-    brace's line: original lines in the unit's main file, preprocessed lines
-    elsewhere; both are counted as the preprocessor counts them
-    (``buildctx.split_lines``). The unit's object-like macros whose
-    replacement is an integer, character or string literal become its main
-    file's ``macro_constants`` and its project headers' ``header_constants``.
+    One pass over the preprocessor's rows reads every line marker, definition
+    and line of code. Declarations whose origin file lies outside
+    ``project_root`` (system headers) only contribute type names, never
+    emitted symbols. A declaration the parser cannot read is skipped and
+    listed in ``issues``. A defined function's source runs from its first
+    token's line through its closing brace's line: original lines in the
+    unit's main file, preprocessed lines elsewhere, with each directive row
+    among them blank; both are counted as the preprocessor counts them
+    (``split_lines``). The object-like macros of the unit's project files
+    whose replacement is an integer, character or string literal become its
+    ``constants``.
 
     ``shared`` carries the header work of the unit's build across its units;
     without one, the unit's header work is done for it alone. A main file
@@ -1010,31 +1045,47 @@ def extract_symbols(
     base_dir = Path(unit.origin.command.directory)
     project_path = functools.cache(lambda file: shared.project_path(file, project_root, base_dir))
 
-    for name, replacement, file, line in unit.defines:
-        header = project_path(file)
-        if header is None:
-            continue  # built in, from the command line, or a system header's
-        value = read_literal(replacement)
-        if value is None or isinstance(value, float):
-            logger.info("macro %s skipped: non-literal replacement %r", name, replacement)
-        elif file == main_file:
-            table.macro_constants.append((name, value))
-        else:
-            table.header_constants.append((header, line, name, value))
-
-    # attribute each line through the unit's line map; lines from outside the
-    # project (system headers) only feed type-name harvesting
     toks: list[_Tok] = []
-    env_lines: list[str] = []
-    pre_lines = split_lines(unit.text)
-    for out_no, (file, line) in unit.line_map.items():
-        raw = pre_lines[out_no - 1]
-        if project_path(file) is None:
-            env_lines.append(raw)
-        else:
-            for tm in _TOKEN_RE.finditer(raw):
-                toks.append(_Tok(tm.group(0), tm.lastgroup or "punct", file, line, out_no))
-    parser = _Parser(toks, table, shared.env_names("\n".join(env_lines)))
+    env_rows: list[str] = []
+    rows = split_lines(unit.text)
+    file = main_file
+    # each row after a marker is one origin line further on, so a row's
+    # origin line is its row plus the offset the last marker set
+    offset = 0
+    for row, text in enumerate(rows, start=1):
+        if not text:
+            continue
+        if text[0] != "#":
+            if text.isspace():
+                continue
+            # lines from outside the project (system headers) only feed
+            # type-name harvesting
+            if project_path(file) is None:
+                env_rows.append(text)
+            else:
+                for tm in _TOKEN_RE.finditer(text):
+                    toks.append(_Tok(tm.group(0), tm.lastgroup or "punct", file, row + offset, row))
+            continue
+        # a directive reads as a blank line in a function's source
+        rows[row - 1] = ""
+        if text[1:2].isspace():
+            m = _LINE_MARKER.match(text)
+            if m:
+                # the marker names the origin line of the row after it
+                offset = int(m.group(1)) - row - 1
+                file = m.group(2)
+        # built-in and command-line definitions are never a project file's
+        elif text.startswith("#define ") and not file.startswith("<"):
+            m = _OBJECT_DEFINE.match(text)
+            if m and (header := project_path(file)) is not None:
+                name, replacement = m.groups()
+                value = read_literal(replacement)
+                if value is None or isinstance(value, float):
+                    logger.info("macro %s skipped: non-literal replacement %r", name, replacement)
+                else:
+                    header = None if file == main_file else header
+                    table.constants.append((header, row + offset, name, value))
+    parser = _Parser(toks, table, shared.env_names("\n".join(env_rows)))
     parser.parse()
 
     for fn in table.functions:
@@ -1043,7 +1094,7 @@ def extract_symbols(
             if first.file == last.file == main_file and original:
                 fn.source_text = "\n".join(original[first.line - 1 : last.line])
             else:
-                fn.source_text = "\n".join(pre_lines[first.row - 1 : last.row])
+                fn.source_text = "\n".join(rows[first.row - 1 : last.row])
     return table
 
 

@@ -213,11 +213,9 @@ class ScheduleLayers:
         return [n for layer in self.layers for n in layer]
 
 
-def _tarjan_scc(nodes: list[str], edges: set[tuple[str, str]]) -> list[set[str]]:
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
-    for u, v in edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
+def _tarjan_scc(adj: dict[str, list[str]]) -> list[set[str]]:
+    """The strongly connected components of the graph whose successors of
+    each node ``adj`` lists, each emitted after every component it reaches."""
     index_counter = [0]
     stack: list[str] = []
     on_stack: set[str] = set()
@@ -260,57 +258,43 @@ def _tarjan_scc(nodes: list[str], edges: set[tuple[str, str]]) -> list[set[str]]
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
 
-    for n in nodes:
+    for n in adj:
         if n not in index:
             strongconnect(n)
     return out
 
 
 def schedule(graph: SkeletonGraph) -> ScheduleLayers:
-    """Layered leaf-stripping over function-call edges.
+    """Layered bottom-up order over function-call edges.
 
-    Members of nontrivial strongly connected components (plus self-recursive
-    functions) all land in the final layer; edges into those members do not
-    block the stripping of acyclic callers, which are generated against the
-    cycle's placeholder signatures.
+    An acyclic function's layer is one past the highest layer among the
+    acyclic functions it calls, or 0 if it calls none. Members of nontrivial
+    strongly connected components (plus self-recursive functions) all land in
+    the final layer; edges into those members do not hold back their acyclic
+    callers, which are generated against the cycle's placeholder signatures.
     """
-    fns = graph.function_nodes()
-    fn_set = set(fns)
-    edges = {(u, v) for (u, v) in graph.call_edges if u in fn_set and v in fn_set}
+    callees: dict[str, list[str]] = {n: [] for n in graph.function_nodes()}
+    for u, v in graph.call_edges:
+        if u in callees and v in callees:
+            callees[u].append(v)
 
-    sccs = _tarjan_scc(fns, edges)
-    cyclic: set[str] = set()
-    for comp in sccs:
-        if len(comp) > 1:
-            cyclic |= comp
-    for u, v in edges:
-        if u == v:
-            cyclic.add(u)
+    layer_of: dict[str, int] = {}
+    cyclic: list[str] = []
+    # Tarjan emits a component only after every component it reaches, so each
+    # acyclic callee already has its layer
+    for comp in _tarjan_scc(callees):
+        [n, *rest] = comp
+        if rest or n in callees[n]:
+            cyclic += comp
+        else:
+            layer_of[n] = 1 + max((layer_of[v] for v in callees[n] if v in layer_of), default=-1)
 
-    acyclic = [n for n in fns if n not in cyclic]
-    # callee -> callers among acyclic nodes only
-    out_deg: dict[str, int] = {n: 0 for n in acyclic}
-    rev: dict[str, list[str]] = {n: [] for n in acyclic}
-    for u, v in edges:
-        if u in out_deg and v in out_deg and u != v:
-            out_deg[u] += 1
-            rev[v].append(u)
-
-    layers: list[list[str]] = []
-    current = sorted(n for n in acyclic if out_deg[n] == 0)
-    placed: set[str] = set()
-    while current:
-        layers.append(sorted(current, key=_layer_key))
-        placed.update(current)
-        for n in current:
-            for caller in rev[n]:
-                out_deg[caller] -= 1
-        current = sorted(
-            n for n in acyclic if n not in placed and out_deg[n] == 0
-        )
+    layers: list[list[str]] = [[] for _ in range(1 + max(layer_of.values(), default=-1))]
+    for n, layer in layer_of.items():
+        layers[layer].append(n)
     if cyclic:
-        layers.append(sorted(cyclic, key=_layer_key))
-    return ScheduleLayers(layers=layers)
+        layers.append(cyclic)
+    return ScheduleLayers(layers=[sorted(layer, key=_layer_key) for layer in layers])
 
 
 def _layer_key(node_id: str) -> tuple[str, str]:

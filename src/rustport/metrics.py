@@ -273,9 +273,9 @@ def functional_correctness(
     runner: Optional[BuildRunner] = None,
 ) -> tuple[Optional[float], str]:
     """Project-level test pass rate, summed over the ``N passed; M failed``
-    summaries of the test command's output (``cargo test`` by default, run
-    with cargo's incremental cache off unless the caller sets
-    ``CARGO_INCREMENTAL``).
+    summaries of the test command's output (``cargo test --no-fail-fast`` by
+    default, so every test binary counts; run with cargo's incremental cache
+    off unless the caller sets ``CARGO_INCREMENTAL``).
 
     (None, note) when the workspace does not build or no test is discovered.
     (0.0, note) when the test command times out, or exits non-zero while its

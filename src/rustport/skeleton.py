@@ -457,8 +457,8 @@ def plan_skeleton(
         if t.origin.kind == "enumeration"
         for n, v in t.origin.enumerators
     ]
-    defines = sorted((*c, m) for m, table in symtabs.items() for c in table.header_constants)
-    defines += [(None, 0, n, v, m) for m in sorted(symtabs) for n, v in symtabs[m].macro_constants]
+    defines = [(*c, m) for m in sorted(symtabs) for c in symtabs[m].constants]
+    defines = sorted(d for d in defines if d[0]) + [d for d in defines if not d[0]]
     headers = {name for header, _, name, _, _ in defines if header}
     values: dict[str, dict[str, set]] = {}
     for _, _, name, value, module in defines:

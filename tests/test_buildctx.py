@@ -1,6 +1,6 @@
 import json
+import logging
 import random
-import re
 import sys
 from pathlib import Path
 
@@ -14,6 +14,7 @@ from rustport.buildctx import (
     load_compile_commands,
     preprocess_unit,
 )
+from rustport.csyms import extract_symbols
 from rustport.errors import BuildTraceError, MalformedRecordError, MissingSourceError, PreprocessError
 
 CPP = PreprocessorConfig()
@@ -191,26 +192,15 @@ def test_branch_fidelity_property(tmp_path):
         assert (f"guarded_{trial}" in unit.text) == enable
 
 
-def test_line_map_totality_and_origins(tmp_path):
+def test_every_code_line_keeps_its_origin(tmp_path):
+    table = extract_symbols(unit_for(tmp_path, "int first;\nint second;\n"), tmp_path)
     src = tmp_path / "u.c"
-    src.write_text("int first;\nint second;\n")
-    cmd = CompileCommand(
-        directory=str(tmp_path), source_file="u.c", arguments=["cc", "-c", "u.c"]
-    )
-    unit = preprocess_unit(derive_unit_context(cmd), CPP)
-    lines = unit.text.splitlines()
-    for no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if stripped.startswith("#") or not stripped:
-            continue
-        assert no in unit.line_map
-    declared = {
-        unit.line_map[no] for no, line in enumerate(lines, start=1) if "int first" in line
-    }
-    assert (str(src), 1) in declared
+    assert [(g.name, g.source_loc) for g in table.globals] == [
+        ("first", f"{src}:1"), ("second", f"{src}:2"),
+    ]
 
 
-def test_line_map_counts_lines_as_the_preprocessor_does(tmp_path):
+def test_origin_lines_are_counted_as_the_preprocessor_does(tmp_path):
     # gcc ends a line at LF, CR LF and a lone CR, never at a form feed,
     # vertical tab or U+2028; each `__LINE__` is gcc's own count of its line
     source = (
@@ -223,14 +213,13 @@ def test_line_map_counts_lines_as_the_preprocessor_does(tmp_path):
         "int f = __LINE__;\n"
     )
     (tmp_path / "h.h").write_text("int in_header;\n")
-    unit = unit_for(tmp_path, source)
-    rows = unit.text.split("\n")
+    table = extract_symbols(unit_for(tmp_path, source), tmp_path)
     seen = {}
-    for row, (file, line) in unit.line_map.items():
-        m = re.search(r"int (\w) = (\d+);", rows[row - 1])
-        if m and file == str(tmp_path / "u.c"):
-            assert line == int(m.group(2)), m.group(1)
-            seen[m.group(1)] = line
+    for g in table.globals:
+        file, _, line = g.source_loc.rpartition(":")
+        if file == str(tmp_path / "u.c") and g.name != "s":
+            assert int(line) == int(g.initializer_text), g.name
+            seen[g.name] = int(line)
     assert seen == {"a": 1, "b": 2, "c": 3, "d": 6, "e": 7, "f": 9}
 
 
@@ -325,16 +314,19 @@ def test_include_dir_flag_reaches_the_preprocessor(tmp_path, flags):
     assert "int from_q;" in unit.text
 
 
-def test_defines_are_the_ones_in_force_where_they_stood(tmp_path):
+def test_constants_are_the_definitions_in_force_where_they_stood(tmp_path, caplog):
     (tmp_path / "cfg.h").write_text(
         "#ifdef BIG\n#define N 64\n#else\n#define N 8 /* eight */\n#endif\n"
-        "#define SUM (1 + \\\n  2)\n#define TWICE(x) ((x) * 2)\n#define GUARD\n"
+        "#define SUM (1 + \\\n  2)\n#define TWICE(x) ((x) * 2)\n#define GUARD\n#define AFTER 5\n"
     )
     unit = unit_for(tmp_path, '#include "cfg.h"\n#define LOCAL 3\nint v = N;\n')
-    project = [d for d in unit.defines if d[2].startswith(str(tmp_path))]
-    header, main = str(tmp_path / "cfg.h"), str(tmp_path / "u.c")
-    assert project == [
-        ("N", "8", header, 4), ("SUM", "(1 + 2)", header, 6), ("LOCAL", "3", main, 2),
-    ]
-    # directive and blank lines map to no source line
-    assert [unit.line_map[no] for no in sorted(unit.line_map)] == [(main, 3)]
+    with caplog.at_level(logging.INFO, logger="rustport.csyms"):
+        table = extract_symbols(unit, tmp_path)
+    header = (tmp_path / "cfg.h").resolve()
+    assert table.constants == [(header, 4, "N", 8), (header, 10, "AFTER", 5), (None, 2, "LOCAL", 3)]
+    # comments are stripped and continuations joined, and a replacement that
+    # is no literal plants no constant
+    assert "macro SUM skipped: non-literal replacement '(1 + 2)'" in caplog.text
+    # directive and blank lines reach the parser as nothing
+    assert table.issues == [] and table.types == [] and table.functions == []
+    assert [(g.name, g.source_loc) for g in table.globals] == [("v", f"{tmp_path / 'u.c'}:3")]

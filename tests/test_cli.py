@@ -1,6 +1,8 @@
 import hashlib
 import json
+import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from conftest import FIXTURES, build_planted_repo, write_trace
 
 from rustport.cli import build_parser, main
-from rustport.config import apply_flag_overrides, load_config
+from rustport.config import RunConfig, apply_flag_overrides, load_config
 
 
 def copy_fixture(name: str, dest: Path) -> Path:
@@ -176,6 +178,13 @@ def test_a_config_file_that_is_no_json_object_is_an_error(tmp_path, capsys, text
     assert run_cli("translate", "--workspace", tmp_path / "ws", "--config", config) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err and str(config) in err
+
+
+def test_readme_lists_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"can set any of these keys:(.*?)Any other key", readme, re.S)
+    assert listed is not None
+    assert re.findall(r"`(\w+)`", listed.group(1)) == [f.name for f in fields(RunConfig)]
 
 
 def test_flags_override_config_file_values(tmp_path):

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from rustport.buildctx import CompileCommand, PreprocessorConfig, derive_unit_context, preprocess_unit
+from rustport import csyms
 from rustport.csyms import CFuncSig, CType, extract_symbols, read_literal
 from rustport.errors import PreprocessError
 from rustport.graph import build_graph, build_symbol_index
@@ -251,7 +252,7 @@ def test_source_text_sliced_from_original(tmp_path):
     assert "v * K" in fn.source_text
     assert fn.source_text.startswith("int scaled")
     # the same read of the main file gives its macro constants
-    assert table.macro_constants == [("K", 3)]
+    assert table.constants == [(None, 1, "K", 3)]
 
 
 def test_source_text_skips_brace_in_char_literal(tmp_path):
@@ -333,6 +334,23 @@ def test_source_text_of_a_header_function_is_preprocessed(tmp_path):
     texts = {fn.name: fn.source_text for fn in table.functions}
     assert texts["twice"] == "static inline int twice(int v)\n{\n    return v * 3;\n}"
     assert texts["use"] == "int use(int v) { return twice(v); }"
+
+
+def test_directives_in_a_header_function_are_blank_lines_of_its_source(tmp_path):
+    (tmp_path / "clamp.h").write_text(
+        "static inline int clamp(int v)\n"
+        "{\n"
+        "#define LIMIT 9\n"
+        "#if 1\n"
+        "    return v > LIMIT ? LIMIT : v;\n"
+        "#endif\n"
+        "}\n"
+    )
+    table, _ = extract(tmp_path, '#include "clamp.h"\nint use(int v) { return clamp(v); }\n')
+    clamp = next(fn for fn in table.functions if fn.name == "clamp")
+    assert clamp.source_text == (
+        "static inline int clamp(int v)\n{\n\n\n    return v > 9 ? 9 : v;\n\n}"
+    )
 
 
 def test_array_of_callbacks(tmp_path):
@@ -429,7 +447,7 @@ def test_macro_constants_object_like_only(tmp_path):
         "#define EXPR (MAX_LEN + 1)\n"
     )
     table, _ = extract(tmp_path, source)
-    as_dict = dict(table.macro_constants)
+    as_dict = {name: value for _, _, name, value in table.constants}
     assert as_dict["MAX_LEN"] == 64
     assert as_dict["HDF_POWER_DYNAMIC_CTRL"] == 0
     assert as_dict["TAG_NAME"] == "hdf"
@@ -504,3 +522,29 @@ def test_constants_read_an_earlier_enumerator(tmp_path, source, read):
 def test_read_literal(text, value):
     assert read_literal(text) == value
     assert type(read_literal(text)) is type(value)
+
+
+def test_function_table_reads_each_name_a_fixed_number_of_times(tmp_path, monkeypatch):
+    # the table of a unit whose header declares n functions costs O(n) name
+    # reads, where scanning the list for every prototype costs O(n^2)
+    reads = [0]
+
+    class Counted(csyms.CFunctionDecl):
+        @property
+        def name(self) -> str:
+            reads[0] += 1
+            return self.__dict__["name"]
+
+        @name.setter
+        def name(self, value: str) -> None:
+            self.__dict__["name"] = value
+
+    monkeypatch.setattr(csyms, "CFunctionDecl", Counted)
+    counts = {}
+    for n in (100, 400):
+        (tmp_path / "api.h").write_text("".join(f"int api_{i}(int v);\n" for i in range(n)))
+        reads[0] = 0
+        table, _ = extract(tmp_path, '#include "api.h"\n')
+        assert len(table.functions) == n
+        counts[n] = reads[0]
+    assert 0 < counts[400] == 4 * counts[100]

@@ -224,6 +224,16 @@ def test_fc_three_of_four(tmp_path):
     assert rate == pytest.approx(75.0)
 
 
+def test_fc_default_command_counts_every_test_binary(tmp_path):
+    # cargo stops at the first failing test binary unless told not to
+    ws = make_test_crate(tmp_path, "fc_binaries", {
+        "a.rs": "#[test]\nfn fails() { panic!(); }\n",
+        "b.rs": "".join(f"#[test]\nfn passes_{i}() {{}}\n" for i in range(3)),
+    })
+    assert functional_correctness(ws, None, BuildRunner()) == (pytest.approx(75.0), "")
+    assert functional_correctness(ws, ["cargo", "test"], BuildRunner()) == (0.0, "")
+
+
 def test_test_command_runs_without_cargo_incremental_unless_set(tmp_path, monkeypatch):
     ws = make_workspace(tmp_path, "pub fn fine() -> i32 { 5 }\n")
     show = ["sh", "-c", 'printf %s "$CARGO_INCREMENTAL"']

@@ -1,17 +1,21 @@
-"""The front end's shared-header path against its per-unit reference.
+"""The front end's one scan and its shared-header path against references.
 
-``preprocess_unit`` scans the preprocessor's output with a cheap path for
-blank and code lines, and ``plan_skeleton`` lets the units of one build share
-their header work through one ``SharedHeaders``. Here every unit a plan reads
-must equal the unit a plain per-line scan of the same output gives, and every
-symbol table it extracts must equal the one ``extract_symbols`` gives that
-reference unit with no sharing. This holds on every fixture the golden
-skeleton pins and on every benchmark workload.
+``extract_symbols`` reads the preprocessor's output in one pass with a cheap
+path for blank and code lines, and ``plan_skeleton`` lets the units of one
+build share their header work through one ``SharedHeaders``. Here every unit
+a plan reads must hold the preprocessor's output as printed; every token the
+scan hands the parser must sit at the origin a plain per-line scan of that
+output gives its row, and every constant must be a literal definition that
+scan finds in a project file, at its header and line; and every symbol table
+must equal the one ``extract_symbols`` gives the unit with no sharing. This
+holds on every fixture the golden skeleton pins and on every benchmark
+workload.
 """
 
 import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 from conftest import FIXTURES
@@ -21,33 +25,31 @@ from test_bench_workloads import workloads
 from rustport import csyms, skeleton
 from rustport.buildctx import (
     CompileCommand,
-    PreprocessedUnit,
     PreprocessorConfig,
     TranslationUnitContext,
     dedupe_by_source,
     derive_unit_context,
     load_compile_commands,
     preprocess_unit,
-    split_lines,
 )
-from rustport.csyms import extract_symbols
+from rustport.csyms import extract_symbols, read_literal, split_lines
 
 CPP = PreprocessorConfig()
 
 
-def reference_unit(ctx: TranslationUnitContext) -> PreprocessedUnit:
-    """The unit a per-line scan of the preprocessor's output gives, every
-    line's origin counted up from the last line marker."""
+def reference_scan(ctx: TranslationUnitContext):
+    """The preprocessor's output, each code row's (file, line) and each
+    object-like definition as (name, replacement, file, line), from a per-line
+    scan that counts every line's origin up from the last line marker."""
     cmd = ctx.command
     argv = [*CPP.executable, *CPP.base_flags, "-dD", *ctx.flags, str(cmd.source_path())]
     out = subprocess.run(argv, cwd=cmd.directory, capture_output=True, check=True).stdout
-    lines = split_lines(out.decode("utf-8"))
-    line_map: dict[int, tuple[str, int]] = {}
+    text = out.decode("utf-8")
+    origins: dict[int, tuple[str, int]] = {}
     defines: list[tuple[str, str, str, int]] = []
     current_file, current_line = str(cmd.source_path()), 1
-    for row, line in enumerate(lines, start=1):
+    for row, line in enumerate(split_lines(text), start=1):
         if line.startswith("#"):
-            lines[row - 1] = ""
             m = re.match(r'#\s+(\d+)\s+"([^"]*)"', line)
             if m:
                 current_line, current_file = int(m.group(1)), m.group(2)
@@ -56,9 +58,22 @@ def reference_unit(ctx: TranslationUnitContext) -> PreprocessedUnit:
             if m and not current_file.startswith("<"):
                 defines.append((m.group(1), m.group(2), current_file, current_line))
         elif line.strip():
-            line_map[row] = (current_file, current_line)
+            origins[row] = (current_file, current_line)
         current_line += 1
-    return PreprocessedUnit(ctx, "\n".join([*lines, ""]), line_map, defines)
+    return text, origins, defines
+
+
+def reference_constants(ctx: TranslationUnitContext, root: Path, defines):
+    """The literal definitions among ``defines`` that lie in project files, as
+    ``SymbolTable.constants`` lists them."""
+    main = str(ctx.command.source_path())
+    constants = []
+    for name, replacement, file, line in defines:
+        header = csyms._project_path(file, root.resolve(), Path(ctx.command.directory))
+        value = read_literal(replacement)
+        if header is not None and value is not None and not isinstance(value, float):
+            constants.append((None if file == main else header, line, name, value))
+    return constants
 
 
 def fixture_inputs(tmp_path, name):
@@ -87,9 +102,19 @@ def same_marker_inputs(tmp_path, name):
     return tmp_path, commands, skeleton.SkeletonConfig()
 
 
+def declared_twice_inputs(tmp_path, name):
+    # the header declares one function twice, and the unit then defines it
+    (tmp_path / "api.h").write_text("int twice(int v);\nint after(void);\nint twice(int);\n")
+    (tmp_path / "u.c").write_text(
+        '#include "api.h"\nint twice(int v) { return after() + v; }\nint after(void);\n'
+    )
+    commands = [CompileCommand(str(tmp_path), "u.c", ["cc", "-c", "u.c"])]
+    return tmp_path, commands, skeleton.SkeletonConfig()
+
+
 CASES = [(fixture_inputs, name) for name in sorted(FIXTURE_PROJECTS)] + [
     (workload_inputs, name) for name in sorted(workloads.GENERATORS)
-] + [(same_marker_inputs, "same_marker")]
+] + [(same_marker_inputs, "same_marker"), (declared_twice_inputs, "declared_twice")]
 
 
 @pytest.mark.parametrize("inputs, name", CASES, ids=[name for _, name in CASES])
@@ -98,18 +123,64 @@ def test_planned_units_and_tables_equal_the_per_unit_reference(tmp_path, monkeyp
     units = [preprocess_unit(derive_unit_context(c), CPP) for c in commands]
     planned = []
 
+    class Recording(csyms._Parser):
+        def __init__(self, toks, *args):
+            planned[-1].append(toks)
+            super().__init__(toks, *args)
+
     def recording(unit, *args, **kwargs):
+        planned.append([unit])
         table = extract_symbols(unit, *args, **kwargs)
-        planned.append((unit, table))
+        planned[-1].append(table)
         return table
 
+    monkeypatch.setattr(csyms, "_Parser", Recording)
     monkeypatch.setattr(skeleton, "extract_symbols", recording)
     skeleton.plan_skeleton(root, units, config)
-    assert [unit for unit, _ in planned] == units
-    for unit, table in planned:
-        reference = reference_unit(unit.origin)
-        assert unit == reference, unit.origin.command.source_file
-        assert table == extract_symbols(reference, root), unit.origin.command.source_file
+    monkeypatch.undo()
+    assert [unit for unit, _, _ in planned] == units
+    for unit, toks, table in planned:
+        ctx = unit.origin
+        where = ctx.command.source_file
+        text, origins, defines = reference_scan(ctx)
+        assert unit.text == text, where
+        project_rows = {
+            row for row, (file, _) in origins.items()
+            if csyms._project_path(file, root.resolve(), Path(ctx.command.directory))
+        }
+        assert {t.row for t in toks} == project_rows, where
+        assert all((t.file, t.line) == origins[t.row] for t in toks), where
+        locs = {f"{file}:{line}" for file, line in origins.values()}
+        declared = [*table.types, *table.functions, *table.globals]
+        assert all(d.source_loc in locs for d in declared), where
+        assert table.constants == reference_constants(ctx, root, defines), where
+        assert table == extract_symbols(unit, root), where
+
+
+class ListScanParser(csyms._Parser):
+    """The function table kept as a bare list: every prototype scans it for
+    its name, and every definition rebuilds it without that name."""
+
+    def add_function(self, fn):
+        if fn.defined_here:
+            self.table.functions = [f for f in self.table.functions if f.name != fn.name]
+            self.table.functions.append(fn)
+        elif not any(f.name == fn.name for f in self.table.functions):
+            self.table.functions.append(fn)
+
+
+@pytest.mark.parametrize("inputs, name", CASES, ids=[name for _, name in CASES])
+def test_function_table_equals_the_list_scan_reference(tmp_path, monkeypatch, inputs, name):
+    root, commands, _ = inputs(tmp_path, name)
+    units = [preprocess_unit(derive_unit_context(c), CPP) for c in commands]
+    tables = [extract_symbols(unit, root) for unit in units]
+    monkeypatch.setattr(csyms, "_Parser", ListScanParser)
+    assert tables == [extract_symbols(unit, root) for unit in units]
+    if name == "declared_twice":
+        [table] = tables
+        assert [(f.name, f.defined_here) for f in table.functions] == [
+            ("after", False), ("twice", True),
+        ]
 
 
 def test_one_plan_resolves_each_header_path_and_harvests_each_text_once(tmp_path, monkeypatch):
