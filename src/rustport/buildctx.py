@@ -185,9 +185,11 @@ def preprocess_unit(ctx: TranslationUnitContext, toolchain: PreprocessorConfig) 
     except OSError as exc:
         raise PreprocessError(f"cannot invoke preprocessor {argv[0]}: {exc}") from exc
     if proc.returncode != 0:
+        diagnostics = proc.stderr.decode("utf-8", "replace")
         raise PreprocessError(
-            f"preprocessor failed on {cmd.source_file} (exit {proc.returncode})",
-            diagnostics=proc.stderr.decode("utf-8", "replace"),
+            f"preprocessor failed on {cmd.source_file} (exit {proc.returncode}):\n"
+            + diagnostics[-2000:].rstrip(),
+            diagnostics=diagnostics,
         )
     try:
         text = proc.stdout.decode("utf-8")

@@ -974,7 +974,8 @@ def _consume_local_declaration(
         if body[i].text in ("struct", "union", "enum") and i + 1 < n and body[i + 1].kind == "ident":
             i += 1  # the tag
         i += 1
-    # declarator list until ';' at depth 0; identifiers before '=' are locals
+    # declarator list until ';' at depth 0; a declarator's name is its first
+    # identifier at depth 0, or the one after '(' and '*'s: `int (*fp)(int)`
     depth = 0
     expecting_name = True
     while i < n:
@@ -992,7 +993,7 @@ def _consume_local_declaration(
         elif depth == 0 and t.text == "=":
             expecting_name = False
         elif t.kind == "ident" and t.text not in C_KEYWORDS:
-            if depth == 0 and expecting_name:
+            if expecting_name and (depth == 0 or _names_pointer_declarator(body, i)):
                 locals_.add(t.text)
                 expecting_name = False
             else:
@@ -1007,6 +1008,14 @@ def _consume_local_declaration(
             pass  # pointer declarator, keep expecting a name
         i += 1
     return i
+
+
+def _names_pointer_declarator(body: list[_Tok], i: int) -> bool:
+    """Whether ``body[i]`` follows '(' and one or more '*'s."""
+    j = i - 1
+    while j >= 0 and body[j].text == "*":
+        j -= 1
+    return j < i - 1 and j >= 0 and body[j].text == "("
 
 
 def extract_symbols(

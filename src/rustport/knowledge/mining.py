@@ -7,16 +7,23 @@ create inside a 365-day window, evolutionary coupling, developer identity),
 and snapshot signals (module colocation, key-token overlap, shared long
 literals). Heuristics combine disjunctively; every candidate keeps its
 evidence tags so the downstream cascade can filter.
+
+History is read with three ``git log`` runs (statuses, line counts, and the
+patches of modified files), a merge as ``git show`` shows it (``--cc``).
+Only recovering the text of a candidate missing from the snapshot runs git
+again. Without git, or outside a repository, co-evolution mining reads only
+the snapshot and logs a warning.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bm25 import long_string_literals
 from .rules import CALL_RE, split_c_functions, split_rust_functions
@@ -58,6 +65,8 @@ class Commit:
     status: dict[str, str] = field(default_factory=dict)
     # path -> (added, deleted) line counts
     numstat: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # modified path -> (removed, added) diff lines as printed, marker included
+    changed: dict[str, tuple[list[str], list[str]]] = field(default_factory=dict)
 
 
 class GitRepo:
@@ -67,55 +76,61 @@ class GitRepo:
         self.path = Path(path)
 
     def _git(self, *args: str) -> str:
-        proc = subprocess.run(
-            ["git", "-C", str(self.path), *args],
-            capture_output=True,
-            text=True,
-            check=False,
-        )
+        try:
+            proc = subprocess.run(
+                ["git", "-C", str(self.path), *args],
+                capture_output=True,
+                text=True,
+                check=False,
+            )
+        except OSError as exc:
+            raise RuntimeError(f"cannot run git: {exc}") from exc
         if proc.returncode != 0:
             raise RuntimeError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
         return proc.stdout
 
+    def _log(self, *args: str, fmt: str = "%H") -> Iterator[tuple[str, list[str]]]:
+        """(format line, output lines) per commit, oldest first. Rename
+        detection is off: the heuristics reason over raw add/delete."""
+        raw = self._git("log", "--reverse", "--cc", "--no-renames", f"--format=%x00{fmt}", *args)
+        for chunk in raw.split("\0")[1:]:
+            head, _, body = chunk.partition("\n")
+            yield head, body.splitlines()
+
     def commits(self) -> list[Commit]:
-        fmt = "%H%x01%ae%x01%at%x01%s"
-        raw = self._git("log", "--reverse", f"--format={fmt}")
-        commits: list[Commit] = []
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            sha, email, ts, message = line.split("\x01", 3)
-            commits.append(Commit(sha=sha, email=email, timestamp=int(ts), message=message))
-        for commit in commits:
-            # rename detection off: the heuristics reason over raw add/delete
-            status_raw = self._git("show", "--no-renames", "--name-status", "--format=", commit.sha)
-            for row in status_raw.splitlines():
-                if not row.strip():
-                    continue
-                parts = row.split("\t")
+        commits: dict[str, Commit] = {}
+        for head, rows in self._log("--name-status", fmt="%H%x01%ae%x01%at%x01%s"):
+            sha, email, ts, message = head.split("\x01", 3)
+            commit = commits[sha] = Commit(sha=sha, email=email, timestamp=int(ts), message=message)
+            for parts in (row.split("\t") for row in rows):
                 if len(parts) >= 2:
                     commit.status[parts[-1]] = parts[0][0]
-            numstat_raw = self._git("show", "--no-renames", "--numstat", "--format=", commit.sha)
-            for row in numstat_raw.splitlines():
-                parts = row.split("\t")
-                if len(parts) == 3 and parts[0] != "-":
-                    try:
-                        commit.numstat[parts[2]] = (int(parts[0]), int(parts[1]))
-                    except ValueError:
-                        continue
-        return commits
+        for sha, rows in self._log("--numstat"):
+            for parts in (row.split("\t") for row in rows):
+                if len(parts) == 3 and parts[0] != "-":  # "-" counts a binary file
+                    commits[sha].numstat[parts[2]] = (int(parts[0]), int(parts[1]))
+        # patches of all but deletions: --diff-filter=M would also drop a
+        # merge's path modified against its first parent but new to another
+        for sha, rows in self._log("-p", "--diff-filter=d", "--no-prefix"):
+            commit = commits[sha]
+            lines = None
+            for row in rows:
+                if row.startswith("diff "):
+                    rest = row.split(" ", 2)[2]  # "X X" after --git (no prefixes), "X" after --cc
+                    path = rest[: (len(rest) - 1) // 2] if row.startswith("diff --git") else rest
+                    lines = None
+                    if commit.status.get(path) == "M":
+                        lines = commit.changed[path] = ([], [])
+                elif lines is None:
+                    continue
+                elif row.startswith("-") and not row.startswith("---"):
+                    lines[0].append(row)
+                elif row.startswith("+") and not row.startswith("+++"):
+                    lines[1].append(row)
+        return list(commits.values())
 
     def file_at(self, sha: str, path: str) -> str:
         return self._git("show", f"{sha}:{path}")
-
-    def parent_of(self, sha: str) -> Optional[str]:
-        try:
-            return self._git("rev-parse", f"{sha}^").strip()
-        except RuntimeError:
-            return None
-
-    def diff_of(self, sha: str, path: str) -> str:
-        return self._git("show", "--format=", sha, "--", path)
 
 
 def _snapshot_files(root: Path, suffix: str) -> list[str]:
@@ -172,7 +187,7 @@ def get_file_candidates(repo_path, regime: str = "co_evolution") -> list[FilePai
             logger.warning("history unreadable (%s); falling back to snapshot heuristics", exc)
 
     if commits:
-        _mine_synchronous(commits, cands, repo, root)
+        _mine_synchronous(commits, cands, root, c_files, rust_files)
         _mine_asynchronous(commits, cands)
 
     _mine_snapshot(root, c_files, rust_files, cands)
@@ -183,8 +198,9 @@ def get_file_candidates(repo_path, regime: str = "co_evolution") -> list[FilePai
                 cands.ensure(c, r)
 
     out = sorted(cands.items.values(), key=lambda c: (c.c_path, c.rust_path))
+    text_of = functools.cache(lambda path: _text_of(path, root, repo, commits))
     for cand in out:
-        _attach_texts(cand, root, repo, commits)
+        cand.c_text, cand.rust_text = text_of(cand.c_path), text_of(cand.rust_path)
     return out
 
 
@@ -194,22 +210,12 @@ def _commit_files(commit: Commit, suffix: str, statuses: str) -> list[str]:
     )
 
 
-def _mine_synchronous(commits: list[Commit], cands: _CandidateSet, repo: GitRepo, root: Path) -> None:
+def _mine_synchronous(
+    commits: list[Commit], cands: _CandidateSet, root: Path, c_files: list[str], rust_files: list[str]
+) -> None:
     # snapshot definition maps for interface-migration lookups
-    c_def_files: dict[str, str] = {}
-    for path in _snapshot_files(root, ".c"):
-        try:
-            for name, _ in split_c_functions((root / path).read_text(encoding="utf-8")):
-                c_def_files.setdefault(name, path)
-        except OSError:
-            continue
-    rust_def_files: dict[str, str] = {}
-    for path in _snapshot_files(root, ".rs"):
-        try:
-            for name, _ in split_rust_functions((root / path).read_text(encoding="utf-8")):
-                rust_def_files.setdefault(name, path)
-        except OSError:
-            continue
+    c_def_files = _definition_homes(root, c_files, split_c_functions)
+    rust_def_files = _definition_homes(root, rust_files, split_rust_functions)
 
     for commit in commits:
         gone_c = _commit_files(commit, ".c", "DM")
@@ -223,7 +229,7 @@ def _mine_synchronous(commits: list[Commit], cands: _CandidateSet, repo: GitRepo
                     cands.tag(c, r, "keyword", commit=commit.sha)
 
         # code churn balance over numstat
-        for c in _commit_files(commit, ".c", "DM"):
+        for c in gone_c:
             c_del = commit.numstat.get(c, (0, 0))[1]
             if c_del <= 0:
                 continue
@@ -234,45 +240,25 @@ def _mine_synchronous(commits: list[Commit], cands: _CandidateSet, repo: GitRepo
                 if abs(c_del - r_add) / max(c_del, r_add) <= CHURN_RATIO:
                     cands.tag(c, r, "churn_balance", commit=commit.sha)
 
-        # build-config switch: one build-file diff drops a .c and gains a .rs
-        for path, status in commit.status.items():
-            if status != "M" or not _is_build_file(path):
-                continue
-            try:
-                diff = repo.diff_of(commit.sha, path)
-            except RuntimeError:
-                continue
-            removed_c = set()
-            added_rust = set()
-            for line in diff.splitlines():
-                if line.startswith("-") and not line.startswith("---"):
-                    removed_c.update(re.findall(r"[\w/.-]+\.c\b", line))
-                elif line.startswith("+") and not line.startswith("+++"):
-                    added_rust.update(re.findall(r"[\w/.-]+\.rs\b", line))
-            for c in sorted(removed_c):
-                for r in sorted(added_rust):
-                    cands.tag(
-                        _resolve_repo_path(c, commit, root),
-                        _resolve_repo_path(r, commit, root),
-                        "build_config",
-                        commit=commit.sha,
-                    )
+        for path, (removed, added) in commit.changed.items():
+            # build-config switch: one build-file diff drops a .c and gains a .rs
+            if _is_build_file(path):
+                removed_c = {m for line in removed for m in re.findall(r"[\w/.-]+\.c\b", line)}
+                added_rust = {m for line in added for m in re.findall(r"[\w/.-]+\.rs\b", line)}
+                for c in sorted(removed_c):
+                    for r in sorted(added_rust):
+                        cands.tag(
+                            _resolve_repo_path(c, commit, root),
+                            _resolve_repo_path(r, commit, root),
+                            "build_config",
+                            commit=commit.sha,
+                        )
 
-        # interface migration: a caller swaps a C call for a Rust call
-        for path, status in commit.status.items():
-            if status != "M" or path.endswith(".rs"):
+            # interface migration: a caller swaps a C call for a Rust call
+            if path.endswith(".rs"):
                 continue
-            try:
-                diff = repo.diff_of(commit.sha, path)
-            except RuntimeError:
-                continue
-            removed_calls: set[str] = set()
-            added_calls: set[str] = set()
-            for line in diff.splitlines():
-                if line.startswith("-") and not line.startswith("---"):
-                    removed_calls.update(m.group(1) for m in CALL_RE.finditer(line))
-                elif line.startswith("+") and not line.startswith("+++"):
-                    added_calls.update(m.group(1) for m in CALL_RE.finditer(line))
+            removed_calls = {m.group(1) for line in removed for m in CALL_RE.finditer(line)}
+            added_calls = {m.group(1) for line in added for m in CALL_RE.finditer(line)}
             for old_call in sorted(removed_calls - added_calls):
                 c_home = c_def_files.get(old_call)
                 if c_home is None:
@@ -281,6 +267,18 @@ def _mine_synchronous(commits: list[Commit], cands: _CandidateSet, repo: GitRepo
                     rust_home = rust_def_files.get(new_call)
                     if rust_home is not None:
                         cands.tag(c_home, rust_home, "interface_migration", commit=commit.sha)
+
+
+def _definition_homes(root: Path, files: list[str], split) -> dict[str, str]:
+    """Each function name -> the first of ``files`` that defines it."""
+    homes: dict[str, str] = {}
+    for path in files:
+        try:
+            for name, _ in split((root / path).read_text(encoding="utf-8")):
+                homes.setdefault(name, path)
+        except OSError:
+            continue
+    return homes
 
 
 def _resolve_repo_path(name: str, commit: Commit, root: Path) -> str:
@@ -397,19 +395,11 @@ def _mine_snapshot(
                 cands.tag(c, r, "shared_literal")
 
 
-def _attach_texts(
-    cand: FilePairCandidate, root: Path, repo: GitRepo, commits: list[Commit]
-) -> None:
-    c_abs = root / cand.c_path
-    if c_abs.is_file():
-        cand.c_text = c_abs.read_text(encoding="utf-8", errors="replace")
-    else:
-        cand.c_text = _text_from_history(repo, commits, cand.c_path)
-    r_abs = root / cand.rust_path
-    if r_abs.is_file():
-        cand.rust_text = r_abs.read_text(encoding="utf-8", errors="replace")
-    else:
-        cand.rust_text = _text_from_history(repo, commits, cand.rust_path)
+def _text_of(path: str, root: Path, repo: GitRepo, commits: list[Commit]) -> str:
+    """The snapshot's text of ``path``, else its last text in history."""
+    if (root / path).is_file():
+        return (root / path).read_text(encoding="utf-8", errors="replace")
+    return _text_from_history(repo, commits, path)
 
 
 def _text_from_history(repo: GitRepo, commits: list[Commit], path: str) -> str:
@@ -417,14 +407,9 @@ def _text_from_history(repo: GitRepo, commits: list[Commit], path: str) -> str:
         status = commit.status.get(path)
         if status is None:
             continue
-        sha = commit.sha
-        if status == "D":
-            parent = repo.parent_of(sha)
-            if parent is None:
-                continue
-            sha = parent
         try:
-            return repo.file_at(sha, path)
+            # a deleted file's last text is in the commit's first parent
+            return repo.file_at(f"{commit.sha}^" if status == "D" else commit.sha, path)
         except RuntimeError:
             continue
     return ""

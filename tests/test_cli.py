@@ -77,6 +77,19 @@ def test_skeleton_response_file_cycle_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "ws").exists()
 
 
+def test_skeleton_prints_the_preprocessors_message(tmp_path, capsys):
+    proj = tmp_path / "proj"
+    proj.mkdir()
+    (proj / "u.c").write_text('#include "no_such_header.h"\nint f(void) { return 1; }\n')
+    rc = run_cli(
+        "skeleton", "--project", proj, "--trace", write_trace(proj, ["u.c"]), "--out", tmp_path / "ws"
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: preprocessor failed on u.c (exit 1):")
+    assert "no_such_header.h" in err
+
+
 @pytest.mark.parametrize(
     "order", [["a.c", "latin1.c", "missing.c"], ["a.c", "missing.c", "latin1.c"]]
 )
@@ -401,6 +414,16 @@ def test_mine_command_on_planted_repo(tmp_path, capsys):
     assert (kb_dir / "pairs.jsonl").is_file()
     assert (kb_dir / "api_rules.jsonl").is_file()
     assert (kb_dir / "fragment_rules.jsonl").is_file()
+
+
+def test_mine_without_git_reads_the_snapshot(tmp_path, monkeypatch, capsys, caplog):
+    build_planted_repo(tmp_path / "repo")
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))  # no git on it
+    rc = run_cli("mine", "--repo", tmp_path / "repo", "--out", tmp_path / "kb")
+    assert rc == 0
+    assert "history unreadable" in caplog.text
+    assert "module_colocation" in capsys.readouterr().out
 
 
 def test_mine_empty_repo_succeeds(tmp_path, capsys):

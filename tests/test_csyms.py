@@ -190,6 +190,23 @@ def test_locals_do_not_leak_into_refs(tmp_path):
     assert "seed" not in fn.value_refs
 
 
+def test_function_pointer_locals_are_locals(tmp_path):
+    src = (
+        "int fp(int x) { return x; }\n"
+        "int twice(int x) { return 2 * x; }\n"
+        "int use_fp(int v) { int (*fp)(int) = twice; return fp(v); }\n"
+        "int use_cb(int v) { int n = v, (**pcb)(int) = 0, (*cb)(int) = 0; return cb ? cb(n) : (*pcb)(n); }\n"
+        "int use_s(void) { struct { int a; } s; s.a = 1; return s.a; }\n"
+    )
+    table, _ = extract(tmp_path, src)
+    fns = {f.name: f for f in table.functions}
+    assert (fns["use_fp"].calls, fns["use_fp"].value_refs) == (set(), {"twice"})
+    assert (fns["use_cb"].calls, fns["use_cb"].value_refs) == (set(), set())
+    # only a name after '(' and '*'s counts at depth 1: the member `a` is not
+    # taken for the declarator, so `s` stays the local
+    assert "s" not in fns["use_s"].value_refs
+
+
 def test_call_names_contained_in_defined_or_external(tmp_path):
     src = (
         "int helper(int v) { return v + 1; }\n"

@@ -189,6 +189,23 @@ def test_a_reference_resolves_once_for_graph_and_prompt(tmp_path, files, fn_id, 
     assert [d for d in getattr(ctx, bucket) if d.startswith(f"// at {target}\n")]
 
 
+def test_a_function_pointer_local_is_no_reference(tmp_path):
+    """A local `int (*fp)(int)` shadows the function `fp` and names no
+    boundary symbol: no edge, no prompt entry, no boundary node."""
+    from rustport.translate import assemble_context
+
+    files = {
+        "a.c": "int fp(int x) { return x; }\nint twice(int x) { return 2 * x; }\n"
+        "int use_fp(int v) { int (*fp)(int) = twice; return fp(v); }\n",
+        "b.c": "int use_cb(int v) { int (*cb)(int) = 0; return cb ? cb(v) : v; }\n",
+    }
+    project, graph = plan_units(tmp_path, files)
+    assert graph.call_edges == {("crate::a::use_fp", "crate::a::twice")}
+    assert not [n for n in graph.nodes if n.startswith("boundary::")]
+    ctx = assemble_context("crate::a::use_fp", project, graph)
+    assert not [d for d in ctx.callee_signatures if d.startswith("// at crate::a::fp\n")]
+
+
 def test_keyword_named_c_symbols_resolve(tmp_path):
     """A C name that is a Rust keyword lives at a raw or renamed Rust path,
     but C references carry the C name, which the index keys on."""

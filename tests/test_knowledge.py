@@ -393,6 +393,25 @@ def test_co_evolution_without_history_falls_back_to_snapshot(tmp_path):
     assert {"shared_literal", "key_token_overlap"} & cand.evidence
 
 
+def test_co_evolution_without_git_falls_back_to_snapshot(tmp_path, monkeypatch, caplog):
+    build_planted_repo(tmp_path / "repo")
+    snapshot_tags = {"module_colocation", "key_token_overlap", "shared_literal"}
+    expected = [
+        (c.c_path, c.rust_path, c.evidence & snapshot_tags, None, c.c_text, c.rust_text)
+        for c in get_file_candidates(tmp_path / "repo", regime="co_evolution")
+        if c.evidence & snapshot_tags
+    ]
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))  # no git on it
+    with caplog.at_level(logging.WARNING, logger="rustport.knowledge.mining"):
+        candidates = get_file_candidates(tmp_path / "repo", regime="co_evolution")
+    assert "history unreadable (cannot run git" in caplog.text
+    assert expected
+    assert [
+        (c.c_path, c.rust_path, c.evidence, c.commit, c.c_text, c.rust_text) for c in candidates
+    ] == expected
+
+
 def test_general_regime_cartesian_fallback(tmp_path):
     root = tmp_path / "snap"
     (root / "x.c").parent.mkdir(parents=True, exist_ok=True)
